@@ -339,11 +339,11 @@ def _verify_absorption(inst: Instance, params: GameParams, trials: int, seed: in
 def cmd_verify(args) -> int:
     try:
         inst = load_instance(args.instance)
+        params = GameParams(k_c=args.k_c, k_a=args.k_a, gamma=float(args.gamma))
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    params = GameParams(k_c=args.k_c, k_a=args.k_a)
-    gamma = math.inf if args.gamma == "inf" else float(args.gamma)
+    gamma = params.gamma
     report: dict = {"gamma": "inf" if math.isinf(gamma) else gamma}
     checks: list[tuple[str, bool, str]] = []
 

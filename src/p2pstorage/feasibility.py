@@ -103,65 +103,101 @@ class _Dinic:
                 total += flow
         return total
 
-    def reachable_from(self, s: int) -> set[int]:
-        """Nodes reachable from s in the residual graph (source cut side)."""
+    def reachable_from(self, s: int, reverse: bool = False) -> set[int]:
+        """Residual-graph nodes reachable from s (``reverse``: that reach s)."""
         seen = {s}
         queue = deque([s])
         while queue:
             u = queue.popleft()
-            for edge in self.adj[u]:
-                if edge[1] > 0 and edge[0] not in seen:
-                    seen.add(edge[0])
-                    queue.append(edge[0])
+            for v, cap, rev in self.adj[u]:
+                residual = self.adj[v][rev][1] if reverse else cap
+                if residual > 0 and v not in seen:
+                    seen.add(v)
+                    queue.append(v)
         return seen
+
+
+def _max_flow(inst: Instance) -> tuple[_Dinic, bool]:
+    """Ship as much demand as the aggregated network allows.
+
+    Node 0 is the source, 1 + x unit x, 1 + n + y resource y and 2n + 1 the
+    sink: source -> unit x (capacity alpha_x) -> resource y for every edge
+    (x, y) -> sink (capacity beta_y).  Unit-to-resource edges exceed the
+    total demand, so no flow ever saturates them.  Returns the solved
+    network and whether all demand was shipped.
+    """
+    n = inst.n
+    total = inst.total_alpha
+    net = _Dinic(2 * n + 2)
+    for x in range(n):
+        if inst.alpha[x] > 0:
+            net.add_edge(0, 1 + x, inst.alpha[x])
+        for y in inst.topology.out_neighbors(x):
+            net.add_edge(1 + x, 1 + n + y, total + 1)
+    for y in range(n):
+        if inst.beta[y] > 0:
+            net.add_edge(1 + n + y, 2 * n + 1, inst.beta[y])
+    return net, net.max_flow(0, 2 * n + 1) == total
+
+
+def _units_in(nodes: set[int], n: int) -> tuple[int, ...]:
+    return tuple(x for x in range(n) if 1 + x in nodes)
 
 
 def check_feasible_flow(inst: Instance) -> FeasibilityVerdict:
     """Decide allocation existence by max-flow on the aggregated network.
 
-    source -> unit x (capacity alpha_x) -> resource y for every edge
-    (x, y) -> sink (capacity beta_y).  Feasible iff the max flow ships all
-    demand.  On infeasibility the units on the source side of the min cut
-    form a violating subset.
+    Feasible iff the max flow ships all demand.  On infeasibility the units
+    on the source side of the min cut form a violating subset.
+    """
+    net, full = _max_flow(inst)
+    if full:
+        return FeasibilityVerdict(True)
+    return FeasibilityVerdict(False, _units_in(net.reachable_from(0), inst.n))
+
+
+def check_strict(inst: Instance) -> FeasibilityVerdict:
+    """Strict covering condition: every nonempty subset's demand is
+    strictly below its neighborhood capacity.
+
+    Equivalently, bumping any single alpha_x by one atom keeps the instance
+    feasible.  One max-flow decides all n bumps: once all demand ships,
+    the bump of x succeeds iff node x still reaches the sink in the
+    residual graph, so one backward search from the sink settles every
+    unit.  When x cannot reach the sink, the set R of nodes it reaches is
+    closed under residual edges.  Its units S therefore have every
+    out-neighbor in R, and every unit sending flow into R is in S; every
+    resource of R is saturated to the sink.  Flow conservation over R gives
+    alpha(S) = beta(N(S)): S is a tight set containing x, the witness.  If
+    not all demand ships, the min-cut witness of the flow check is
+    returned, whose demand exceeds its capacity.
     """
     n = inst.n
-    total = inst.total_alpha
-    if total == 0:
-        return FeasibilityVerdict(True)
-    source, sink = 0, 2 * n + 1
-    net = _Dinic(2 * n + 2)
-    big = total + 1
+    net, full = _max_flow(inst)
+    if not full:
+        return FeasibilityVerdict(False, _units_in(net.reachable_from(0), n))
+    reaches_sink = net.reachable_from(2 * n + 1, reverse=True)
     for x in range(n):
-        if inst.alpha[x] > 0:
-            net.add_edge(source, 1 + x, inst.alpha[x])
-        for y in inst.topology.out_neighbors(x):
-            net.add_edge(1 + x, 1 + n + y, big)
-    for y in range(n):
-        if inst.beta[y] > 0:
-            net.add_edge(1 + n + y, sink, inst.beta[y])
-    if net.max_flow(source, sink) == total:
-        return FeasibilityVerdict(True)
-    cut = net.reachable_from(source)
-    witness = tuple(x for x in range(n) if 1 + x in cut)
-    return FeasibilityVerdict(False, witness)
+        if 1 + x not in reaches_sink:
+            return FeasibilityVerdict(False, _units_in(net.reachable_from(1 + x), n))
+    return FeasibilityVerdict(True)
 
 
-def check_feasible_exhaustive(inst: Instance) -> FeasibilityVerdict:
-    """Test the covering inequality on every nonempty subset of units.
+def _nbr_masks(inst: Instance) -> list[int]:
+    """Bitmask of each unit's out-neighborhood."""
+    return [sum(1 << y for y in inst.topology.out_neighbors(x)) for x in range(inst.n)]
 
-    Subsets are scanned in increasing bitmask order; the first violator is
-    returned as the witness.  Guarded to n <= 25.
-    """
+
+def _exhaustive(inst: Instance, strict: bool) -> FeasibilityVerdict:
+    # The covering inequality (strict: demand < capacity) on every nonempty
+    # subset, in increasing bitmask order; the first violator is the witness.
     n = inst.n
     if n > EXHAUSTIVE_MAX_UNITS:
         raise SizeLimitExceeded(
             f"subset enumeration is limited to n <= {EXHAUSTIVE_MAX_UNITS} "
-            f"(got n={n}); use check_feasible_flow"
+            f"(got n={n}); use {'check_strict' if strict else 'check_feasible_flow'}"
         )
-    nbr_mask = [0] * n
-    for x in range(n):
-        for y in inst.topology.out_neighbors(x):
-            nbr_mask[x] |= 1 << y
+    nbr_mask = _nbr_masks(inst)
     for mask in range(1, 1 << n):
         demand = 0
         cover = 0
@@ -177,61 +213,24 @@ def check_feasible_exhaustive(inst: Instance) -> FeasibilityVerdict:
             low = cover & -cover
             capacity += inst.beta[low.bit_length() - 1]
             cover ^= low
-        if demand > capacity:
+        if demand > capacity or (strict and demand == capacity):
             witness = tuple(i for i in range(n) if mask >> i & 1)
             return FeasibilityVerdict(False, witness)
     return FeasibilityVerdict(True)
 
 
-def check_strict(inst: Instance) -> FeasibilityVerdict:
-    """Strict covering condition: every nonempty subset's demand is
-    strictly below its neighborhood capacity.
+def check_feasible_exhaustive(inst: Instance) -> FeasibilityVerdict:
+    """Test the covering inequality on every nonempty subset of units.
 
-    Equivalent flow formulation: for each unit x, the instance with
-    alpha_x bumped by one atom must remain feasible (every nonempty subset
-    contains some unit, so the bump forces a strict margin there).
+    Subsets are scanned in increasing bitmask order; the first violator is
+    returned as the witness.  Guarded to n <= 25.
     """
-    n = inst.n
-    for x in range(n):
-        bumped = list(inst.alpha)
-        bumped[x] += 1
-        probe = Instance(inst.topology, tuple(bumped), inst.beta, inst.reliability)
-        verdict = check_feasible_flow(probe)
-        if not verdict.feasible:
-            return FeasibilityVerdict(False, verdict.witness)
-    return FeasibilityVerdict(True)
+    return _exhaustive(inst, strict=False)
 
 
 def check_strict_exhaustive(inst: Instance) -> FeasibilityVerdict:
     """Exhaustive variant of the strict condition (witness has demand >= capacity)."""
-    n = inst.n
-    if n > EXHAUSTIVE_MAX_UNITS:
-        raise SizeLimitExceeded(
-            f"subset enumeration is limited to n <= {EXHAUSTIVE_MAX_UNITS} "
-            f"(got n={n}); use check_strict"
-        )
-    nbr_mask = [0] * n
-    for x in range(n):
-        for y in inst.topology.out_neighbors(x):
-            nbr_mask[x] |= 1 << y
-    for mask in range(1, 1 << n):
-        demand = 0
-        cover = 0
-        m = mask
-        while m:
-            low = m & -m
-            demand += inst.alpha[low.bit_length() - 1]
-            cover |= nbr_mask[low.bit_length() - 1]
-            m ^= low
-        capacity = 0
-        while cover:
-            low = cover & -cover
-            capacity += inst.beta[low.bit_length() - 1]
-            cover ^= low
-        if demand >= capacity:
-            witness = tuple(i for i in range(n) if mask >> i & 1)
-            return FeasibilityVerdict(False, witness)
-    return FeasibilityVerdict(True)
+    return _exhaustive(inst, strict=True)
 
 
 def _is_irreducible(members: list[int], nbr_mask: list[int]) -> bool:
@@ -265,10 +264,7 @@ def maximal_irreducible_subsets(inst: Instance) -> list[tuple[int, ...]]:
         raise SizeLimitExceeded(
             f"maximal_irreducible_subsets is limited to n <= {IRREDUCIBLE_MAX_UNITS}"
         )
-    nbr_mask = [0] * n
-    for x in range(n):
-        for y in inst.topology.out_neighbors(x):
-            nbr_mask[x] |= 1 << y
+    nbr_mask = _nbr_masks(inst)
     # Irreducible subsets grouped by their neighborhood mask.  An
     # irreducible superset can only share the neighborhood of a smaller
     # set within the same group, so maximality is decided group-wise.

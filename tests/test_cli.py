@@ -297,6 +297,25 @@ def test_verify_rejects_oversized_state_space(tmp_path, capsys):
     assert "exceeds" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("gamma", ["abc", "nan", "-1", "0"])
+def test_verify_rejects_bad_gamma(tmp_path, capsys, gamma):
+    path = write_instance(tmp_path, "desk.json", feasible_doc())
+    assert main(["verify", str(path), "--gamma", gamma]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("gamma", ["inf", "2.5"])
+def test_verify_accepts_positive_gamma(tmp_path, capsys, gamma):
+    doc = {"generator": {"kind": "complete", "n": 3}, "alpha": 1, "beta": 2, "lambda": 1.0}
+    path = write_instance(tmp_path, "desk.json", doc)
+    assert main(["verify", str(path), "--gamma", gamma]) == 0
+    out = capsys.readouterr().out
+    payload = json.loads(out[out.index("{"):])
+    assert payload["gamma"] == ("inf" if gamma == "inf" else 2.5)
+
+
 # --------------------------------------------------------------- reproduce
 
 

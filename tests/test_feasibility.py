@@ -135,6 +135,48 @@ def test_strict_agrees_with_exhaustive_and_implies_feasible():
     assert strict_seen > 10
 
 
+def test_strict_fails_with_zero_demand_and_empty_capacity_neighbors():
+    # every unit demands nothing, but unit 2 only reaches resources that
+    # hold nothing, so the singleton {2} gives 0 < 0, which is false
+    inst = make(build_complete(3), (0, 0, 0), (0, 0, 3))
+    assert check_feasible_flow(inst).feasible
+    verdict = check_strict(inst)
+    assert not verdict.feasible
+    assert witness_violates(inst, verdict.witness, strict=True)
+    assert not check_strict_exhaustive(inst).feasible
+
+
+def test_strict_fails_only_at_last_unit_of_regular_instance():
+    # units 0..198 form a 10-regular graph with demand below capacity, so
+    # every set of them has strict slack; unit 199 stores only into one
+    # resource and needs all of it, which makes {199} the only tight set
+    rng = random.Random(99)
+    n, last = 200, 199
+    regular = build_random_regular(last, 10, seed=7)
+    target = rng.randrange(last)
+    topo = Topology(n, regular.edges | {(last, target)})
+    alpha = tuple(rng.randint(35, 44) for _ in range(last)) + (50,)
+    inst = make(topo, alpha, tuple([50] * n))
+    assert check_feasible_flow(inst).feasible
+    verdict = check_strict(inst)
+    assert not verdict.feasible
+    assert last in verdict.witness
+    assert witness_violates(inst, verdict.witness, strict=True)
+
+
+def test_strict_agrees_with_exhaustive_on_thousand_instances():
+    rng = random.Random(2718)
+    outcomes = {True: 0, False: 0}
+    for _ in range(1000):
+        inst = random_instance(rng, max_n=9)
+        verdict = check_strict(inst)
+        assert verdict.feasible == check_strict_exhaustive(inst).feasible
+        if not verdict.feasible:
+            assert witness_violates(inst, verdict.witness, strict=True)
+        outcomes[verdict.feasible] += 1
+    assert min(outcomes.values()) > 50
+
+
 def _brute_force_maximal_irreducible(inst):
     """Definition checked literally: irreducibility against every
     2-partition, maximality against every irreducible strict superset."""

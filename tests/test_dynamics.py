@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from collections import Counter
@@ -5,6 +6,7 @@ from collections import Counter
 import pytest
 
 from p2pstorage import dynamics, feasibility, game
+from p2pstorage.analysis import build_transition_matrix, enumerate_states
 from p2pstorage.dynamics import (
     ALLOCATE_FIRST,
     PROPORTIONAL,
@@ -21,7 +23,13 @@ from p2pstorage.dynamics import (
     step,
 )
 from p2pstorage.game import ALLOCATION, DISTRIBUTION, AllocationState, GameParams, Move
-from p2pstorage.topology import Instance, Topology, build_complete, build_line
+from p2pstorage.topology import (
+    Instance,
+    Topology,
+    build_complete,
+    build_line,
+    build_random_regular,
+)
 
 
 def make(topo, alpha, beta, lam):
@@ -332,3 +340,72 @@ def test_state_stream_matches_run():
     for _t, state, _move in dynamics.state_stream(config):
         final_key = state.key()
     assert final_key == run(config).final_state.key()
+
+
+# ------------------------------------------------- pinned trajectories
+# sha256 digests of exact runs and of one exact kernel.  They pin the
+# random-number use and float arithmetic of the choice rule, so a refactor
+# of the engine or the oracle that drifts a single draw or bit fails here.
+
+
+def _run_digest(result):
+    trace = [(t, m.kind, m.unit, m.source, m.dest) for t, m in result.trace]
+    record = (
+        result.final_state.key(),
+        result.completed,
+        result.steps_to_completion,
+        result.moves_per_unit,
+        trace,
+    )
+    return hashlib.sha256(repr(record).encode()).hexdigest()
+
+
+def _pinned_regular_instance():
+    topo = build_random_regular(12, 4, seed=5)
+    alpha = tuple(2 + x % 3 for x in range(12))
+    beta = tuple(3 + x % 2 for x in range(12))
+    lam = tuple(round(0.3 + 0.07 * x, 2) for x in range(12))
+    return make(topo, alpha, beta, lam)
+
+
+def _pinned_configs():
+    regular = _pinned_regular_instance()
+    dense = make(build_complete(5), (3, 2, 4, 1, 2), (3,) * 5, (0.5, 0.8, 0.6, 0.8, 0.5))
+    partial = AllocationState.from_entries(dense, [(0, 1, 2), (2, 3, 1), (4, 0, 1)])
+    return {
+        "fixed-proportional-ka0": SimConfig(
+            regular, GameParams(1.0, 0.0), GammaSchedule.fixed(1.5), horizon=400,
+            seed=11, variant=PROPORTIONAL, record_trace=True),
+        "annealed-default-allocate-first-ka": SimConfig(
+            regular, GameParams(1.0, 0.45), GammaSchedule.annealed(1.0), horizon=400,
+            seed=12, variant=ALLOCATE_FIRST, record_trace=True),
+        "annealed-explicit-proportional-partial": SimConfig(
+            dense, GameParams(0.7, 0.25), GammaSchedule.annealed(0.5, 0.05), horizon=300,
+            seed=13, variant=PROPORTIONAL, record_trace=True, initial_state=partial),
+        "infinite-allocate-first-ka0": SimConfig(
+            dense, GameParams(1.0, 0.0), GammaSchedule.infinite(), horizon=300,
+            seed=14, variant=ALLOCATE_FIRST, record_trace=True),
+    }
+
+
+PINNED_RUN_DIGESTS = {
+    "fixed-proportional-ka0": "d48c24a154cd330b286ac7676b4eadfec0e254b9895124200466c6a5c09d632a",
+    "annealed-default-allocate-first-ka": "4016af9580b5f738d82a8f6a4c096b40b7369a48a9129cf23e90d066648db108",
+    "annealed-explicit-proportional-partial": "472408b6fd7c0de0042340db0eb23b61aecd6d78dc124d0ced6caea77dcd91a3",
+    "infinite-allocate-first-ka0": "e8d6ab9a2776e883f27fa6d81b223390ccd5b7e5d192f8b70a49baeefd3be9a9",
+}
+
+PINNED_KERNEL_DIGEST = "adb8eda9043b5b42e9f092e50ffd2d05a241d08de46359f90ac4cca92a6febe7"
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_RUN_DIGESTS))
+def test_run_trajectory_matches_pinned_digest(name):
+    result = run(_pinned_configs()[name])
+    assert _run_digest(result) == PINNED_RUN_DIGESTS[name]
+
+
+def test_transition_matrix_matches_pinned_digest():
+    inst = make(build_complete(4), (2, 1, 1, 2), (2, 2, 2, 2), (0.5, 0.8, 0.8, 0.5))
+    oracle = build_transition_matrix(enumerate_states(inst), GameParams(1.0, 0.25), 1.5)
+    rows = [sorted(row.items()) for row in oracle.transition]
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == PINNED_KERNEL_DIGEST

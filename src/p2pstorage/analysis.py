@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import dynamics, feasibility, game
-from .game import AllocationState, GameParams
+from .game import AllocationState, GameParams, _choice, _gibbs_weights
 from .topology import Instance
 
 __all__ = [
@@ -147,17 +147,14 @@ def enumerate_states(inst: Instance, limit: int = STATE_SPACE_LIMIT) -> StateSpa
     return StateSpaceOracle(inst, states)
 
 
-def _decode(inst: Instance, key: tuple):
-    # (row dicts, placed, load) without validation overhead
-    n = inst.n
-    counts: list[dict[int, int]] = [dict() for _ in range(n)]
-    placed = [0] * n
-    load = [0] * n
+def _decode(inst: Instance, key: tuple) -> AllocationState:
+    # state_from_key without the validation overhead
+    state = AllocationState.zeros(inst)
     for x, y, c in key:
-        counts[x][y] = c
-        placed[x] += c
-        load[y] += c
-    return counts, placed, load
+        state.counts[x][y] = c
+        state.placed[x] += c
+        state.load[y] += c
+    return state
 
 
 def build_transition_matrix(
@@ -179,18 +176,10 @@ def build_transition_matrix(
     inst = oracle.inst
     n = inst.n
     total_alpha = inst.total_alpha
-    if total_alpha == 0:
-        oracle.transition = [{i: 1.0} for i in range(len(oracle.states))]
-        oracle.gamma = gamma
-        oracle.variant = variant
-        return oracle
-    lam = inst.reliability
-    beta = inst.beta
-    k_c, k_a = params.k_c, params.k_a
-    nbrs = [inst.topology.out_neighbors(x) for x in range(n)]
     rows: list[dict[int, float]] = []
-    for key in oracle.states:
-        counts, placed, load = _decode(inst, key)
+    for i, key in enumerate(oracle.states):
+        state = _decode(inst, key)
+        counts = state.counts
         row_probs: dict[int, float] = {}
         for x in range(n):
             a = inst.alpha[x]
@@ -199,26 +188,13 @@ def build_transition_matrix(
             p_wake = a / total_alpha
             for source, c in counts[x].items():
                 p_source = c / a
-                utils = []
-                cands = []
-                for y in nbrs[x]:
-                    if load[y] - (y == source) >= beta[y]:
-                        continue
-                    extra = 0 if y == source else 1
-                    u = (
-                        lam[y]
-                        - k_c * (load[y] + extra) / beta[y]
-                        + k_a * (counts[x].get(y, 0) + extra)
-                    )
-                    cands.append(y)
-                    utils.append(u)
-                top = max(utils)
-                exps = [math.exp(gamma * (u - top)) for u in utils]
+                cands, utils = _choice(inst, params, state, x, source)
+                exps = _gibbs_weights(utils, gamma)
                 norm = sum(exps)
                 for y, w in zip(cands, exps):
                     p = p_wake * p_source * w / norm
                     if y == source:
-                        j = oracle.index[key]
+                        j = i
                     else:
                         moved = [
                             (xx, yy, cc)
@@ -231,7 +207,7 @@ def build_transition_matrix(
                         moved.append((x, y, counts[x].get(y, 0) + 1))
                         j = oracle.index[tuple(sorted(moved))]
                     row_probs[j] = row_probs.get(j, 0.0) + p
-        rows.append(row_probs)
+        rows.append(row_probs or {i: 1.0})  # no demand: the chain stands still
     oracle.transition = rows
     oracle.gamma = gamma
     oracle.variant = variant
@@ -384,34 +360,25 @@ def empirical_distribution(
     return EmpiricalResult(freqs, mu, total_variation(freqs, mu), recorded)
 
 
+def _argmax_states(oracle: StateSpaceOracle, value, tol: float) -> tuple[float, list[tuple]]:
+    # Exact maximum of value(state) over full states, with the keys within tol of it.
+    values = [value(state_from_key(oracle.inst, key)) for key in oracle.states]
+    best = max(values, default=-math.inf)
+    return best, [key for key, v in zip(oracle.states, values) if v >= best - tol]
+
+
 def max_potential_bruteforce(
     oracle: StateSpaceOracle, params: GameParams, tol: float = 1e-9
 ) -> tuple[float, list[tuple]]:
     """Exact maximum of the potential over full states, with argmax keys."""
-    best = -math.inf
-    values = []
-    for key in oracle.states:
-        v = game.potential(oracle.inst, params, state_from_key(oracle.inst, key))
-        values.append(v)
-        if v > best:
-            best = v
-    argmax = [key for key, v in zip(oracle.states, values) if v >= best - tol]
-    return best, argmax
+    return _argmax_states(oracle, lambda s: game.potential(oracle.inst, params, s), tol)
 
 
 def max_global_utility_bruteforce(
     oracle: StateSpaceOracle, params: GameParams, tol: float = 1e-9
 ) -> tuple[float, list[tuple]]:
     """Exact maximum of the global utility over full states."""
-    best = -math.inf
-    values = []
-    for key in oracle.states:
-        v = game.global_utility(oracle.inst, params, state_from_key(oracle.inst, key))
-        values.append(v)
-        if v > best:
-            best = v
-    argmax = [key for key, v in zip(oracle.states, values) if v >= best - tol]
-    return best, argmax
+    return _argmax_states(oracle, lambda s: game.global_utility(oracle.inst, params, s), tol)
 
 
 def greedy_utility_bound(inst: Instance, params: GameParams) -> float:

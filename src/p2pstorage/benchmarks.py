@@ -150,21 +150,13 @@ def benchmark_instance(
 def table_presets(table: int, replications: int | None = None, seed: int | None = None):
     """The preset runs of one benchmark table."""
     base_seed = 1000 * table if seed is None else seed
-    if table == 1:
-        inst = benchmark_instance(50, "complete")
-        cols = [("k_a=0", 0.0), ("k_a=0.25", 0.25), ("k_a=0.45", 0.45)]
-        reps = [replications or 25] * 3
+    if table in (1, 2):
+        inst = benchmark_instance(50, "complete" if table == 1 else "regular")
         runs = [
-            PresetRun(1, label, inst, GameParams(k_c=1.0, k_a=ka), r, base_seed)
-            for (label, ka), r in zip(cols, reps)
-        ]
-    elif table == 2:
-        inst = benchmark_instance(50, "regular")
-        cols = [("k_a=0", 0.0), ("k_a=0.25", 0.25), ("k_a=0.45", 0.45)]
-        reps = [replications or 25] * 3
-        runs = [
-            PresetRun(2, label, inst, GameParams(k_c=1.0, k_a=ka), r, base_seed)
-            for (label, ka), r in zip(cols, reps)
+            PresetRun(
+                table, label, inst, GameParams(k_c=1.0, k_a=ka), replications or 25, base_seed
+            )
+            for label, ka in [("k_a=0", 0.0), ("k_a=0.25", 0.25), ("k_a=0.45", 0.45)]
         ]
     elif table == 3:
         inst = benchmark_instance(50, "regular", alpha_pattern=(35, 40, 45, 50, 55))

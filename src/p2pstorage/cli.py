@@ -81,6 +81,8 @@ def evaluate_horizon(expr, inst: Instance) -> int:
             raise ValueError(f"bad horizon expression {expr!r}: {exc}") from exc
     else:
         raise ValueError("horizon must be an integer or an expression string")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"horizon must be finite, got {value}")
     if value != int(value) or value < 0:
         raise ValueError(f"horizon must evaluate to a nonnegative integer, got {value}")
     return int(value)
@@ -193,7 +195,7 @@ def _write_trace(path: Path, inst: Instance, config: SimConfig, trace) -> None:
         writer = csv.writer(fh)
         writer.writerow(["step", "unit", "kind", "source", "destination", "gamma"])
         for t, move in trace:
-            gamma = dynamics.gamma_schedule_value(config.schedule, t, lam_max)
+            gamma = config.schedule.gamma_at(t, lam_max)
             writer.writerow(
                 [
                     t,
@@ -230,28 +232,33 @@ def cmd_check(args) -> int:
 def cmd_simulate(args) -> int:
     try:
         spec = load_experiment_spec(args.spec)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    inst: Instance = spec["instance"]
-    if args.seed is not None:
-        spec["seed"] = args.seed
-    if args.replications is not None:
-        spec["replications"] = args.replications
-    if args.variant is not None:
-        spec["variant"] = args.variant
-    if args.horizon is not None:
-        spec["horizon"] = args.horizon
-    if args.gamma0 is not None or args.gamma_increment is not None:
-        sched: GammaSchedule = spec["schedule"]
-        spec["schedule"] = GammaSchedule(
-            sched.kind,
-            args.gamma0 if args.gamma0 is not None else sched.gamma0,
-            args.gamma_increment if args.gamma_increment is not None else sched.increment,
-        )
-    try:
+        for key in ("seed", "replications", "variant", "horizon"):
+            if getattr(args, key) is not None:
+                spec[key] = getattr(args, key)
+        if args.gamma0 is not None or args.gamma_increment is not None:
+            sched: GammaSchedule = spec["schedule"]
+            spec["schedule"] = GammaSchedule(
+                sched.kind,
+                args.gamma0 if args.gamma0 is not None else sched.gamma0,
+                args.gamma_increment if args.gamma_increment is not None else sched.increment,
+            )
+        inst: Instance = spec["instance"]
         horizon = evaluate_horizon(spec["horizon"], inst)
-    except ValueError as exc:
+        if spec["replications"] < 1:
+            raise ValueError(f"replications must be positive, got {spec['replications']}")
+        configs = [
+            SimConfig(
+                instance=inst,
+                params=spec["params"],
+                schedule=spec["schedule"],
+                horizon=horizon,
+                seed=spec["seed"] + r,
+                variant=spec["variant"],
+                record_trace=args.trace,
+            )
+            for r in range(spec["replications"])
+        ]
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
@@ -263,18 +270,6 @@ def cmd_simulate(args) -> int:
             file=sys.stderr,
         )
 
-    configs = [
-        SimConfig(
-            instance=inst,
-            params=spec["params"],
-            schedule=spec["schedule"],
-            horizon=horizon,
-            seed=spec["seed"] + r,
-            variant=spec["variant"],
-            record_trace=args.trace,
-        )
-        for r in range(spec["replications"])
-    ]
     outcomes = _run_replications(configs, args.workers)
     out_dir = _out_dir(args)
 

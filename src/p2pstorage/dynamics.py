@@ -25,6 +25,8 @@ from .game import (
     AllocationState,
     GameParams,
     Move,
+    _choice,
+    _gibbs_weights,
 )
 from .topology import Instance
 
@@ -40,7 +42,6 @@ __all__ = [
     "allocation_move",
     "default_horizon",
     "distribution_move",
-    "gamma_schedule_value",
     "move_kind_probabilities",
     "run",
     "state_stream",
@@ -74,8 +75,10 @@ class GammaSchedule:
             raise ValueError(f"unknown schedule kind {self.kind!r}")
         if self.kind != "infinite" and not self.gamma0 > 0:
             raise ValueError("gamma0 must be positive")
-        if self.increment is not None and self.increment < 0:
-            raise ValueError("increment must be nonnegative")
+        if self.increment is not None and not (
+            math.isfinite(self.increment) and self.increment >= 0
+        ):
+            raise ValueError(f"increment must be finite and nonnegative, got {self.increment}")
 
     @classmethod
     def fixed(cls, gamma0: float) -> "GammaSchedule":
@@ -89,24 +92,22 @@ class GammaSchedule:
     def infinite(cls) -> "GammaSchedule":
         return cls("infinite")
 
-    def resolve_increment(self, lam_max: float) -> float:
-        if self.increment is not None:
-            return self.increment
-        if lam_max <= 0:
-            raise ValueError(
-                "default annealing increment needs a positive max reliability; "
-                "pass an explicit increment"
-            )
-        return 1.0 / (100.0 * lam_max)
-
-
-def gamma_schedule_value(schedule: GammaSchedule, t: int, lam_max: float) -> float:
-    """Gamma in force at step t."""
-    if schedule.kind == "infinite":
-        return math.inf
-    if schedule.kind == "fixed":
-        return schedule.gamma0
-    return schedule.gamma0 + t * schedule.resolve_increment(lam_max)
+    def gamma_at(self, t: int, lam_max: float) -> float:
+        """Gamma in force at step t on an instance whose largest
+        reliability is lam_max (it sets the default increment)."""
+        if self.kind == "infinite":
+            return math.inf
+        if self.kind == "fixed":
+            return self.gamma0
+        increment = self.increment
+        if increment is None:
+            if lam_max <= 0:
+                raise ValueError(
+                    "default annealing increment needs a positive max reliability; "
+                    "pass an explicit increment"
+                )
+            increment = 1.0 / (100.0 * lam_max)
+        return self.gamma0 + t * increment
 
 
 def default_horizon(inst: Instance) -> int:
@@ -168,73 +169,12 @@ def move_kind_probabilities(
     return ((a - placed) / a, placed / a)
 
 
-class _RunContext:
-    """Per-run precomputed arrays for the hot stepping loop."""
-
-    __slots__ = (
-        "inst",
-        "n",
-        "alpha",
-        "beta",
-        "lam",
-        "nbrs",
-        "k_c",
-        "k_a",
-        "total_alpha",
-        "cum_alpha",
-        "allocate_first",
-        "sched_kind",
-        "gamma0",
-        "increment",
-    )
-
-    def __init__(self, inst: Instance, params: GameParams, schedule: GammaSchedule, variant: str):
-        self.inst = inst
-        self.n = inst.n
-        self.alpha = inst.alpha
-        self.beta = inst.beta
-        self.lam = inst.reliability
-        self.nbrs = tuple(inst.topology.out_neighbors(x) for x in range(inst.n))
-        self.k_c = params.k_c
-        self.k_a = params.k_a
-        self.total_alpha = inst.total_alpha
-        self.cum_alpha = list(accumulate(inst.alpha))
-        self.allocate_first = variant == ALLOCATE_FIRST
-        self.sched_kind = schedule.kind
-        self.gamma0 = schedule.gamma0
-        if schedule.kind == "annealed":
-            self.increment = schedule.resolve_increment(max(inst.reliability, default=0.0))
-        else:
-            self.increment = 0.0
-
-    def gamma_at(self, t: int) -> float:
-        if self.sched_kind == "fixed":
-            return self.gamma0
-        if self.sched_kind == "infinite":
-            return math.inf
-        return self.gamma0 + t * self.increment
-
-
-def _pick_gibbs(rng, ctx: _RunContext, state: AllocationState, x: int, cands, gamma, source):
-    """Sample the destination among candidate resources.
-
-    Utilities are evaluated at the hypothetical post-placement state (the
-    atom already removed from ``source`` for relocations).
-    """
-    lam, beta, k_c, k_a = ctx.lam, ctx.beta, ctx.k_c, ctx.k_a
-    load = state.load
-    row = state.counts[x]
-    utils = []
-    for y in cands:
-        extra = 0 if y == source else 1
-        utils.append(
-            lam[y] - k_c * (load[y] + extra) / beta[y] + k_a * (row.get(y, 0) + extra)
-        )
-    top = max(utils)
+def _draw(rng, cands: list[int], utils: list[float], gamma: float) -> int:
+    """Sample one candidate from the Gibbs law over its utilities."""
+    weights = _gibbs_weights(utils, gamma)
     if gamma == math.inf:
-        ties = [y for y, u in zip(cands, utils) if u == top]
+        ties = [y for y, w in zip(cands, weights) if w]
         return ties[rng.randrange(len(ties))] if len(ties) > 1 else ties[0]
-    weights = [math.exp(gamma * (u - top)) for u in utils]
     r = rng.random() * sum(weights)
     acc = 0.0
     for y, w in zip(cands, weights):
@@ -244,21 +184,17 @@ def _pick_gibbs(rng, ctx: _RunContext, state: AllocationState, x: int, cands, ga
     return cands[-1]
 
 
-def _sample_allocation(rng, ctx: _RunContext, state: AllocationState, x: int, gamma) -> Move | None:
-    load = state.load
-    beta = ctx.beta
-    cands = [y for y in ctx.nbrs[x] if load[y] < beta[y]]
+def _sample_allocation(rng, inst, params, state: AllocationState, x: int, gamma) -> Move | None:
+    cands, utils = _choice(inst, params, state, x)
     if not cands:
         return None  # saturated unit: demand left but every neighbor full
-    y = _pick_gibbs(rng, ctx, state, x, cands, gamma, None)
-    return Move(ALLOCATION, x, None, y)
+    return Move(ALLOCATION, x, None, _draw(rng, cands, utils, gamma))
 
 
-def _sample_distribution(rng, ctx: _RunContext, state: AllocationState, x: int, gamma) -> Move:
+def _sample_distribution(rng, inst, params, state: AllocationState, x: int, gamma) -> Move:
     row = state.counts[x]
-    placed = state.placed[x]
     # Source resource, proportional to how many atoms sit there.
-    r = rng.random() * placed
+    r = rng.random() * state.placed[x]
     acc = 0
     source = -1
     for y, c in sorted(row.items()):
@@ -268,11 +204,8 @@ def _sample_distribution(rng, ctx: _RunContext, state: AllocationState, x: int, 
             break
     if source < 0:  # numerical edge of r == placed
         source = max(row)
-    load = state.load
-    beta = ctx.beta
-    cands = [y for y in ctx.nbrs[x] if load[y] - (y == source) < beta[y]]
-    dest = _pick_gibbs(rng, ctx, state, x, cands, gamma, source)
-    return Move(DISTRIBUTION, x, source, dest)
+    cands, utils = _choice(inst, params, state, x, source)
+    return Move(DISTRIBUTION, x, source, _draw(rng, cands, utils, gamma))
 
 
 def _apply(state: AllocationState, move: Move) -> None:
@@ -293,22 +226,23 @@ def _apply(state: AllocationState, move: Move) -> None:
         state.load[move.dest] += 1
 
 
-def _step(rng, ctx: _RunContext, state: AllocationState, t: int) -> Move | None:
-    gamma = ctx.gamma_at(t)
-    r = rng.random() * ctx.total_alpha
-    x = bisect_right(ctx.cum_alpha, r)
+def _step(
+    rng, config: SimConfig, cum_alpha: list[int], state: AllocationState, gamma
+) -> Move | None:
+    inst = config.instance
+    x = bisect_right(cum_alpha, rng.random() * cum_alpha[-1])
     placed = state.placed[x]
-    a = ctx.alpha[x]
+    a = inst.alpha[x]
     if placed >= a:
         allocate = False
-    elif placed == 0 or ctx.allocate_first:
+    elif placed == 0 or config.variant == ALLOCATE_FIRST:
         allocate = True
     else:
         allocate = rng.random() * a < a - placed
     if allocate:
-        move = _sample_allocation(rng, ctx, state, x, gamma)
+        move = _sample_allocation(rng, inst, config.params, state, x, gamma)
     else:
-        move = _sample_distribution(rng, ctx, state, x, gamma)
+        move = _sample_distribution(rng, inst, config.params, state, x, gamma)
     if move is not None:
         _apply(state, move)
     return move
@@ -326,9 +260,8 @@ def allocation_move(
     every neighbor is full."""
     if state.placed[x] >= inst.alpha[x]:
         raise ValueError(f"unit {x} is fully allocated; allocation move is invalid")
-    ctx = _RunContext(inst, params, GammaSchedule.fixed(params.gamma), PROPORTIONAL)
     g = params.gamma if gamma is None else gamma
-    return _sample_allocation(rng, ctx, state, x, g)
+    return _sample_allocation(rng, inst, params, state, x, g)
 
 
 def distribution_move(
@@ -342,18 +275,18 @@ def distribution_move(
     """Sample (without applying) a relocation move for unit x."""
     if state.placed[x] <= 0:
         raise ValueError(f"unit {x} has nothing stored; distribution move is invalid")
-    ctx = _RunContext(inst, params, GammaSchedule.fixed(params.gamma), PROPORTIONAL)
     g = params.gamma if gamma is None else gamma
-    return _sample_distribution(rng, ctx, state, x, g)
+    return _sample_distribution(rng, inst, params, state, x, g)
 
 
 def step(rng: random.Random, config: SimConfig, state: AllocationState, t: int) -> Move | None:
     """Execute one time step in place; returns the applied move, or None
     when the activated unit was blocked."""
-    ctx = _RunContext(config.instance, config.params, config.schedule, config.variant)
-    if ctx.total_alpha == 0:
+    inst = config.instance
+    if inst.total_alpha == 0:
         return None
-    return _step(rng, ctx, state, t)
+    gamma = config.schedule.gamma_at(t, max(inst.reliability, default=0.0))
+    return _step(rng, config, list(accumulate(inst.alpha)), state, gamma)
 
 
 def _initial_state(config: SimConfig) -> AllocationState:
@@ -364,6 +297,20 @@ def _initial_state(config: SimConfig) -> AllocationState:
     return state
 
 
+def _engine(config: SimConfig, state: AllocationState):
+    """Step ``state`` in place over the horizon, yielding (t, move) with
+    move None for a blocked activation."""
+    inst = config.instance
+    if inst.total_alpha == 0:
+        return
+    cum_alpha = list(accumulate(inst.alpha))
+    lam_max = max(inst.reliability, default=0.0)
+    schedule = config.schedule
+    rng = random.Random(config.seed)
+    for t in range(config.horizon):
+        yield t, _step(rng, config, cum_alpha, state, schedule.gamma_at(t, lam_max))
+
+
 def run(config: SimConfig) -> RunResult:
     """Run the dynamics for the configured horizon.
 
@@ -371,19 +318,12 @@ def run(config: SimConfig) -> RunResult:
     change the state.  Self-moves and blocked activations consume their
     step but do not count as moves.
     """
-    inst = config.instance
     state = _initial_state(config)
-    n = inst.n
-    moves = [0] * n
+    moves = [0] * config.instance.n
     trace: list[tuple[int, Move]] | None = [] if config.record_trace else None
-    if inst.total_alpha == 0:
-        return RunResult(state, True, 0, moves, trace)
-    ctx = _RunContext(inst, config.params, config.schedule, config.variant)
-    rng = random.Random(config.seed)
-    remaining = inst.total_alpha - state.total_placed()
+    remaining = config.instance.total_alpha - state.total_placed()
     completed_at = 0 if remaining == 0 else None
-    for t in range(config.horizon):
-        move = _step(rng, ctx, state, t)
+    for t, move in _engine(config, state):
         if move is None:
             continue
         if move.kind == ALLOCATION:
@@ -404,12 +344,6 @@ def state_stream(config: SimConfig):
     The yielded state object is mutated in place each step; consumers must
     derive what they need (e.g. state.key()) before advancing.
     """
-    inst = config.instance
     state = _initial_state(config)
-    if inst.total_alpha == 0:
-        return
-    ctx = _RunContext(inst, config.params, config.schedule, config.variant)
-    rng = random.Random(config.seed)
-    for t in range(config.horizon):
-        move = _step(rng, ctx, state, t)
+    for t, move in _engine(config, state):
         yield t, state, move

@@ -30,7 +30,6 @@ __all__ = [
     "is_nash",
     "log_multinomial_weight",
     "multinomial_weight",
-    "placement_utility",
     "potential",
     "state_from_snapshot",
     "state_to_snapshot",
@@ -67,8 +66,10 @@ class GameParams:
     gamma: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.k_c < 0 or self.k_a < 0:
-            raise ValueError("k_c and k_a must be nonnegative")
+        for name in ("k_c", "k_a"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and nonnegative, got {value}")
         if not self.gamma > 0:
             raise ValueError("gamma must be positive (math.inf allowed)")
 
@@ -221,19 +222,52 @@ class AllocationState:
         return self
 
 
+def _choice(
+    inst: Instance, params: GameParams, state: AllocationState, x: int, source: int | None = None
+) -> tuple[list[int], list[float]]:
+    """The choice set of unit x and the utility of each choice.
+
+    One pass over the out-neighbors of x keeps the resources with room for
+    one atom of x once it has left ``source`` (None places a new atom;
+    ``source`` itself stays a choice, the self-move), and scores each at
+    the post-move state: reliability, minus congestion proportional to the
+    fill fraction, plus an aggregation bonus for the atoms x keeps there.
+    This is the only place the utility is written.
+    """
+    lam = inst.reliability
+    beta = inst.beta
+    k_c, k_a = params.k_c, params.k_a
+    load = state.load
+    row = state.counts[x]
+    cands = []
+    utils = []
+    for y in inst.topology.out_neighbors(x):
+        extra = 0 if y == source else 1
+        w = load[y] + extra
+        if w <= beta[y]:
+            cands.append(y)
+            utils.append(lam[y] - k_c * w / beta[y] + k_a * (row.get(y, 0) + extra))
+    return cands, utils
+
+
+def _gibbs_weights(utils: list[float], gamma: float) -> list[float]:
+    """Unnormalized Gibbs weights exp(gamma * u), shifted by the maximum;
+    gamma = math.inf gives 1 on the argmax set and 0 elsewhere."""
+    top = max(utils)
+    if gamma == math.inf:
+        return [1.0 if u == top else 0.0 for u in utils]
+    return [math.exp(gamma * (u - top)) for u in utils]
+
+
 def utility(inst: Instance, params: GameParams, state: AllocationState, x: int, y: int) -> float:
-    """Value unit x derives from resource y: reliability, minus congestion
-    proportional to the fill fraction, plus an aggregation bonus for atoms
-    it already keeps there."""
+    """Value unit x derives from resource y at the current state (the
+    choice of y read off with y as the source, so nothing moves)."""
     if (x, y) not in inst.topology.edges:
         raise ValueError(f"({x}, {y}) is not an edge")
     if inst.beta[y] == 0:
         raise UndefinedUtilityError(f"resource {y} offers no space")
-    return (
-        inst.reliability[y]
-        - params.k_c * state.load[y] / inst.beta[y]
-        + params.k_a * state.counts[x].get(y, 0)
-    )
+    cands, utils = _choice(inst, params, state, x, source=y)
+    return utils[cands.index(y)]
 
 
 def potential(inst: Instance, params: GameParams, state: AllocationState) -> float:
@@ -261,54 +295,28 @@ def available_resources(inst: Instance, state: AllocationState, x: int) -> list[
     return [y for y in inst.topology.out_neighbors(x) if load[y] < beta[y]]
 
 
-def placement_utility(
-    inst: Instance,
-    params: GameParams,
-    state: AllocationState,
-    x: int,
-    y: int,
-    source: int | None = None,
-) -> float:
-    """Utility of y evaluated at the hypothetical state where one atom of x
-    lands on y (after first removing one from ``source`` if given)."""
-    extra = 0 if y == source else 1
-    return (
-        inst.reliability[y]
-        - params.k_c * (state.load[y] + extra) / inst.beta[y]
-        + params.k_a * (state.counts[x].get(y, 0) + extra)
-    )
-
-
 def gibbs_choice_distribution(
     inst: Instance,
     params: GameParams,
     state: AllocationState,
     x: int,
-    candidates,
+    source: int | None = None,
     gamma: float | None = None,
 ) -> dict[int, float]:
-    """Probability of each candidate resource under the noisy best response.
+    """Probability of each destination of unit x under the noisy best
+    response: a new atom, or with ``source`` set the relocation of one atom
+    of x out of ``source`` (which stays a candidate, the self-move).
 
-    Weights are exponential in gamma times the post-placement utility;
+    Weights are exponential in gamma times the post-move utility;
     gamma = math.inf returns the uniform distribution over the argmax set.
+    This is the law the dynamics engine samples from.
     """
-    cands = sorted(candidates)
+    if source is not None and state.counts[x].get(source, 0) <= 0:
+        raise ValueError(f"unit {x} stores nothing in {source}")
+    cands, utils = _choice(inst, params, state, x, source)
     if not cands:
         raise NoAvailableResourceError(f"unit {x} has no available resource")
-    edges = inst.topology.edges
-    for y in cands:
-        if (x, y) not in edges:
-            raise ValueError(f"candidate ({x}, {y}) is not an edge")
-        if state.load[y] >= inst.beta[y]:
-            raise ValueError(f"candidate resource {y} has no spare capacity")
-    g = params.gamma if gamma is None else gamma
-    utils = [placement_utility(inst, params, state, x, y) for y in cands]
-    top = max(utils)
-    if math.isinf(g):
-        ties = [y for y, u in zip(cands, utils) if u == top]
-        share = 1.0 / len(ties)
-        return {y: (share if u == top else 0.0) for y, u in zip(cands, utils)}
-    weights = [math.exp(g * (u - top)) for u in utils]
+    weights = _gibbs_weights(utils, params.gamma if gamma is None else gamma)
     norm = sum(weights)
     return {y: w / norm for y, w in zip(cands, weights)}
 
@@ -324,24 +332,24 @@ def is_nash(
     if not state.is_full(inst):
         raise InvalidStateError("Nash test is defined on full allocation states")
     for x in range(inst.n):
-        for y, c in state.counts[x].items():
-            if c <= 0:
-                continue
-            current = utility(inst, params, state, x, y)
-            for y2 in available_resources(inst, state, x):
-                if placement_utility(inst, params, state, x, y2, source=y) > current + tol:
-                    return False
-            # Moving back onto y itself when y is at capacity is a no-op
-            # and never improves; no extra case needed.
+        for y in state.counts[x]:
+            cands, utils = _choice(inst, params, state, x, source=y)
+            if max(utils) > utils[cands.index(y)] + tol:
+                return False
     return True
 
 
 def global_utility(inst: Instance, params: GameParams, state: AllocationState) -> float:
-    """Sum over stored atoms of the owner's utility for where they sit."""
+    """Sum over stored atoms of the owner's utility for where they sit,
+    summed per resource: load * (reliability - k_c * fill fraction), plus
+    k_a times the sum of squared counts."""
     total = 0.0
-    for x in range(inst.n):
-        for y, c in state.counts[x].items():
-            total += c * utility(inst, params, state, x, y)
+    for y in range(inst.n):
+        w = state.load[y]
+        if w:
+            total += w * (inst.reliability[y] - params.k_c * w / inst.beta[y])
+    if params.k_a:
+        total += params.k_a * sum(c * c for row in state.counts for c in row.values())
     return total
 
 

@@ -124,10 +124,10 @@ def test_kernel_entry_matches_hand_formula():
     w2 = AllocationState.from_entries(inst, [(0, 2, 1), (1, 0, 1), (2, 0, 1)])
     i, j = oracle.index[w.key()], oracle.index[w2.key()]
     # unit 0 wakes with probability 1/3, its single pile is the source:
-    # candidates after removing it are resources 1 and 2
-    removed = AllocationState.from_entries(inst, [(1, 0, 1), (2, 0, 1)])
-    u1 = game.placement_utility(inst, params, removed, 0, 1)
-    u2 = game.placement_utility(inst, params, removed, 0, 2)
+    # candidates after removing it are resources 1 and 2, each then
+    # holding one atom of 2 (its own, for aggregation)
+    u1 = 0.8 - 1.0 * 1 / 2 + 0.45 * 1
+    u2 = 0.6 - 1.0 * 1 / 2 + 0.45 * 1
     z = math.exp(gamma * u1) + math.exp(gamma * u2)
     expected = (1 / 3) * 1.0 * math.exp(gamma * u2) / z
     assert oracle.transition[i][j] == pytest.approx(expected, rel=1e-12)

@@ -184,6 +184,25 @@ def test_simulate_cli_overrides(tmp_path):
     assert summary["variant"] == "allocate-first"
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"replications": 0},
+        {"variant": "sideways"},
+        {"horizon": "sum_alpha*1e308*10"},
+        {"params": {"k_c": math.nan, "k_a": 0.0}},
+    ],
+    ids=["zero-replications", "unknown-variant", "overflowing-horizon", "nan-k_c"],
+)
+def test_simulate_rejects_bad_spec(tmp_path, capsys, overrides):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec_doc(feasible_doc(), **overrides)))
+    code = main(["simulate", str(spec_path), "--out", str(tmp_path / "o"), "--workers", "1"])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert not (tmp_path / "o").exists()
+
+
 def test_simulate_uses_env_output_dir(tmp_path, monkeypatch):
     spec = spec_doc(feasible_doc(), replications=1)
     spec_path = tmp_path / "spec.json"

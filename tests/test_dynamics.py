@@ -17,7 +17,6 @@ from p2pstorage.dynamics import (
     allocation_move,
     default_horizon,
     distribution_move,
-    gamma_schedule_value,
     move_kind_probabilities,
     run,
     step,
@@ -160,25 +159,36 @@ def test_distribution_move_requires_stored_atoms():
 
 def test_gamma_schedule_annealed_default_increment():
     sched = GammaSchedule.annealed(1.0)
-    assert gamma_schedule_value(sched, 80, 0.8) == pytest.approx(2.0)
+    assert sched.gamma_at(80, 0.8) == pytest.approx(2.0)
 
 
 def test_gamma_schedule_fixed():
     sched = GammaSchedule.fixed(5.0)
-    assert gamma_schedule_value(sched, 12345, 0.8) == 5.0
+    assert sched.gamma_at(12345, 0.8) == 5.0
 
 
 def test_gamma_schedule_at_zero():
-    assert gamma_schedule_value(GammaSchedule.annealed(1.0), 0, 0.8) == 1.0
+    assert GammaSchedule.annealed(1.0).gamma_at(0, 0.8) == 1.0
 
 
 def test_gamma_schedule_infinite():
-    assert gamma_schedule_value(GammaSchedule.infinite(), 7, 0.8) == math.inf
+    assert GammaSchedule.infinite().gamma_at(7, 0.8) == math.inf
 
 
 def test_gamma_schedule_explicit_increment():
     sched = GammaSchedule.annealed(2.0, 0.5)
-    assert gamma_schedule_value(sched, 10, 0.8) == pytest.approx(7.0)
+    assert sched.gamma_at(10, 0.8) == pytest.approx(7.0)
+
+
+@pytest.mark.parametrize("increment", [math.nan, math.inf, -math.inf, -0.1])
+def test_gamma_schedule_rejects_nonfinite_or_negative_increment(increment):
+    with pytest.raises(ValueError):
+        GammaSchedule.annealed(1.0, increment)
+
+
+def test_gamma_schedule_default_increment_needs_positive_reliability():
+    with pytest.raises(ValueError):
+        GammaSchedule.annealed(1.0).gamma_at(3, 0.0)
 
 
 # ----------------------------------------------------------------- stepping

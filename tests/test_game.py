@@ -50,6 +50,17 @@ def partially_fill(rng, inst, state, tries=12):
     return state
 
 
+# ----------------------------------------------------------------- params
+
+
+@pytest.mark.parametrize("field", ["k_c", "k_a"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -0.5])
+def test_params_reject_nonfinite_or_negative_weights(field, value):
+    kwargs = {"k_c": 1.0, "k_a": 0.0, field: value}
+    with pytest.raises(ValueError):
+        GameParams(**kwargs)
+
+
 # ---------------------------------------------------------------- utility
 
 
@@ -185,7 +196,7 @@ def test_available_resources_fresh_state():
 def test_gibbs_symmetric_candidates():
     inst = make(build_complete(3), (1, 1, 1), (2, 2, 2), (1.0, 1.0, 1.0))
     state = AllocationState.zeros(inst)
-    probs = game.gibbs_choice_distribution(inst, GameParams(1.0, 0.0), state, 0, [1, 2])
+    probs = game.gibbs_choice_distribution(inst, GameParams(1.0, 0.0), state, 0)
     assert probs[1] == pytest.approx(0.5)
     assert probs[2] == pytest.approx(0.5)
 
@@ -193,9 +204,7 @@ def test_gibbs_symmetric_candidates():
 def test_gibbs_small_gamma_limit_uniform():
     inst = make(build_complete(3), (1, 1, 1), (2, 2, 2), (0.1, 0.9, 0.4))
     state = AllocationState.zeros(inst)
-    probs = game.gibbs_choice_distribution(
-        inst, GameParams(1.0, 0.5), state, 0, [1, 2], gamma=1e-9
-    )
+    probs = game.gibbs_choice_distribution(inst, GameParams(1.0, 0.5), state, 0, gamma=1e-9)
     assert probs[1] == pytest.approx(0.5, abs=1e-6)
 
 
@@ -204,7 +213,7 @@ def test_gibbs_hand_computed_ratio():
     inst = make(build_complete(3), (1, 1, 1), (5, 5, 5), (1.0, 1.0, 0.0))
     params = GameParams(k_c=0.0, k_a=0.0)
     state = AllocationState.zeros(inst)
-    probs = game.gibbs_choice_distribution(inst, params, state, 0, [1, 2], gamma=math.log(3))
+    probs = game.gibbs_choice_distribution(inst, params, state, 0, gamma=math.log(3))
     assert probs[1] == pytest.approx(0.75)
     assert probs[2] == pytest.approx(0.25)
 
@@ -218,7 +227,7 @@ def test_gibbs_normalization_and_positivity():
         cands = game.available_resources(inst, state, x)
         if not cands:
             continue
-        probs = game.gibbs_choice_distribution(inst, params, state, x, cands, gamma=2.5)
+        probs = game.gibbs_choice_distribution(inst, params, state, x, gamma=2.5)
         assert sum(probs.values()) == pytest.approx(1.0, abs=1e-12)
         assert all(p > 0 for p in probs.values())
 
@@ -234,12 +243,10 @@ def test_gibbs_argmax_mass_nondecreasing_in_gamma():
             continue
         masses = []
         for g in (1.0, 10.0, 100.0):
-            probs = game.gibbs_choice_distribution(inst, params, state, x, cands, gamma=g)
+            probs = game.gibbs_choice_distribution(inst, params, state, x, gamma=g)
             top = max(probs.values())
             argmax = {y for y, p in probs.items() if p == top}
-            infinite = game.gibbs_choice_distribution(
-                inst, params, state, x, cands, gamma=math.inf
-            )
+            infinite = game.gibbs_choice_distribution(inst, params, state, x, gamma=math.inf)
             hard_argmax = {y for y, p in infinite.items() if p > 0}
             masses.append(sum(probs[y] for y in hard_argmax))
         assert masses[0] <= masses[1] + 1e-12 <= masses[2] + 2e-12
@@ -248,19 +255,30 @@ def test_gibbs_argmax_mass_nondecreasing_in_gamma():
 def test_gibbs_infinite_gamma_uniform_over_ties():
     inst = make(build_complete(4), (1,) * 4, (2,) * 4, (0.5, 1.0, 1.0, 0.2))
     state = AllocationState.zeros(inst)
-    probs = game.gibbs_choice_distribution(
-        inst, GameParams(1.0, 0.0), state, 0, [1, 2, 3], gamma=math.inf
-    )
+    probs = game.gibbs_choice_distribution(inst, GameParams(1.0, 0.0), state, 0, gamma=math.inf)
     assert probs[1] == pytest.approx(0.5)
     assert probs[2] == pytest.approx(0.5)
     assert probs[3] == 0.0
 
 
+def test_gibbs_relocation_keeps_full_source_as_self_move():
+    # unit 0's atom fills resource 1; leaving it makes room, so 1 (the
+    # self-move) and 2 compete with post-move utilities (1.0, 0.0)
+    inst = make(build_complete(3), (1, 1, 1), (1, 1, 1), (1.0, 2.0, 1.0))
+    state = AllocationState.from_entries(inst, [(0, 1, 1)])
+    params = GameParams(k_c=1.0, k_a=0.0)
+    probs = game.gibbs_choice_distribution(inst, params, state, 0, source=1, gamma=math.log(3))
+    assert probs[1] == pytest.approx(0.75)
+    assert probs[2] == pytest.approx(0.25)
+    with pytest.raises(ValueError):
+        game.gibbs_choice_distribution(inst, params, state, 0, source=2)
+
+
 def test_gibbs_empty_candidates_error():
-    inst = make(build_complete(2), (1, 1), (1, 1), (1.0, 1.0))
+    inst = make(build_complete(2), (1, 1), (1, 0), (1.0, 1.0))
     state = AllocationState.zeros(inst)
     with pytest.raises(NoAvailableResourceError):
-        game.gibbs_choice_distribution(inst, GameParams(1.0, 0.0), state, 0, [])
+        game.gibbs_choice_distribution(inst, GameParams(1.0, 0.0), state, 0)
 
 
 def test_gibbs_argmax_invariant_under_reliability_shift():
@@ -278,8 +296,8 @@ def test_gibbs_argmax_invariant_under_reliability_shift():
             inst.beta,
             tuple(v + 0.37 for v in inst.reliability),
         )
-        base = game.gibbs_choice_distribution(inst, params, state, x, cands, gamma=math.inf)
-        moved = game.gibbs_choice_distribution(shifted, params, state, x, cands, gamma=math.inf)
+        base = game.gibbs_choice_distribution(inst, params, state, x, gamma=math.inf)
+        moved = game.gibbs_choice_distribution(shifted, params, state, x, gamma=math.inf)
         assert {y for y, p in base.items() if p > 0} == {
             y for y, p in moved.items() if p > 0
         }

@@ -70,8 +70,6 @@ class StateSpaceOracle:
     states: list[tuple]
     index: dict[tuple, int] = field(default_factory=dict)
     transition: list[dict[int, float]] | None = None
-    gamma: float | None = None
-    variant: str | None = None
 
     def __post_init__(self) -> None:
         if not self.index:
@@ -147,46 +145,31 @@ def enumerate_states(inst: Instance, limit: int = STATE_SPACE_LIMIT) -> StateSpa
     return StateSpaceOracle(inst, states)
 
 
-def _decode(inst: Instance, key: tuple) -> AllocationState:
-    # state_from_key without the validation overhead
-    state = AllocationState.zeros(inst)
-    for x, y, c in key:
-        state.counts[x][y] = c
-        state.placed[x] += c
-        state.load[y] += c
-    return state
-
-
 def build_transition_matrix(
-    oracle: StateSpaceOracle,
-    params: GameParams,
-    gamma: float,
-    variant: str = dynamics.PROPORTIONAL,
+    oracle: StateSpaceOracle, params: GameParams, gamma: float
 ) -> StateSpaceOracle:
     """Exact one-step kernel of the chain restricted to full states.
 
     On full states every activation is a relocation, so both move-kind
     variants induce the same kernel; self-moves and saturation contribute
-    the diagonal.  Requires finite gamma.
+    the diagonal.  Each neighbour state is reached by the engine's own
+    state mutation.  Requires finite gamma.
     """
     if not math.isfinite(gamma):
         raise ValueError("transition matrix requires finite gamma")
-    if variant not in dynamics.VARIANTS:
-        raise ValueError(f"variant must be one of {dynamics.VARIANTS}")
     inst = oracle.inst
-    n = inst.n
     total_alpha = inst.total_alpha
     rows: list[dict[int, float]] = []
     for i, key in enumerate(oracle.states):
-        state = _decode(inst, key)
-        counts = state.counts
+        state = state_from_key(inst, key)
         row_probs: dict[int, float] = {}
-        for x in range(n):
+        for x in range(inst.n):
             a = inst.alpha[x]
             if a == 0:
                 continue
             p_wake = a / total_alpha
-            for source, c in counts[x].items():
+            # A snapshot: each move below deletes and re-inserts row entries.
+            for source, c in list(state.counts[x].items()):
                 p_source = c / a
                 cands, utils = _choice(inst, params, state, x, source)
                 exps = _gibbs_weights(utils, gamma)
@@ -196,21 +179,12 @@ def build_transition_matrix(
                     if y == source:
                         j = i
                     else:
-                        moved = [
-                            (xx, yy, cc)
-                            for xx, yy, cc in key
-                            if not (xx == x and yy in (source, y))
-                        ]
-                        new_src = c - 1
-                        if new_src:
-                            moved.append((x, source, new_src))
-                        moved.append((x, y, counts[x].get(y, 0) + 1))
-                        j = oracle.index[tuple(sorted(moved))]
+                        state._shift(x, source, y)
+                        j = oracle.index[state.key()]
+                        state._shift(x, y, source)
                     row_probs[j] = row_probs.get(j, 0.0) + p
         rows.append(row_probs or {i: 1.0})  # no demand: the chain stands still
     oracle.transition = rows
-    oracle.gamma = gamma
-    oracle.variant = variant
     return oracle
 
 
@@ -306,27 +280,24 @@ def empirical_distribution(
     steps: int,
     burn_in: int = 0,
     seed: int = 0,
-    variant: str = dynamics.PROPORTIONAL,
-    completion_cap: int | None = None,
 ) -> EmpiricalResult:
     """Long-run occupancy of the real dynamics engine at fixed gamma,
     compared to the closed-form stationary law by total variation.
 
-    The run starts empty, must complete within ``completion_cap`` steps
-    (default 50 * total demand), then discards ``burn_in`` steps and
-    counts the state after each of the next ``steps`` steps.
+    The run starts empty, must complete within 50 * total demand steps,
+    then discards ``burn_in`` steps and counts the state after each of the
+    next ``steps`` steps.
     """
     inst = oracle.inst
     if not math.isfinite(gamma):
         raise ValueError("empirical sampling requires finite gamma")
-    cap = completion_cap if completion_cap is not None else 50 * inst.total_alpha
+    cap = 50 * inst.total_alpha
     config = dynamics.SimConfig(
         instance=inst,
         params=params,
         schedule=dynamics.GammaSchedule.fixed(gamma),
         horizon=cap + burn_in + steps,
         seed=seed,
-        variant=variant,
     )
     mu = stationary_exact(oracle, params, gamma)
     counts = np.zeros(len(oracle.states))

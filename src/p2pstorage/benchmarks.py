@@ -35,6 +35,7 @@ __all__ = [
     "PresetRun",
     "benchmark_instance",
     "make_configs",
+    "preset_schedule",
     "table_presets",
 ]
 

@@ -26,7 +26,7 @@ from pathlib import Path
 from . import analysis, benchmarks, dynamics, feasibility, game
 from .dynamics import GammaSchedule, SimConfig
 from .game import GameParams
-from .topology import Instance, instance_from_dict, load_instance
+from .topology import Instance, _integer, _real, instance_from_dict, load_instance
 
 OUT_DIR_ENV = "P2PSTORAGE_OUT"
 
@@ -44,7 +44,7 @@ _SPEC_KEYS = {
 def evaluate_horizon(expr, inst: Instance) -> int:
     """Evaluate a horizon expression: an integer, or arithmetic over the
     variables sum_alpha and n (e.g. "2*sum_alpha")."""
-    if isinstance(expr, int):
+    if type(expr) is int:  # not a bool
         value = expr
     elif isinstance(expr, str):
         names = {"sum_alpha": inst.total_alpha, "n": inst.n}
@@ -97,12 +97,14 @@ def _schedule_from_dict(data: dict) -> GammaSchedule:
     kind = data.get("kind", "annealed")
     if kind == "infinite":
         return GammaSchedule.infinite()
-    gamma0 = float(data.get("gamma0", 1.0))
+    gamma0 = _real(data.get("gamma0", 1.0), "gamma0")
     increment = data.get("increment")
     if kind == "fixed":
         return GammaSchedule.fixed(gamma0)
     if kind == "annealed":
-        return GammaSchedule.annealed(gamma0, None if increment is None else float(increment))
+        return GammaSchedule.annealed(
+            gamma0, None if increment is None else _real(increment, "increment")
+        )
     raise ValueError(f"unknown schedule kind {kind!r}")
 
 
@@ -123,13 +125,15 @@ def load_experiment_spec(path) -> dict:
     else:
         inst = instance_from_dict(inst_src)
     params_src = data.get("params", {})
+    if not isinstance(params_src, dict):
+        raise ValueError("'params' must be a mapping")
     unknown = set(params_src) - {"k_c", "k_a", "gamma"}
     if unknown:
         raise ValueError(f"unknown params keys: {sorted(unknown)}")
     params = GameParams(
-        k_c=float(params_src.get("k_c", 1.0)),
-        k_a=float(params_src.get("k_a", 0.0)),
-        gamma=float(params_src.get("gamma", 1.0)),
+        k_c=_real(params_src.get("k_c", 1.0), "k_c"),
+        k_a=_real(params_src.get("k_a", 0.0), "k_a"),
+        gamma=_real(params_src.get("gamma", 1.0), "gamma"),
     )
     return {
         "instance": inst,
@@ -137,8 +141,8 @@ def load_experiment_spec(path) -> dict:
         "schedule": _schedule_from_dict(data.get("schedule", {"kind": "annealed"})),
         "variant": data.get("variant", dynamics.ALLOCATE_FIRST),
         "horizon": data.get("horizon", "2*sum_alpha"),
-        "replications": int(data.get("replications", 1)),
-        "seed": int(data.get("seed", 0)),
+        "replications": _integer(data.get("replications", 1), "replications"),
+        "seed": _integer(data.get("seed", 0), "seed"),
     }
 
 
@@ -359,7 +363,7 @@ def cmd_verify(args) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 1
         report["num_states"] = len(oracle)
-        analysis.build_transition_matrix(oracle, params, gamma, args.variant)
+        analysis.build_transition_matrix(oracle, params, gamma)
         rows_ok = all(
             abs(sum(row.values()) - 1.0) <= 1e-12 for row in oracle.transition
         )
@@ -411,6 +415,9 @@ def cmd_verify(args) -> int:
 
 def cmd_reproduce(args) -> int:
     table = args.table
+    if args.replications is not None and args.replications < 1:
+        print(f"error: replications must be positive, got {args.replications}", file=sys.stderr)
+        return 1
     presets = benchmarks.table_presets(table, args.replications, args.seed)
     reference = benchmarks.REFERENCE[table]
     comparison: dict = {"table": table, "columns": {}}
@@ -449,8 +456,16 @@ def cmd_reproduce(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exits 1 on a usage error: exit 2 means a negative verdict."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="p2pstorage",
         description="Peer-to-peer storage allocation game: feasibility, simulation, verification.",
     )
@@ -478,7 +493,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--gamma", default="1.0", help="Gibbs parameter, or 'inf'")
     p_ver.add_argument("--k-c", type=float, default=1.0, dest="k_c")
     p_ver.add_argument("--k-a", type=float, default=0.0, dest="k_a")
-    p_ver.add_argument("--variant", choices=list(dynamics.VARIANTS), default="proportional")
     p_ver.add_argument("--seed", type=int, default=0)
     p_ver.add_argument("--empirical-steps", type=int, default=0)
     p_ver.add_argument("--empirical-tol", type=float, default=0.05)

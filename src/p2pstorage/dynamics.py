@@ -153,19 +153,22 @@ def activation_distribution(inst: Instance) -> list[float]:
 def move_kind_probabilities(
     inst: Instance, state: AllocationState, x: int, variant: str
 ) -> tuple[float, float]:
-    """(P_allocate, P_distribute) for an activated unit."""
-    a = inst.alpha[x]
-    if a <= 0:
+    """(P_allocate, P_distribute) for an activated unit: the move-kind
+    rule the engine draws from."""
+    if inst.alpha[x] <= 0:
         raise ValueError(f"unit {x} has no demand")
-    placed = state.placed[x]
+    if variant not in VARIANTS:
+        raise ValueError(f"variant must be one of {VARIANTS}")
+    return _move_kind(inst.alpha[x], state.placed[x], variant)
+
+
+def _move_kind(a: int, placed: int, variant: str) -> tuple[float, float]:
+    # Kept out of __all__: the engine calls it every step, and span tracers
+    # wrap every exported name.
     if placed >= a:
         return (0.0, 1.0)
-    if placed == 0:
+    if placed == 0 or variant == ALLOCATE_FIRST:
         return (1.0, 0.0)
-    if variant == ALLOCATE_FIRST:
-        return (1.0, 0.0)
-    if variant != PROPORTIONAL:
-        raise ValueError(f"variant must be one of {VARIANTS}")
     return ((a - placed) / a, placed / a)
 
 
@@ -208,43 +211,18 @@ def _sample_distribution(rng, inst, params, state: AllocationState, x: int, gamm
     return Move(DISTRIBUTION, x, source, _draw(rng, cands, utils, gamma))
 
 
-def _apply(state: AllocationState, move: Move) -> None:
-    # Fast path for engine-generated (already valid) moves.
-    x = move.unit
-    if move.kind == ALLOCATION:
-        row = state.counts[x]
-        row[move.dest] = row.get(move.dest, 0) + 1
-        state.placed[x] += 1
-        state.load[move.dest] += 1
-    elif move.dest != move.source:
-        row = state.counts[x]
-        row[move.source] -= 1
-        if row[move.source] == 0:
-            del row[move.source]
-        row[move.dest] = row.get(move.dest, 0) + 1
-        state.load[move.source] -= 1
-        state.load[move.dest] += 1
-
-
 def _step(
     rng, config: SimConfig, cum_alpha: list[int], state: AllocationState, gamma
 ) -> Move | None:
     inst = config.instance
     x = bisect_right(cum_alpha, rng.random() * cum_alpha[-1])
-    placed = state.placed[x]
-    a = inst.alpha[x]
-    if placed >= a:
-        allocate = False
-    elif placed == 0 or config.variant == ALLOCATE_FIRST:
-        allocate = True
-    else:
-        allocate = rng.random() * a < a - placed
-    if allocate:
+    p_alloc, p_dist = _move_kind(inst.alpha[x], state.placed[x], config.variant)
+    if p_dist == 0 or (p_alloc > 0 and rng.random() < p_alloc):
         move = _sample_allocation(rng, inst, config.params, state, x, gamma)
     else:
         move = _sample_distribution(rng, inst, config.params, state, x, gamma)
     if move is not None:
-        _apply(state, move)
+        state._shift(x, move.source, move.dest)
     return move
 
 

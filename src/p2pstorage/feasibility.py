@@ -17,10 +17,8 @@ from dataclasses import dataclass
 from .topology import Instance, neighborhood_of_set
 
 __all__ = [
-    "AtomBipartite",
     "FeasibilityVerdict",
     "SizeLimitExceeded",
-    "build_atom_bipartite",
     "check_feasible_exhaustive",
     "check_feasible_flow",
     "check_feasible_matching",
@@ -288,31 +286,6 @@ def maximal_irreducible_subsets(inst: Instance) -> list[tuple[int, ...]]:
     return found
 
 
-@dataclass(frozen=True)
-class AtomBipartite:
-    """Atom-level bipartite graph: one left node per data atom, one right
-    node per capacity slot, an edge whenever the owning units are linked.
-
-    Adjacency is implicit: (x, a) -- (y, b) iff (x, y) is a topology edge.
-    """
-
-    inst: Instance
-    a_nodes: tuple[tuple[int, int], ...]
-    b_nodes: tuple[tuple[int, int], ...]
-
-
-def build_atom_bipartite(inst: Instance) -> AtomBipartite:
-    total = inst.total_alpha + inst.total_beta
-    if total > ATOM_GRAPH_MAX_NODES:
-        raise SizeLimitExceeded(
-            f"atom bipartite graph would have {total} nodes "
-            f"(limit {ATOM_GRAPH_MAX_NODES}); use check_feasible_flow"
-        )
-    a_nodes = tuple((x, a) for x in range(inst.n) for a in range(inst.alpha[x]))
-    b_nodes = tuple((y, b) for y in range(inst.n) for b in range(inst.beta[y]))
-    return AtomBipartite(inst, a_nodes, b_nodes)
-
-
 def check_feasible_matching(inst: Instance) -> FeasibilityVerdict:
     """Independent oracle: maximum matching on the atom-level graph.
 
@@ -320,7 +293,12 @@ def check_feasible_matching(inst: Instance) -> FeasibilityVerdict:
     units whose atoms are reachable from an unmatched atom by alternating
     paths form a violating subset.
     """
-    bip = build_atom_bipartite(inst)
+    total = inst.total_alpha + inst.total_beta
+    if total > ATOM_GRAPH_MAX_NODES:
+        raise SizeLimitExceeded(
+            f"atom bipartite graph would have {total} nodes "
+            f"(limit {ATOM_GRAPH_MAX_NODES}); use check_feasible_flow"
+        )
     n = inst.n
     # Slot ids grouped per resource.
     slot_start = [0] * (n + 1)
@@ -328,7 +306,7 @@ def check_feasible_matching(inst: Instance) -> FeasibilityVerdict:
         slot_start[y + 1] = slot_start[y] + inst.beta[y]
     num_slots = slot_start[n]
     slot_owner = [-1] * num_slots  # atom id occupying the slot
-    atom_unit = [x for x, _ in bip.a_nodes]
+    atom_unit = [x for x in range(n) for _ in range(inst.alpha[x])]
     out = inst.topology.out_neighbors
 
     def augment(atom: int, visited: list[bool]) -> bool:
@@ -344,7 +322,7 @@ def check_feasible_matching(inst: Instance) -> FeasibilityVerdict:
         return False
 
     unmatched = []
-    for atom in range(len(bip.a_nodes)):
+    for atom in range(len(atom_unit)):
         if not augment(atom, [False] * num_slots):
             unmatched.append(atom)
     if not unmatched:

@@ -90,8 +90,9 @@ class AllocationState:
 
     ``counts[x]`` maps resource -> atoms of unit x stored there (nonzero
     entries only), ``placed[x]`` is unit x's row sum, ``load[y]`` is
-    resource y's column sum.  Mutated only through apply_move (validated)
-    or by the dynamics engine (pre-validated moves).
+    resource y's column sum.  Mutated only through ``_shift``: apply_move
+    calls it after validating a move, the dynamics engine and the exact
+    kernel with moves valid by construction.
     """
 
     __slots__ = ("n", "counts", "placed", "load")
@@ -198,9 +199,6 @@ class AllocationState:
                 raise RejectedMoveError(f"unit {x} already fully allocated")
             if self.load[dest] >= inst.beta[dest]:
                 raise RejectedMoveError(f"resource {dest} is full")
-            self.counts[x][dest] = self.counts[x].get(dest, 0) + 1
-            self.placed[x] += 1
-            self.load[dest] += 1
         elif move.kind == DISTRIBUTION:
             src = move.source
             if src is None:
@@ -209,17 +207,28 @@ class AllocationState:
                 raise RejectedMoveError(f"unit {x} stores nothing in {src}")
             if dest != src and self.load[dest] >= inst.beta[dest]:
                 raise RejectedMoveError(f"resource {dest} is full")
-            if dest != src:
-                row = self.counts[x]
-                row[src] -= 1
-                if row[src] == 0:
-                    del row[src]
-                row[dest] = row.get(dest, 0) + 1
-                self.load[src] -= 1
-                self.load[dest] += 1
         else:
             raise RejectedMoveError(f"unknown move kind {move.kind!r}")
+        self._shift(x, move.source, dest)
         return self
+
+    def _shift(self, x: int, source: int | None, dest: int) -> None:
+        """Move one atom of unit x from ``source`` to ``dest`` without any
+        check: ``source`` None places a new atom, ``source == dest`` does
+        nothing.  The one state mutation behind apply_move, the dynamics
+        engine and the exact kernel."""
+        if source == dest:
+            return
+        row = self.counts[x]
+        if source is None:
+            self.placed[x] += 1
+        else:
+            row[source] -= 1
+            if not row[source]:
+                del row[source]
+            self.load[source] -= 1
+        row[dest] = row.get(dest, 0) + 1
+        self.load[dest] += 1
 
 
 def _choice(

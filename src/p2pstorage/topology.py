@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import random
 from dataclasses import dataclass
 
@@ -187,6 +188,8 @@ class Instance:
                 raise ValueError(f"{name} must have length n={n}, got {len(vec)}")
             if any(v < 0 for v in vec):
                 raise ValueError(f"{name} entries must be nonnegative")
+        if not all(math.isfinite(r) for r in reliability):
+            raise ValueError("reliability entries must be finite")
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "reliability", reliability)
@@ -213,14 +216,28 @@ _INSTANCE_KEYS = {"n", "edges", "generator", "alpha", "beta", "lambda"}
 _GENERATOR_KEYS = {"kind", "n", "d", "seed"}
 
 
-def _broadcast(value, n: int, name: str, cast) -> tuple:
-    if isinstance(value, (int, float)):
-        return tuple(cast(value) for _ in range(n))
+def _integer(value, name: str) -> int:
+    """A JSON integer: an int or integral float, never a bool."""
+    if type(value) is int:
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValueError(f"'{name}' must be an integer, got {value!r}")
+
+
+def _real(value, name: str) -> float:
+    """A JSON number, never a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"'{name}' must be a number, got {value!r}")
+    return float(value)
+
+
+def _broadcast(value, n: int, name: str, parse) -> tuple:
     if isinstance(value, (list, tuple)):
         if len(value) != n:
             raise ValueError(f"'{name}' must have {n} entries, got {len(value)}")
-        return tuple(cast(v) for v in value)
-    raise ValueError(f"'{name}' must be a number or an array")
+        return tuple(parse(v, name) for v in value)
+    return (parse(value, name),) * n
 
 
 def instance_from_dict(data: dict) -> Instance:
@@ -241,9 +258,7 @@ def instance_from_dict(data: dict) -> Instance:
         if bad:
             raise ValueError(f"unknown generator keys: {sorted(bad)}")
         kind = gen.get("kind")
-        gn = gen.get("n")
-        if not isinstance(gn, int):
-            raise ValueError("generator 'n' must be an integer")
+        gn = _integer(gen.get("n"), "generator n")
         if kind == "complete":
             topology = build_complete(gn)
         elif kind == "line":
@@ -251,17 +266,17 @@ def instance_from_dict(data: dict) -> Instance:
         elif kind == "random_regular":
             if "d" not in gen or "seed" not in gen:
                 raise ValueError("random_regular generator needs 'd' and 'seed'")
-            topology = build_random_regular(gn, int(gen["d"]), int(gen["seed"]))
+            topology = build_random_regular(
+                gn, _integer(gen["d"], "generator d"), _integer(gen["seed"], "generator seed")
+            )
         else:
             raise ValueError(f"unknown generator kind: {kind!r}")
-        if "n" in data and data["n"] != topology.n:
+        if "n" in data and _integer(data["n"], "n") != topology.n:
             raise ValueError("'n' disagrees with generator 'n'")
     else:
         if "n" not in data:
             raise ValueError("'n' is required with an explicit edge list")
-        n = data["n"]
-        if not isinstance(n, int):
-            raise ValueError("'n' must be an integer")
+        n = _integer(data["n"], "n")
         edges = data["edges"]
         if not isinstance(edges, list):
             raise ValueError("'edges' must be an array of [x, y] pairs")
@@ -269,16 +284,16 @@ def instance_from_dict(data: dict) -> Instance:
         for item in edges:
             if not (isinstance(item, (list, tuple)) and len(item) == 2):
                 raise ValueError(f"bad edge entry: {item!r}")
-            pairs.add((int(item[0]), int(item[1])))
+            pairs.add((_integer(item[0], "edges"), _integer(item[1], "edges")))
         topology = Topology(n, frozenset(pairs))
 
     n = topology.n
     for key in ("alpha", "beta", "lambda"):
         if key not in data:
             raise ValueError(f"missing required key '{key}'")
-    alpha = _broadcast(data["alpha"], n, "alpha", int)
-    beta = _broadcast(data["beta"], n, "beta", int)
-    reliability = _broadcast(data["lambda"], n, "lambda", float)
+    alpha = _broadcast(data["alpha"], n, "alpha", _integer)
+    beta = _broadcast(data["beta"], n, "beta", _integer)
+    reliability = _broadcast(data["lambda"], n, "lambda", _real)
     return Instance(topology, alpha, beta, reliability)
 
 

@@ -93,6 +93,23 @@ def test_check_malformed_exit_one(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"n": true, "alpha": true, "beta": 1.7, "lambda": Infinity, "edges": []}',
+        '{"n": 2, "edges": [[0, 1], [1, 0]], "alpha": 1, "beta": 1, "lambda": [0.5, NaN]}',
+    ],
+    ids=["bool-fraction-infinity", "nan-lambda"],
+)
+def test_check_rejects_bad_instance_values(tmp_path, capsys, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert main(["check", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert captured.out == ""
+
+
 def test_check_benchmark_scale_instance(tmp_path, capsys):
     doc = {
         "generator": {"kind": "complete", "n": 50},
@@ -191,8 +208,23 @@ def test_simulate_cli_overrides(tmp_path):
         {"variant": "sideways"},
         {"horizon": "sum_alpha*1e308*10"},
         {"params": {"k_c": math.nan, "k_a": 0.0}},
+        {"params": []},
+        {"seed": None},
+        {"schedule": {"kind": "fixed", "gamma0": None}},
+        {"replications": 1.5},
+        {"horizon": True},
     ],
-    ids=["zero-replications", "unknown-variant", "overflowing-horizon", "nan-k_c"],
+    ids=[
+        "zero-replications",
+        "unknown-variant",
+        "overflowing-horizon",
+        "nan-k_c",
+        "list-params",
+        "null-seed",
+        "null-gamma0",
+        "fractional-replications",
+        "bool-horizon",
+    ],
 )
 def test_simulate_rejects_bad_spec(tmp_path, capsys, overrides):
     spec_path = tmp_path / "spec.json"
@@ -338,6 +370,18 @@ def test_verify_accepts_positive_gamma(tmp_path, capsys, gamma):
 # --------------------------------------------------------------- reproduce
 
 
+@pytest.mark.parametrize("replications", ["-1", "0"])
+def test_reproduce_rejects_nonpositive_replications(tmp_path, capsys, replications):
+    out = tmp_path / "rep"
+    code = main(["reproduce", "1", "--replications", replications, "--out", str(out),
+                 "--workers", "1"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_reproduce_smoke_table_one(tmp_path, capsys):
     out = tmp_path / "rep"
     code = main(["reproduce", "1", "--replications", "2", "--out", str(out),
@@ -350,3 +394,18 @@ def test_reproduce_smoke_table_one(tmp_path, capsys):
     assert cells["lambda_mean"]["reference"] == pytest.approx(0.6667)
     assert cells["lambda_mean"]["simulated"] == pytest.approx(0.6667, abs=0.01)
     assert payload["columns"]["k_a=0"]["completed_runs"] == 2
+
+
+# ------------------------------------------------------------------- usage
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["check"], ["reproduce", "7"], ["verify", "--k-c", "abc", "x.json"]],
+    ids=["check-without-file", "unknown-table", "bad-float"],
+)
+def test_usage_errors_exit_one(capsys, argv):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 1
+    assert "error:" in capsys.readouterr().err

@@ -5,7 +5,6 @@ import pytest
 
 from p2pstorage.feasibility import (
     SizeLimitExceeded,
-    build_atom_bipartite,
     check_feasible_exhaustive,
     check_feasible_flow,
     check_feasible_matching,
@@ -258,16 +257,13 @@ def test_covering_condition_restricted_to_maximal_irreducible():
 
 def test_atom_bipartite_structure():
     inst = make(build_line(2), (1, 0), (0, 1))
-    bip = build_atom_bipartite(inst)
-    assert bip.a_nodes == ((0, 0),)
-    assert bip.b_nodes == ((1, 0),)
     assert check_feasible_matching(inst).feasible
 
 
 def test_atom_bipartite_guard():
     inst = make(build_complete(100), tuple([60] * 100), tuple([60] * 100))
     with pytest.raises(SizeLimitExceeded):
-        build_atom_bipartite(inst)
+        check_feasible_matching(inst)
 
 
 def test_matching_counts_uncovered_atoms():

@@ -165,6 +165,12 @@ def test_instance_rejects_negative():
         Instance(build_line(3), (1, -1, 0), (1, 1, 1), (0.5, 0.8, 0.5))
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_instance_rejects_nonfinite_reliability(bad):
+    with pytest.raises(ValueError, match="finite"):
+        Instance(build_line(3), (1, 1, 0), (1, 1, 1), (0.5, bad, 0.5))
+
+
 def test_instance_file_round_trip(tmp_path):
     inst = _example_instance()
     path = tmp_path / "inst.json"
@@ -209,6 +215,50 @@ def test_instance_from_dict_random_regular():
         }
     )
     assert all(len(inst.topology.out_neighbors(x)) == 4 for x in range(10))
+
+
+BAD_INSTANCE_VALUES = {
+    "bool-n": {"n": True, "edges": []},
+    "fractional-n": {"n": 2.5},
+    "bool-alpha": {"alpha": True},
+    "fractional-alpha": {"alpha": [1, 1.5]},
+    "fractional-beta": {"beta": 1.7},
+    "string-beta": {"beta": "2"},
+    "bool-lambda": {"lambda": [True, 0.5]},
+    "infinite-lambda": {"lambda": float("inf")},
+    "nan-lambda": {"lambda": [0.5, float("nan")]},
+    "fractional-edge": {"edges": [[0, 1.5]]},
+    "bool-generator-n": {"generator": {"kind": "complete", "n": True}},
+    "fractional-generator-n": {"generator": {"kind": "line", "n": 3.5}},
+    "bool-generator-d": {"generator": {"kind": "random_regular", "n": 4, "d": True, "seed": 1}},
+    "fractional-generator-d": {"generator": {"kind": "random_regular", "n": 4, "d": 2.5, "seed": 1}},
+    "fractional-generator-seed": {
+        "generator": {"kind": "random_regular", "n": 4, "d": 2, "seed": 0.5}
+    },
+}
+
+
+def bad_instance_doc(change: dict) -> dict:
+    """A valid two-unit document with ``change`` applied; a generator
+    replaces the edge list and drops ``n``."""
+    doc = {"n": 2, "edges": [[0, 1], [1, 0]], "alpha": 1, "beta": 1, "lambda": 0.5}
+    if "generator" in change:
+        del doc["n"], doc["edges"]
+    doc.update(change)
+    return doc
+
+
+@pytest.mark.parametrize("change", BAD_INSTANCE_VALUES.values(), ids=BAD_INSTANCE_VALUES.keys())
+def test_instance_from_dict_rejects_bad_values(change):
+    with pytest.raises(ValueError):
+        instance_from_dict(bad_instance_doc(change))
+
+
+def test_instance_from_dict_accepts_integral_floats():
+    inst = instance_from_dict(bad_instance_doc({"n": 2.0, "alpha": [1.0, 2], "beta": 3.0}))
+    assert inst.n == 2
+    assert inst.alpha == (1, 2)
+    assert inst.beta == (3, 3)
 
 
 def test_load_instance_bad_json(tmp_path):

@@ -88,24 +88,28 @@ def evaluate_horizon(expr, inst: Instance) -> int:
     return int(value)
 
 
+# The keys each schedule kind takes besides "kind".
+_SCHEDULE_KEYS = {"fixed": {"gamma0"}, "annealed": {"gamma0", "increment"}, "infinite": set()}
+
+
 def _schedule_from_dict(data: dict) -> GammaSchedule:
     if not isinstance(data, dict):
         raise ValueError("'schedule' must be a mapping")
-    unknown = set(data) - {"kind", "gamma0", "increment"}
-    if unknown:
-        raise ValueError(f"unknown schedule keys: {sorted(unknown)}")
     kind = data.get("kind", "annealed")
+    if not isinstance(kind, str) or kind not in _SCHEDULE_KEYS:
+        raise ValueError(f"unknown schedule kind {kind!r}")
+    unknown = set(data) - _SCHEDULE_KEYS[kind] - {"kind"}
+    if unknown:
+        raise ValueError(f"schedule kind {kind!r} does not take {sorted(unknown)}")
     if kind == "infinite":
         return GammaSchedule.infinite()
     gamma0 = _real(data.get("gamma0", 1.0), "gamma0")
-    increment = data.get("increment")
     if kind == "fixed":
         return GammaSchedule.fixed(gamma0)
-    if kind == "annealed":
-        return GammaSchedule.annealed(
-            gamma0, None if increment is None else _real(increment, "increment")
-        )
-    raise ValueError(f"unknown schedule kind {kind!r}")
+    increment = data.get("increment")
+    if increment is not None:
+        increment = _real(increment, "increment")
+    return GammaSchedule.annealed(gamma0, increment)
 
 
 def load_experiment_spec(path) -> dict:
@@ -127,13 +131,12 @@ def load_experiment_spec(path) -> dict:
     params_src = data.get("params", {})
     if not isinstance(params_src, dict):
         raise ValueError("'params' must be a mapping")
-    unknown = set(params_src) - {"k_c", "k_a", "gamma"}
+    unknown = set(params_src) - {"k_c", "k_a"}
     if unknown:
         raise ValueError(f"unknown params keys: {sorted(unknown)}")
     params = GameParams(
         k_c=_real(params_src.get("k_c", 1.0), "k_c"),
         k_a=_real(params_src.get("k_a", 0.0), "k_a"),
-        gamma=_real(params_src.get("gamma", 1.0), "gamma"),
     )
     return {
         "instance": inst,
@@ -155,25 +158,23 @@ def _out_dir(args) -> Path:
     return path
 
 
-def _run_one(payload):
-    config, compute_rho = payload
+def _run_one(config: SimConfig):
     result = dynamics.run(config)
     report = analysis.compute_metrics(
         config.instance, config.params, result, allow_partial=True
     )
-    if compute_rho and result.completed:
+    if result.completed:
         report.rho, report.rho_tag = analysis.compute_rho(
             config.instance, config.params, result.final_state
         )
     return result, report
 
 
-def _run_replications(configs, workers: int, compute_rho: bool = True):
-    payloads = [(config, compute_rho) for config in configs]
+def _run_replications(configs, workers: int):
     if workers > 1 and len(configs) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_run_one, payloads))
-    return [_run_one(p) for p in payloads]
+            return list(pool.map(_run_one, configs))
+    return [_run_one(config) for config in configs]
 
 
 def _aggregate(rows: list[dict]) -> dict:
@@ -239,14 +240,13 @@ def cmd_simulate(args) -> int:
         for key in ("seed", "replications", "variant", "horizon"):
             if getattr(args, key) is not None:
                 spec[key] = getattr(args, key)
-        if args.gamma0 is not None or args.gamma_increment is not None:
-            sched: GammaSchedule = spec["schedule"]
-            spec["schedule"] = GammaSchedule(
-                sched.kind,
-                args.gamma0 if args.gamma0 is not None else sched.gamma0,
-                args.gamma_increment if args.gamma_increment is not None else sched.increment,
-            )
         inst: Instance = spec["instance"]
+        sched: GammaSchedule = spec["schedule"]
+        schedule = GammaSchedule(  # in force, the default increment resolved
+            sched.gamma0 if args.gamma0 is None else args.gamma0,
+            sched.increment_for(max(inst.reliability))
+            if args.gamma_increment is None else args.gamma_increment,
+        )
         horizon = evaluate_horizon(spec["horizon"], inst)
         if spec["replications"] < 1:
             raise ValueError(f"replications must be positive, got {spec['replications']}")
@@ -254,7 +254,7 @@ def cmd_simulate(args) -> int:
             SimConfig(
                 instance=inst,
                 params=spec["params"],
-                schedule=spec["schedule"],
+                schedule=schedule,
                 horizon=horizon,
                 seed=spec["seed"] + r,
                 variant=spec["variant"],
@@ -302,9 +302,8 @@ def cmd_simulate(args) -> int:
         "horizon": horizon,
         "params": {"k_c": spec["params"].k_c, "k_a": spec["params"].k_a},
         "schedule": {
-            "kind": spec["schedule"].kind,
-            "gamma0": spec["schedule"].gamma0,
-            "increment": spec["schedule"].increment,
+            "gamma0": "inf" if math.isinf(schedule.gamma0) else schedule.gamma0,
+            "increment": schedule.increment,
         },
         "completed_runs": sum(r["completed"] for r in rows),
         "aggregate": _aggregate(rows),
@@ -338,11 +337,17 @@ def _verify_absorption(inst: Instance, params: GameParams, trials: int, seed: in
 def cmd_verify(args) -> int:
     try:
         inst = load_instance(args.instance)
-        params = GameParams(k_c=args.k_c, k_a=args.k_a, gamma=float(args.gamma))
+        params = GameParams(k_c=args.k_c, k_a=args.k_a)
+        gamma = GammaSchedule.fixed(float(args.gamma)).gamma0
+        if args.empirical_steps < 0:
+            raise ValueError(f"--empirical-steps must be nonnegative, got {args.empirical_steps}")
+        if not args.empirical_tol > 0:
+            raise ValueError(f"--empirical-tol must be positive, got {args.empirical_tol}")
+        if args.empirical_steps and math.isinf(gamma):
+            raise ValueError("--empirical-steps needs a finite --gamma")
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    gamma = params.gamma
     report: dict = {"gamma": "inf" if math.isinf(gamma) else gamma}
     checks: list[tuple[str, bool, str]] = []
 

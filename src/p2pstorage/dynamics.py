@@ -59,55 +59,50 @@ class DegenerateInstanceError(ValueError):
 
 @dataclass(frozen=True)
 class GammaSchedule:
-    """Gibbs parameter schedule over simulation time.
+    """Gibbs parameter over simulation time: gamma0 + t * increment.
 
-    kinds: "fixed" (constant gamma0), "annealed" (gamma0 + t * increment,
-    with increment defaulting to 1 / (100 * max reliability)), and
-    "infinite" (pure best response throughout).
+    ``increment`` None is the default annealing rate 1 / (100 * max
+    reliability); ``fixed(g)`` is (g, 0) and ``infinite()`` is (inf, 0),
+    pure best response throughout.
     """
 
-    kind: str
-    gamma0: float = 1.0
+    gamma0: float
     increment: float | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in ("fixed", "annealed", "infinite"):
-            raise ValueError(f"unknown schedule kind {self.kind!r}")
-        if self.kind != "infinite" and not self.gamma0 > 0:
-            raise ValueError("gamma0 must be positive")
+        if not self.gamma0 > 0:
+            raise ValueError(f"gamma0 must be positive (math.inf allowed), got {self.gamma0}")
         if self.increment is not None and not (
             math.isfinite(self.increment) and self.increment >= 0
         ):
             raise ValueError(f"increment must be finite and nonnegative, got {self.increment}")
+        if self.gamma0 == math.inf and self.increment != 0.0:
+            raise ValueError("an infinite gamma0 takes increment 0, as nothing can add to it")
 
     @classmethod
     def fixed(cls, gamma0: float) -> "GammaSchedule":
-        return cls("fixed", gamma0)
+        return cls(gamma0, 0.0)
 
     @classmethod
     def annealed(cls, gamma0: float = 1.0, increment: float | None = None) -> "GammaSchedule":
-        return cls("annealed", gamma0, increment)
+        return cls(gamma0, increment)
 
     @classmethod
     def infinite(cls) -> "GammaSchedule":
-        return cls("infinite")
+        return cls(math.inf, 0.0)
+
+    def increment_for(self, lam_max: float) -> float:
+        """The increment in force on an instance whose largest reliability
+        is lam_max: the explicit one, else 1 / (100 * lam_max)."""
+        if self.increment is not None:
+            return self.increment
+        if lam_max <= 0:
+            raise ValueError("the default increment needs a positive max reliability")
+        return 1.0 / (100.0 * lam_max)
 
     def gamma_at(self, t: int, lam_max: float) -> float:
-        """Gamma in force at step t on an instance whose largest
-        reliability is lam_max (it sets the default increment)."""
-        if self.kind == "infinite":
-            return math.inf
-        if self.kind == "fixed":
-            return self.gamma0
-        increment = self.increment
-        if increment is None:
-            if lam_max <= 0:
-                raise ValueError(
-                    "default annealing increment needs a positive max reliability; "
-                    "pass an explicit increment"
-                )
-            increment = 1.0 / (100.0 * lam_max)
-        return self.gamma0 + t * increment
+        """Gamma in force at step t: gamma0 + t * increment."""
+        return self.gamma0 + t * self.increment_for(lam_max)
 
 
 def default_horizon(inst: Instance) -> int:
@@ -232,14 +227,13 @@ def allocation_move(
     params: GameParams,
     state: AllocationState,
     x: int,
-    gamma: float | None = None,
+    gamma: float,
 ) -> Move | None:
     """Sample (without applying) an allocation move for unit x; None when
     every neighbor is full."""
     if state.placed[x] >= inst.alpha[x]:
         raise ValueError(f"unit {x} is fully allocated; allocation move is invalid")
-    g = params.gamma if gamma is None else gamma
-    return _sample_allocation(rng, inst, params, state, x, g)
+    return _sample_allocation(rng, inst, params, state, x, gamma)
 
 
 def distribution_move(
@@ -248,13 +242,12 @@ def distribution_move(
     params: GameParams,
     state: AllocationState,
     x: int,
-    gamma: float | None = None,
+    gamma: float,
 ) -> Move:
     """Sample (without applying) a relocation move for unit x."""
     if state.placed[x] <= 0:
         raise ValueError(f"unit {x} has nothing stored; distribution move is invalid")
-    g = params.gamma if gamma is None else gamma
-    return _sample_distribution(rng, inst, params, state, x, g)
+    return _sample_distribution(rng, inst, params, state, x, gamma)
 
 
 def step(rng: random.Random, config: SimConfig, state: AllocationState, t: int) -> Move | None:

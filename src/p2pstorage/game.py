@@ -58,20 +58,17 @@ class InvalidStateError(ValueError):
 
 @dataclass(frozen=True)
 class GameParams:
-    """Utility weights: congestion (k_c), aggregation (k_a), and the Gibbs
-    inverse-noise parameter (gamma; math.inf selects pure best response)."""
+    """Utility weights: congestion (k_c) and aggregation (k_a).  The Gibbs
+    parameter belongs to the dynamics (``dynamics.GammaSchedule``)."""
 
     k_c: float
     k_a: float
-    gamma: float = 1.0
 
     def __post_init__(self) -> None:
         for name in ("k_c", "k_a"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):
                 raise ValueError(f"{name} must be finite and nonnegative, got {value}")
-        if not self.gamma > 0:
-            raise ValueError("gamma must be positive (math.inf allowed)")
 
 
 @dataclass(frozen=True)
@@ -309,8 +306,8 @@ def gibbs_choice_distribution(
     params: GameParams,
     state: AllocationState,
     x: int,
+    gamma: float,
     source: int | None = None,
-    gamma: float | None = None,
 ) -> dict[int, float]:
     """Probability of each destination of unit x under the noisy best
     response: a new atom, or with ``source`` set the relocation of one atom
@@ -325,7 +322,7 @@ def gibbs_choice_distribution(
     cands, utils = _choice(inst, params, state, x, source)
     if not cands:
         raise NoAvailableResourceError(f"unit {x} has no available resource")
-    weights = _gibbs_weights(utils, params.gamma if gamma is None else gamma)
+    weights = _gibbs_weights(utils, gamma)
     norm = sum(weights)
     return {y: w / norm for y, w in zip(cands, weights)}
 

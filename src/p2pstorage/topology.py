@@ -180,8 +180,8 @@ class Instance:
 
     def __post_init__(self) -> None:
         n = self.topology.n
-        alpha = tuple(int(a) for a in self.alpha)
-        beta = tuple(int(b) for b in self.beta)
+        alpha = tuple(_integer(a, "alpha") for a in self.alpha)
+        beta = tuple(_integer(b, "beta") for b in self.beta)
         reliability = tuple(float(r) for r in self.reliability)
         for name, vec in (("alpha", alpha), ("beta", beta), ("reliability", reliability)):
             if len(vec) != n:

@@ -1,7 +1,7 @@
 import pytest
 
 from p2pstorage import analysis, benchmarks
-from p2pstorage.dynamics import run
+from p2pstorage.dynamics import GammaSchedule, run
 
 
 def test_reference_tables_are_rectangular():
@@ -38,10 +38,8 @@ def test_reliability_split_is_half_and_half():
 def test_preset_schedule_selection():
     cold = benchmarks.table_presets(1)[0]  # k_a = 0
     warm = benchmarks.table_presets(1)[2]  # k_a = 0.45
-    assert benchmarks.preset_schedule(cold.params).kind == "annealed"
-    warm_schedule = benchmarks.preset_schedule(warm.params)
-    assert warm_schedule.kind == "fixed"
-    assert warm_schedule.gamma0 == benchmarks.AGGREGATED_GAMMA
+    assert benchmarks.preset_schedule(cold.params) == GammaSchedule.annealed(1.0)
+    assert benchmarks.preset_schedule(warm.params) == GammaSchedule.fixed(benchmarks.AGGREGATED_GAMMA)
 
 
 def test_make_configs_seeds_are_consecutive():

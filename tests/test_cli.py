@@ -213,6 +213,10 @@ def test_simulate_cli_overrides(tmp_path):
         {"schedule": {"kind": "fixed", "gamma0": None}},
         {"replications": 1.5},
         {"horizon": True},
+        {"params": {"k_c": 1.0, "k_a": 0.0, "gamma": 2}},
+        {"schedule": {"kind": "infinite", "gamma0": 2.0}},
+        {"schedule": {"kind": "fixed", "gamma0": 1.5, "increment": 0.5}},
+        {"instance": dict(feasible_doc(), **{"lambda": 0.0}), "schedule": {"kind": "annealed"}},
     ],
     ids=[
         "zero-replications",
@@ -224,6 +228,10 @@ def test_simulate_cli_overrides(tmp_path):
         "null-gamma0",
         "fractional-replications",
         "bool-horizon",
+        "params-gamma",
+        "infinite-gamma0",
+        "fixed-increment",
+        "default-increment-zero-reliability",
     ],
 )
 def test_simulate_rejects_bad_spec(tmp_path, capsys, overrides):
@@ -233,6 +241,66 @@ def test_simulate_rejects_bad_spec(tmp_path, capsys, overrides):
     assert code == 1
     assert capsys.readouterr().err.startswith("error:")
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "schedule, flags",
+    [
+        ({"kind": "fixed", "gamma0": 1.5}, ["--gamma0", "0.01"]),
+        ({"kind": "fixed", "gamma0": 1.5}, ["--gamma-increment", "0.5"]),
+        ({"kind": "annealed"}, ["--gamma0", "0.01"]),
+        ({"kind": "annealed"}, ["--gamma-increment", "0.5"]),
+        ({"kind": "infinite"}, ["--gamma0", "0.01"]),
+        ({"kind": "infinite"}, ["--gamma0", "0.01", "--gamma-increment", "0.5"]),
+    ],
+    ids=["fixed-gamma0", "fixed-increment", "annealed-gamma0", "annealed-increment",
+         "infinite-gamma0", "infinite-both"],
+)
+def test_simulate_gamma_overrides_change_runs(tmp_path, schedule, flags):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec_doc(feasible_doc(), schedule=schedule)))
+    base = ["simulate", str(spec_path), "--workers", "1", "--out"]
+    assert main(base + [str(tmp_path / "plain")]) == 0
+    assert main(base + [str(tmp_path / "over")] + flags) == 0
+    runs = [(tmp_path / d / "runs.csv").read_text() for d in ("plain", "over")]
+    assert runs[0] != runs[1]
+    summary = json.loads((tmp_path / "over" / "summary.json").read_text())
+    for flag, value in zip(flags[::2], flags[1::2]):
+        key = "gamma0" if flag == "--gamma0" else "increment"
+        assert summary["schedule"][key] == float(value)
+
+
+def test_simulate_rejects_increment_on_infinite_gamma(tmp_path, capsys):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec_doc(feasible_doc(), schedule={"kind": "infinite"})))
+    code = main(["simulate", str(spec_path), "--out", str(tmp_path / "o"), "--workers", "1",
+                 "--gamma-increment", "0.5"])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert not (tmp_path / "o").exists()
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+@pytest.mark.parametrize(
+    "schedule, in_force",
+    [
+        ({"kind": "infinite"}, {"gamma0": "inf", "increment": 0.0}),
+        ({"kind": "fixed", "gamma0": 1.5}, {"gamma0": 1.5, "increment": 0.0}),
+        ({"kind": "annealed"}, {"gamma0": 1.0, "increment": 1.0 / 80.0}),
+    ],
+    ids=["infinite", "fixed", "annealed-default"],
+)
+def test_simulate_summary_records_schedule_in_force(tmp_path, schedule, in_force):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec_doc(feasible_doc(), schedule=schedule, replications=1)))
+    out = tmp_path / "o"
+    assert main(["simulate", str(spec_path), "--out", str(out), "--workers", "1"]) == 0
+    text = (out / "summary.json").read_text()
+    summary = json.loads(text, parse_constant=_reject_constant)
+    assert summary["schedule"] == in_force
 
 
 def test_simulate_uses_env_output_dir(tmp_path, monkeypatch):
@@ -352,6 +420,26 @@ def test_verify_rejects_oversized_state_space(tmp_path, capsys):
 def test_verify_rejects_bad_gamma(tmp_path, capsys, gamma):
     path = write_instance(tmp_path, "desk.json", feasible_doc())
     assert main(["verify", str(path), "--gamma", gamma]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--gamma", "1.0", "--empirical-steps", "-5"],
+        ["--gamma", "1.0", "--empirical-steps", "200", "--empirical-tol", "nan"],
+        ["--gamma", "1.0", "--empirical-steps", "200", "--empirical-tol", "0"],
+        ["--gamma", "1.0", "--empirical-steps", "200", "--empirical-tol", "-0.1"],
+        ["--gamma", "inf", "--empirical-steps", "200"],
+    ],
+    ids=["negative-steps", "nan-tol", "zero-tol", "negative-tol", "steps-with-infinite-gamma"],
+)
+def test_verify_rejects_bad_empirical_flags(tmp_path, capsys, flags):
+    doc = {"generator": {"kind": "complete", "n": 3}, "alpha": 1, "beta": 2, "lambda": 1.0}
+    path = write_instance(tmp_path, "desk.json", doc)
+    assert main(["verify", str(path)] + flags) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("error:")
     assert captured.out == ""

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import random
@@ -99,7 +100,7 @@ def test_allocation_move_single_candidate():
     inst = make(build_line(3), (1, 1, 1), (1, 1, 1), (1.0,) * 3)
     state = AllocationState.zeros(inst)
     rng = random.Random(0)
-    move = allocation_move(rng, inst, GameParams(1.0, 0.0), state, 0)
+    move = allocation_move(rng, inst, GameParams(1.0, 0.0), state, 0, gamma=1.0)
     assert move == Move(ALLOCATION, 0, None, 1)
 
 
@@ -116,14 +117,14 @@ def test_allocation_move_blocked_returns_none():
     inst = line_chain_instance()
     state = chain_blocked_state(inst)
     rng = random.Random(2)
-    assert allocation_move(rng, inst, GameParams(1.0, 0.0), state, 0) is None
+    assert allocation_move(rng, inst, GameParams(1.0, 0.0), state, 0, gamma=1.0) is None
 
 
 def test_allocation_move_invalid_on_full_unit():
     inst = make(build_complete(2), (1, 1), (2, 2), (1.0, 1.0))
     state = AllocationState.from_entries(inst, [(0, 1, 1)])
     with pytest.raises(ValueError):
-        allocation_move(random.Random(3), inst, GameParams(1.0, 0.0), state, 0)
+        allocation_move(random.Random(3), inst, GameParams(1.0, 0.0), state, 0, gamma=1.0)
 
 
 def test_distribution_move_single_source():
@@ -131,7 +132,7 @@ def test_distribution_move_single_source():
     state = AllocationState.from_entries(inst, [(0, 2, 2)])
     rng = random.Random(4)
     for _ in range(10):
-        move = distribution_move(rng, inst, GameParams(0.0, 0.0), state, 0)
+        move = distribution_move(rng, inst, GameParams(0.0, 0.0), state, 0, gamma=1.0)
         assert move.kind == DISTRIBUTION
         assert move.source == 2
 
@@ -142,7 +143,7 @@ def test_distribution_move_source_frequencies():
     state = AllocationState.from_entries(inst, [(0, 1, 3), (0, 2, 1)])
     rng = random.Random(5)
     counts = Counter(
-        distribution_move(rng, inst, GameParams(0.0, 0.0), state, 0).source
+        distribution_move(rng, inst, GameParams(0.0, 0.0), state, 0, gamma=1.0).source
         for _ in range(4000)
     )
     assert counts[1] / 4000 == pytest.approx(0.75, abs=0.03)
@@ -150,8 +151,9 @@ def test_distribution_move_source_frequencies():
 
 def test_distribution_move_requires_stored_atoms():
     inst = make(build_complete(2), (1, 1), (2, 2), (1.0, 1.0))
+    state = AllocationState.zeros(inst)
     with pytest.raises(ValueError):
-        distribution_move(random.Random(6), inst, GameParams(1.0, 0.0), AllocationState.zeros(inst), 0)
+        distribution_move(random.Random(6), inst, GameParams(1.0, 0.0), state, 0, gamma=1.0)
 
 
 # ---------------------------------------------------------------- schedule
@@ -184,6 +186,24 @@ def test_gamma_schedule_explicit_increment():
 def test_gamma_schedule_rejects_nonfinite_or_negative_increment(increment):
     with pytest.raises(ValueError):
         GammaSchedule.annealed(1.0, increment)
+
+
+@pytest.mark.parametrize("make_schedule", [GammaSchedule.fixed, GammaSchedule.annealed],
+                         ids=["fixed", "annealed"])
+@pytest.mark.parametrize("gamma0", [math.nan, 0.0, -1.0])
+def test_gamma_schedule_rejects_nonpositive_gamma0(make_schedule, gamma0):
+    with pytest.raises(ValueError):
+        make_schedule(gamma0)
+
+
+def test_gamma_schedule_is_one_formula():
+    assert [f.name for f in dataclasses.fields(GammaSchedule)] == ["gamma0", "increment"]
+    assert GammaSchedule.fixed(2.5) == GammaSchedule(2.5, 0.0)
+    assert GammaSchedule.infinite() == GammaSchedule(math.inf, 0.0)
+    assert GammaSchedule.annealed(2.5) == GammaSchedule(2.5, None)
+    assert GammaSchedule(2.0, None).increment_for(0.8) == 1.0 / 80.0
+    with pytest.raises(ValueError):
+        GammaSchedule.annealed(math.inf, 0.5)
 
 
 def test_gamma_schedule_default_increment_needs_positive_reliability():

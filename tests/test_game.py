@@ -4,6 +4,7 @@ import random
 import pytest
 
 from p2pstorage import game
+from p2pstorage.dynamics import GammaSchedule
 from p2pstorage.game import (
     ALLOCATION,
     DISTRIBUTION,
@@ -196,7 +197,7 @@ def test_available_resources_fresh_state():
 def test_gibbs_symmetric_candidates():
     inst = make(build_complete(3), (1, 1, 1), (2, 2, 2), (1.0, 1.0, 1.0))
     state = AllocationState.zeros(inst)
-    probs = game.gibbs_choice_distribution(inst, GameParams(1.0, 0.0), state, 0)
+    probs = game.gibbs_choice_distribution(inst, GameParams(1.0, 0.0), state, 0, gamma=1.0)
     assert probs[1] == pytest.approx(0.5)
     assert probs[2] == pytest.approx(0.5)
 
@@ -271,14 +272,14 @@ def test_gibbs_relocation_keeps_full_source_as_self_move():
     assert probs[1] == pytest.approx(0.75)
     assert probs[2] == pytest.approx(0.25)
     with pytest.raises(ValueError):
-        game.gibbs_choice_distribution(inst, params, state, 0, source=2)
+        game.gibbs_choice_distribution(inst, params, state, 0, gamma=1.0, source=2)
 
 
 def test_gibbs_empty_candidates_error():
     inst = make(build_complete(2), (1, 1), (1, 0), (1.0, 1.0))
     state = AllocationState.zeros(inst)
     with pytest.raises(NoAvailableResourceError):
-        game.gibbs_choice_distribution(inst, GameParams(1.0, 0.0), state, 0)
+        game.gibbs_choice_distribution(inst, GameParams(1.0, 0.0), state, 0, gamma=1.0)
 
 
 def test_gibbs_argmax_invariant_under_reliability_shift():
@@ -443,5 +444,5 @@ def test_params_validation():
     with pytest.raises(ValueError):
         GameParams(k_c=-1.0, k_a=0.0)
     with pytest.raises(ValueError):
-        GameParams(k_c=0.0, k_a=0.0, gamma=0.0)
-    GameParams(k_c=0.0, k_a=0.0, gamma=math.inf)  # best-response flag is valid
+        GammaSchedule.fixed(0.0)
+    GammaSchedule.fixed(math.inf)  # pure best response is valid

@@ -171,6 +171,22 @@ def test_instance_rejects_nonfinite_reliability(bad):
         Instance(build_line(3), (1, 1, 0), (1, 1, 1), (0.5, bad, 0.5))
 
 
+@pytest.mark.parametrize(
+    "alpha, beta",
+    [((1.7, True), (2.9, 1)), ((1, 1), (2.9, 1)), ((1, True), (2, 1)), ((1, 1), (2, False))],
+    ids=["fraction-and-bool", "fractional-beta", "bool-alpha", "bool-beta"],
+)
+def test_instance_rejects_bool_or_fractional_counts(alpha, beta):
+    with pytest.raises(ValueError, match="must be an integer"):
+        Instance(build_line(2), alpha, beta, (0.5, 0.5))
+
+
+def test_instance_accepts_integral_float_counts():
+    inst = Instance(build_line(2), (2.0, 1), (3, 1.0), (0.5, 0.5))
+    assert inst.alpha == (2, 1) and inst.beta == (3, 1)
+    assert all(type(v) is int for v in inst.alpha + inst.beta)
+
+
 def test_instance_file_round_trip(tmp_path):
     inst = _example_instance()
     path = tmp_path / "inst.json"

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import dynamics, feasibility, game
-from .game import AllocationState, GameParams, _choice, _gibbs_weights
+from .game import AllocationState, GameParams, _check_gamma, _choice, _gibbs_weights
 from .topology import Instance
 
 __all__ = [
@@ -153,10 +153,9 @@ def build_transition_matrix(
     On full states every activation is a relocation, so both move-kind
     variants induce the same kernel; self-moves and saturation contribute
     the diagonal.  Each neighbour state is reached by the engine's own
-    state mutation.  Requires finite gamma.
+    state mutation.  Requires a finite positive gamma.
     """
-    if not math.isfinite(gamma):
-        raise ValueError("transition matrix requires finite gamma")
+    _check_gamma(gamma, finite=True)
     inst = oracle.inst
     total_alpha = inst.total_alpha
     rows: list[dict[int, float]] = []
@@ -197,6 +196,7 @@ def stationary_exact(
     Warns when the strict covering condition fails (the chain may then be
     reducible and the law only stationary per component).
     """
+    _check_gamma(gamma, finite=True)
     inst = oracle.inst
     if not feasibility.check_strict(inst).feasible:
         warnings.warn(
@@ -288,9 +288,8 @@ def empirical_distribution(
     then discards ``burn_in`` steps and counts the state after each of the
     next ``steps`` steps.
     """
+    _check_gamma(gamma, finite=True)
     inst = oracle.inst
-    if not math.isfinite(gamma):
-        raise ValueError("empirical sampling requires finite gamma")
     cap = 50 * inst.total_alpha
     config = dynamics.SimConfig(
         instance=inst,

@@ -25,6 +25,7 @@ from .game import (
     AllocationState,
     GameParams,
     Move,
+    _check_gamma,
     _choice,
     _gibbs_weights,
 )
@@ -45,7 +46,6 @@ __all__ = [
     "move_kind_probabilities",
     "run",
     "state_stream",
-    "step",
 ]
 
 PROPORTIONAL = "proportional"
@@ -70,8 +70,7 @@ class GammaSchedule:
     increment: float | None = None
 
     def __post_init__(self) -> None:
-        if not self.gamma0 > 0:
-            raise ValueError(f"gamma0 must be positive (math.inf allowed), got {self.gamma0}")
+        _check_gamma(self.gamma0, finite=False, name="gamma0")
         if self.increment is not None and not (
             math.isfinite(self.increment) and self.increment >= 0
         ):
@@ -158,8 +157,8 @@ def move_kind_probabilities(
 
 
 def _move_kind(a: int, placed: int, variant: str) -> tuple[float, float]:
-    # Kept out of __all__: the engine calls it every step, and span tracers
-    # wrap every exported name.
+    # Kept out of __all__, like _draw and _sample: the engine calls them
+    # every step, and span tracers wrap every exported name.
     if placed >= a:
         return (0.0, 1.0)
     if placed == 0 or variant == ALLOCATE_FIRST:
@@ -182,43 +181,32 @@ def _draw(rng, cands: list[int], utils: list[float], gamma: float) -> int:
     return cands[-1]
 
 
-def _sample_allocation(rng, inst, params, state: AllocationState, x: int, gamma) -> Move | None:
-    cands, utils = _choice(inst, params, state, x)
-    if not cands:
-        return None  # saturated unit: demand left but every neighbor full
-    return Move(ALLOCATION, x, None, _draw(rng, cands, utils, gamma))
-
-
-def _sample_distribution(rng, inst, params, state: AllocationState, x: int, gamma) -> Move:
-    row = state.counts[x]
-    # Source resource, proportional to how many atoms sit there.
-    r = rng.random() * state.placed[x]
-    acc = 0
-    source = -1
-    for y, c in sorted(row.items()):
-        acc += c
-        if r < acc:
-            source = y
-            break
-    if source < 0:  # numerical edge of r == placed
-        source = max(row)
+def _sample(
+    rng, inst, params, state: AllocationState, x: int, allocate: bool, gamma
+) -> tuple[int | None, int] | None:
+    """Draw, without applying, one move of unit x as (source, dest):
+    source None places a new atom, else the source pile is drawn in
+    proportion to the atoms stored there.  None when a new atom finds every
+    neighbor full; a relocation always has its own source to return to."""
+    source = None
+    if not allocate:
+        r = rng.random() * state.placed[x]
+        acc = 0
+        for source, c in sorted(state.counts[x].items()):
+            acc += c
+            if r < acc:
+                break  # running off the end (r == placed) keeps the largest pile
     cands, utils = _choice(inst, params, state, x, source)
-    return Move(DISTRIBUTION, x, source, _draw(rng, cands, utils, gamma))
+    if not cands:
+        return None
+    return source, _draw(rng, cands, utils, gamma)
 
 
-def _step(
-    rng, config: SimConfig, cum_alpha: list[int], state: AllocationState, gamma
-) -> Move | None:
-    inst = config.instance
-    x = bisect_right(cum_alpha, rng.random() * cum_alpha[-1])
-    p_alloc, p_dist = _move_kind(inst.alpha[x], state.placed[x], config.variant)
-    if p_dist == 0 or (p_alloc > 0 and rng.random() < p_alloc):
-        move = _sample_allocation(rng, inst, config.params, state, x, gamma)
-    else:
-        move = _sample_distribution(rng, inst, config.params, state, x, gamma)
-    if move is not None:
-        state._shift(x, move.source, move.dest)
-    return move
+def _as_move(x: int, drawn: tuple[int | None, int] | None) -> Move | None:
+    if drawn is None:
+        return None
+    source, dest = drawn
+    return Move(ALLOCATION if source is None else DISTRIBUTION, x, source, dest)
 
 
 def allocation_move(
@@ -231,9 +219,10 @@ def allocation_move(
 ) -> Move | None:
     """Sample (without applying) an allocation move for unit x; None when
     every neighbor is full."""
+    _check_gamma(gamma, finite=False)
     if state.placed[x] >= inst.alpha[x]:
         raise ValueError(f"unit {x} is fully allocated; allocation move is invalid")
-    return _sample_allocation(rng, inst, params, state, x, gamma)
+    return _as_move(x, _sample(rng, inst, params, state, x, True, gamma))
 
 
 def distribution_move(
@@ -245,19 +234,10 @@ def distribution_move(
     gamma: float,
 ) -> Move:
     """Sample (without applying) a relocation move for unit x."""
+    _check_gamma(gamma, finite=False)
     if state.placed[x] <= 0:
         raise ValueError(f"unit {x} has nothing stored; distribution move is invalid")
-    return _sample_distribution(rng, inst, params, state, x, gamma)
-
-
-def step(rng: random.Random, config: SimConfig, state: AllocationState, t: int) -> Move | None:
-    """Execute one time step in place; returns the applied move, or None
-    when the activated unit was blocked."""
-    inst = config.instance
-    if inst.total_alpha == 0:
-        return None
-    gamma = config.schedule.gamma_at(t, max(inst.reliability, default=0.0))
-    return _step(rng, config, list(accumulate(inst.alpha)), state, gamma)
+    return _as_move(x, _sample(rng, inst, params, state, x, False, gamma))
 
 
 def _initial_state(config: SimConfig) -> AllocationState:
@@ -269,17 +249,27 @@ def _initial_state(config: SimConfig) -> AllocationState:
 
 
 def _engine(config: SimConfig, state: AllocationState):
-    """Step ``state`` in place over the horizon, yielding (t, move) with
-    move None for a blocked activation."""
+    """The one step loop: step ``state`` in place over the horizon,
+    yielding (t, x, drawn) for the unit x that woke, with drawn the applied
+    (source, dest) or None for a blocked activation.  The schedule is
+    resolved once, and only when there is a step to take."""
     inst = config.instance
-    if inst.total_alpha == 0:
+    if inst.total_alpha == 0 or config.horizon == 0:
         return
-    cum_alpha = list(accumulate(inst.alpha))
-    lam_max = max(inst.reliability, default=0.0)
-    schedule = config.schedule
+    params, variant, alpha, placed = config.params, config.variant, inst.alpha, state.placed
+    cum_alpha = list(accumulate(alpha))
+    total = cum_alpha[-1]
+    gamma0 = config.schedule.gamma0
+    increment = config.schedule.increment_for(max(inst.reliability, default=0.0))
     rng = random.Random(config.seed)
     for t in range(config.horizon):
-        yield t, _step(rng, config, cum_alpha, state, schedule.gamma_at(t, lam_max))
+        x = bisect_right(cum_alpha, rng.random() * total)
+        p_alloc, p_dist = _move_kind(alpha[x], placed[x], variant)
+        allocate = p_dist == 0 or (p_alloc > 0 and rng.random() < p_alloc)
+        drawn = _sample(rng, inst, params, state, x, allocate, gamma0 + t * increment)
+        if drawn is not None:
+            state._shift(x, *drawn)
+        yield t, x, drawn
 
 
 def run(config: SimConfig) -> RunResult:
@@ -294,27 +284,29 @@ def run(config: SimConfig) -> RunResult:
     trace: list[tuple[int, Move]] | None = [] if config.record_trace else None
     remaining = config.instance.total_alpha - state.total_placed()
     completed_at = 0 if remaining == 0 else None
-    for t, move in _engine(config, state):
-        if move is None:
+    for t, x, drawn in _engine(config, state):
+        if drawn is None:
             continue
-        if move.kind == ALLOCATION:
-            moves[move.unit] += 1
+        source, dest = drawn
+        if source is None:
+            moves[x] += 1
             remaining -= 1
-            if remaining == 0 and completed_at is None:
+            if remaining == 0:
                 completed_at = t + 1
-        elif move.dest != move.source:
-            moves[move.unit] += 1
+        elif dest != source:
+            moves[x] += 1
         if trace is not None:
-            trace.append((t, move))
+            trace.append((t, _as_move(x, drawn)))
     return RunResult(state, remaining == 0, completed_at, moves, trace)
 
 
 def state_stream(config: SimConfig):
-    """Generator over (t, state, move) driving the same engine as run().
+    """Generator over (t, state, move) driving the same engine as run();
+    move is None for a blocked activation.
 
     The yielded state object is mutated in place each step; consumers must
     derive what they need (e.g. state.key()) before advancing.
     """
     state = _initial_state(config)
-    for t, move in _engine(config, state):
-        yield t, state, move
+    for t, x, drawn in _engine(config, state):
+        yield t, state, _as_move(x, drawn)

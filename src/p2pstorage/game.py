@@ -256,6 +256,15 @@ def _choice(
     return cands, utils
 
 
+def _check_gamma(gamma: float, finite: bool, name: str = "gamma") -> None:
+    """Reject a Gibbs parameter that is not positive (NaN included), and
+    math.inf unless ``finite`` is false.  Called once per entry point,
+    never per step."""
+    if not gamma > 0 or (finite and gamma == math.inf):
+        allowed = "finite" if finite else "math.inf allowed"
+        raise ValueError(f"{name} must be positive ({allowed}), got {gamma}")
+
+
 def _gibbs_weights(utils: list[float], gamma: float) -> list[float]:
     """Unnormalized Gibbs weights exp(gamma * u), shifted by the maximum;
     gamma = math.inf gives 1 on the argmax set and 0 elsewhere."""
@@ -295,10 +304,8 @@ def potential(inst: Instance, params: GameParams, state: AllocationState) -> flo
 
 
 def available_resources(inst: Instance, state: AllocationState, x: int) -> list[int]:
-    """Out-neighbors of x with spare capacity, in ascending order."""
-    load = state.load
-    beta = inst.beta
-    return [y for y in inst.topology.out_neighbors(x) if load[y] < beta[y]]
+    """Out-neighbors of x with room for a new atom, in ascending order."""
+    return _choice(inst, GameParams(0.0, 0.0), state, x)[0]
 
 
 def gibbs_choice_distribution(
@@ -317,6 +324,7 @@ def gibbs_choice_distribution(
     gamma = math.inf returns the uniform distribution over the argmax set.
     This is the law the dynamics engine samples from.
     """
+    _check_gamma(gamma, finite=False)
     if source is not None and state.counts[x].get(source, 0) <= 0:
         raise ValueError(f"unit {x} stores nothing in {source}")
     cands, utils = _choice(inst, params, state, x, source)

@@ -202,6 +202,40 @@ def test_empirical_distribution_warns_on_tiny_sample():
         empirical_distribution(oracle, params, gamma=1.0, steps=3, burn_in=0, seed=1)
 
 
+def _bare_gamma_calls():
+    # Each public function that takes gamma as a bare float, on the
+    # eight-state instance; the last three need a finite gamma.
+    inst = eight_state_instance()
+    params = GameParams(1.0, 0.0)
+    oracle = enumerate_states(inst)
+    empty = AllocationState.zeros(inst)
+    full = state_from_key(inst, oracle.states[0])
+    return {
+        "gibbs_choice_distribution": lambda g: game.gibbs_choice_distribution(
+            inst, params, empty, 0, g),
+        "allocation_move": lambda g: dynamics.allocation_move(
+            random.Random(0), inst, params, empty, 0, g),
+        "distribution_move": lambda g: dynamics.distribution_move(
+            random.Random(0), inst, params, full, 0, g),
+        "build_transition_matrix": lambda g: build_transition_matrix(oracle, params, g),
+        "stationary_exact": lambda g: stationary_exact(oracle, params, g),
+        "empirical_distribution": lambda g: empirical_distribution(oracle, params, g, steps=10),
+    }
+
+
+_FINITE_ONLY = ["build_transition_matrix", "empirical_distribution", "stationary_exact"]
+
+
+@pytest.mark.parametrize(
+    "entry,gamma",
+    [(entry, g) for entry in sorted(_bare_gamma_calls()) for g in (math.nan, 0.0, -3.0)]
+    + [(entry, math.inf) for entry in _FINITE_ONLY],
+)
+def test_bare_gamma_is_checked(entry, gamma):
+    with pytest.raises(ValueError, match="must be positive"):
+        _bare_gamma_calls()[entry](gamma)
+
+
 # ---------------------------------------------------------------- extremes
 
 

@@ -5,12 +5,15 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from p2pstorage import dynamics, feasibility, game
+from p2pstorage import feasibility, game
 from p2pstorage.analysis import build_transition_matrix, enumerate_states
 from p2pstorage.dynamics import (
     ALLOCATE_FIRST,
     PROPORTIONAL,
+    VARIANTS,
     DegenerateInstanceError,
     GammaSchedule,
     SimConfig,
@@ -20,7 +23,7 @@ from p2pstorage.dynamics import (
     distribution_move,
     move_kind_probabilities,
     run,
-    step,
+    state_stream,
 )
 from p2pstorage.game import ALLOCATION, DISTRIBUTION, AllocationState, GameParams, Move
 from p2pstorage.topology import (
@@ -211,32 +214,38 @@ def test_gamma_schedule_default_increment_needs_positive_reliability():
         GammaSchedule.annealed(1.0).gamma_at(3, 0.0)
 
 
+def test_run_default_increment_needs_positive_reliability():
+    inst = make(build_complete(3), (1, 1, 1), (2, 2, 2), (0.0,) * 3)
+    config = SimConfig(inst, GameParams(1.0, 0.0), GammaSchedule.annealed(1.0), horizon=1)
+    with pytest.raises(ValueError):
+        run(config)
+    # a zero horizon takes no step, so nothing resolves the schedule
+    assert not run(dataclasses.replace(config, horizon=0)).completed
+
+
 # ----------------------------------------------------------------- stepping
 
 
 def test_step_on_completed_state_distributes():
     inst = make(build_complete(2), (1, 1), (2, 2), (1.0, 1.0))
-    state = AllocationState.from_entries(inst, [(0, 1, 1), (1, 0, 1)])
+    full = AllocationState.from_entries(inst, [(0, 1, 1), (1, 0, 1)])
     config = SimConfig(inst, GameParams(1.0, 0.0), GammaSchedule.fixed(1.0),
-                       horizon=100, variant=ALLOCATE_FIRST)
-    rng = random.Random(7)
-    for t in range(50):
-        move = step(rng, config, state, t)
+                       horizon=50, seed=7, variant=ALLOCATE_FIRST, initial_state=full)
+    for _t, _state, move in state_stream(config):
         assert move is not None and move.kind == DISTRIBUTION
 
 
 def test_step_blocked_unit_idles_and_consumes_step():
     inst = line_chain_instance()
-    state = chain_blocked_state(inst)
-    config = SimConfig(inst, GameParams(1.0, 0.0), GammaSchedule.infinite(), horizon=100)
-    rng = random.Random(8)
+    config = SimConfig(inst, GameParams(1.0, 0.0), GammaSchedule.infinite(), horizon=100,
+                       seed=8, initial_state=chain_blocked_state(inst))
     saw_idle = False
-    for t in range(100):
-        before = state.key()
-        move = step(rng, config, state, t)
+    before = chain_blocked_state(inst).key()
+    for _t, state, move in state_stream(config):
         if move is None:
             saw_idle = True
             assert state.key() == before
+        before = state.key()
     assert saw_idle
 
 
@@ -362,14 +371,75 @@ def test_run_preserves_invariants_along_trace():
     assert replay.key() == result.final_state.key()
 
 
-def test_state_stream_matches_run():
-    inst = make(build_complete(3), (2,) * 3, (3,) * 3, (0.5, 0.8, 0.8))
-    config = SimConfig(inst, GameParams(1.0, 0.0), GammaSchedule.fixed(1.5),
-                       horizon=300, seed=41)
-    final_key = None
-    for _t, state, _move in dynamics.state_stream(config):
-        final_key = state.key()
-    assert final_key == run(config).final_state.key()
+@st.composite
+def run_configs(draw):
+    """A small instance, either variant, any schedule kind and an optional
+    reachable initial state."""
+    n = draw(st.integers(2, 5))
+    pairs = [(x, y) for x in range(n) for y in range(n) if x != y]
+    edges = draw(st.sets(st.sampled_from(pairs), min_size=1))
+    inst = Instance(
+        Topology(n, frozenset(edges)),
+        tuple(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))),
+        tuple(draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))),
+        tuple(draw(st.lists(st.sampled_from([0.0, 0.3, 0.5, 0.8, 1.7]), min_size=n, max_size=n))),
+    )
+    schedule = draw(st.sampled_from([
+        GammaSchedule.fixed(1.5),
+        GammaSchedule.annealed(0.5),
+        GammaSchedule.annealed(0.5, 0.05),
+        GammaSchedule.infinite(),
+    ]))
+    assume(schedule.increment is not None or max(inst.reliability) > 0)
+    initial = None
+    if draw(st.booleans()):
+        initial = AllocationState.zeros(inst)
+        for x, pick in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, 9)),
+                                     max_size=10)):
+            room = game.available_resources(inst, initial, x)
+            if initial.placed[x] < inst.alpha[x] and room:
+                initial.apply_move(inst, Move(ALLOCATION, x, None, room[pick % len(room)]))
+    return SimConfig(
+        inst,
+        GameParams(draw(st.sampled_from([0.0, 1.0])), draw(st.sampled_from([0.0, 0.45]))),
+        schedule,
+        horizon=draw(st.integers(0, 60)),
+        seed=draw(st.integers(0, 999)),
+        variant=draw(st.sampled_from(VARIANTS)),
+        initial_state=initial,
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(run_configs())
+def test_state_stream_and_run_share_one_loop(config):
+    inst = config.instance
+    initial = config.initial_state or AllocationState.zeros(inst)
+    replay = initial.copy()
+    final = initial  # the stream yields nothing on a zero horizon or zero demand
+    streamed = []
+    for t, final, move in state_stream(config):
+        if move is not None:
+            streamed.append((t, move))
+    result = run(dataclasses.replace(config, record_trace=True))
+    assert streamed == result.trace
+    assert final.key() == result.final_state.key()
+
+    moves = [0] * inst.n
+    remaining = inst.total_alpha - replay.total_placed()
+    completed_at = 0 if remaining == 0 else None
+    for t, move in streamed:
+        replay.apply_move(inst, move)
+        if move.kind == ALLOCATION or move.dest != move.source:
+            moves[move.unit] += 1
+        if move.kind == ALLOCATION:
+            remaining -= 1
+            if remaining == 0:
+                completed_at = t + 1
+    assert replay.key() == result.final_state.key()
+    assert result.moves_per_unit == moves
+    assert result.steps_to_completion == completed_at
+    assert result.completed == (completed_at is not None)
 
 
 # ------------------------------------------------- pinned trajectories

@@ -16,11 +16,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from itertools import combinations_with_replacement, groupby
 
 import numpy as np
 
 from . import dynamics, feasibility, game
-from .game import AllocationState, GameParams, _check_gamma, _choice, _gibbs_weights
+from .game import TIE_TOL, AllocationState, GameParams, _check_gamma, _choice, _gibbs_weights
 from .topology import Instance
 
 __all__ = [
@@ -62,18 +63,17 @@ class StateSpaceOracle:
     """Exhaustive view of the full allocation states of one instance.
 
     ``states`` holds canonical state keys (sorted nonzero (x, y, count)
-    triples); ``transition`` (filled by build_transition_matrix) holds one
-    sparse row per state.
+    triples) and ``index`` maps each key to its position; ``transition``
+    (filled by build_transition_matrix) holds one sparse row per state.
     """
 
     inst: Instance
     states: list[tuple]
-    index: dict[tuple, int] = field(default_factory=dict)
-    transition: list[dict[int, float]] | None = None
+    index: dict[tuple, int] = field(init=False)
+    transition: list[dict[int, float]] | None = field(init=False, default=None)
 
     def __post_init__(self) -> None:
-        if not self.index:
-            self.index = {key: i for i, key in enumerate(self.states)}
+        self.index = {key: i for i, key in enumerate(self.states)}
 
     def __len__(self) -> int:
         return len(self.states)
@@ -98,51 +98,38 @@ def _estimate_states(inst: Instance) -> int:
     return estimate
 
 
-def enumerate_states(inst: Instance, limit: int = STATE_SPACE_LIMIT) -> StateSpaceOracle:
+def enumerate_states(inst: Instance) -> StateSpaceOracle:
     """Exhaustively enumerate the full allocation states.
 
     The pre-check bounds the state count by the product of per-unit
     placement counts (capacities ignored), so it never underestimates.
+    Unit by unit, each partial state takes every split of the unit's atoms
+    over its out-neighbours that fits the room left, the largest count on
+    the first out-neighbour first.
     """
     estimate = _estimate_states(inst)
-    if estimate > limit:
+    if estimate > STATE_SPACE_LIMIT:
         raise StateSpaceTooLarge(
-            f"state space estimate {estimate} exceeds the limit {limit}"
+            f"state space estimate {estimate} exceeds the limit {STATE_SPACE_LIMIT}"
         )
-    n = inst.n
     beta = inst.beta
-    nbrs = [inst.topology.out_neighbors(x) for x in range(n)]
-    load = [0] * n
-    entries: list[tuple[int, int, int]] = []
-    states: list[tuple] = []
-
-    def place_unit(x: int) -> None:
-        if x == n:
-            states.append(tuple(sorted(entries)))
-            return
-        targets = nbrs[x]
-
-        def place(i: int, left: int) -> None:
-            if left == 0:
-                place_unit(x + 1)
-                return
-            if i == len(targets):
-                return
-            y = targets[i]
-            room = min(left, beta[y] - load[y])
-            for c in range(room, -1, -1):
-                if c:
-                    load[y] += c
-                    entries.append((x, y, c))
-                place(i + 1, left - c)
-                if c:
-                    load[y] -= c
-                    entries.pop()
-
-        place(0, inst.alpha[x])
-
-    place_unit(0)
-    return StateSpaceOracle(inst, states)
+    partial = [((), (0,) * inst.n)]  # entries placed so far, and the load they make
+    for x in range(inst.n):
+        # Sorted picks of a target per atom, in lexicographic order, are the
+        # splits with the largest count on the first target first.
+        picks = combinations_with_replacement(inst.topology.out_neighbors(x), inst.alpha[x])
+        splits = [tuple((x, y, len(list(run))) for y, run in groupby(p)) for p in picks]
+        grown = []
+        for entries, load in partial:
+            for split in splits:
+                if all(load[y] + c <= beta[y] for _, y, c in split):
+                    new = list(load)
+                    for _, y, c in split:
+                        new[y] += c
+                    grown.append((entries + split, tuple(new)))
+        partial = grown
+    # Entries come out in (unit, out-neighbour) order: already sorted keys.
+    return StateSpaceOracle(inst, [entries for entries, _ in partial])
 
 
 def build_transition_matrix(
@@ -198,6 +185,8 @@ def stationary_exact(
     """
     _check_gamma(gamma, finite=True)
     inst = oracle.inst
+    if not oracle.states:
+        raise ValueError("the instance has no full allocation state: it is infeasible")
     if not feasibility.check_strict(inst).feasible:
         warnings.warn(
             "strict covering condition fails: ergodicity over the full state "
@@ -330,25 +319,25 @@ def empirical_distribution(
     return EmpiricalResult(freqs, mu, total_variation(freqs, mu), recorded)
 
 
-def _argmax_states(oracle: StateSpaceOracle, value, tol: float) -> tuple[float, list[tuple]]:
-    # Exact maximum of value(state) over full states, with the keys within tol of it.
+def _argmax_states(oracle: StateSpaceOracle, value) -> tuple[float, list[tuple]]:
+    # Exact maximum of value(state) over full states, with the keys within TIE_TOL of it.
     values = [value(state_from_key(oracle.inst, key)) for key in oracle.states]
     best = max(values, default=-math.inf)
-    return best, [key for key, v in zip(oracle.states, values) if v >= best - tol]
+    return best, [key for key, v in zip(oracle.states, values) if v >= best - TIE_TOL]
 
 
 def max_potential_bruteforce(
-    oracle: StateSpaceOracle, params: GameParams, tol: float = 1e-9
+    oracle: StateSpaceOracle, params: GameParams
 ) -> tuple[float, list[tuple]]:
     """Exact maximum of the potential over full states, with argmax keys."""
-    return _argmax_states(oracle, lambda s: game.potential(oracle.inst, params, s), tol)
+    return _argmax_states(oracle, lambda s: game.potential(oracle.inst, params, s))
 
 
 def max_global_utility_bruteforce(
-    oracle: StateSpaceOracle, params: GameParams, tol: float = 1e-9
+    oracle: StateSpaceOracle, params: GameParams
 ) -> tuple[float, list[tuple]]:
     """Exact maximum of the global utility over full states."""
-    return _argmax_states(oracle, lambda s: game.global_utility(oracle.inst, params, s), tol)
+    return _argmax_states(oracle, lambda s: game.global_utility(oracle.inst, params, s))
 
 
 def greedy_utility_bound(inst: Instance, params: GameParams) -> float:
@@ -408,8 +397,8 @@ def compute_rho(
 
 @dataclass(eq=False)
 class MetricsReport:
-    """Run summary indices; class-resolved entries follow the order of the
-    partition handed to compute_metrics."""
+    """Run summary indices; class-resolved entries follow the reliability
+    classes of classes_by_reliability, least reliable first."""
 
     nu_moves: float
     lambda_mean: float
@@ -448,7 +437,6 @@ def compute_metrics(
     inst: Instance,
     params: GameParams,
     result: dynamics.RunResult,
-    class_partition: list[list[int]] | None = None,
     allow_partial: bool = False,
 ) -> MetricsReport:
     """All run indices from the final state and per-unit move counters.
@@ -460,8 +448,6 @@ def compute_metrics(
         raise PartialRunError(
             "run did not complete; pass allow_partial=True to compute anyway"
         )
-    if class_partition is None:
-        class_partition = classes_by_reliability(inst)
     state = result.final_state
     lam = inst.reliability
     active = [x for x in range(inst.n) if inst.alpha[x] > 0]
@@ -481,7 +467,7 @@ def compute_metrics(
     c_mean = []
     c_var = []
     d_in = []
-    for members in class_partition:
+    for members in classes_by_reliability(inst):
         capacity = sum(inst.beta[y] for y in members)
         held = sum(state.load[y] for y in members)
         c_mean.append(held / capacity if capacity else 0.0)

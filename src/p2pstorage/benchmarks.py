@@ -149,7 +149,10 @@ def benchmark_instance(
 
 
 def table_presets(table: int, replications: int | None = None, seed: int | None = None):
-    """The preset runs of one benchmark table."""
+    """The preset runs of one benchmark table; ``replications`` None keeps
+    each column's default."""
+    if replications is not None and replications < 1:
+        raise ValueError(f"replications must be positive, got {replications}")
     base_seed = 1000 * table if seed is None else seed
     if table in (1, 2):
         inst = benchmark_instance(50, "complete" if table == 1 else "regular")

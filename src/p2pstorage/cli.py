@@ -77,7 +77,7 @@ def evaluate_horizon(expr, inst: Instance) -> int:
 
         try:
             value = ev(ast.parse(expr, mode="eval"))
-        except (SyntaxError, ZeroDivisionError) as exc:
+        except (SyntaxError, ZeroDivisionError, RecursionError) as exc:
             raise ValueError(f"bad horizon expression {expr!r}: {exc}") from exc
     else:
         raise ValueError("horizon must be an integer or an expression string")
@@ -170,21 +170,31 @@ def _run_one(config: SimConfig):
     return result, report
 
 
-def _run_replications(configs, workers: int):
+def _run_rows(configs: list[SimConfig], workers: int):
+    """Run and score the configs, through a process pool when workers > 1.
+    Returns the results and one row per run: run, seed, completed,
+    steps_to_completion, then the metrics."""
     if workers > 1 and len(configs) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_run_one, configs))
-    return [_run_one(config) for config in configs]
+            outcomes = list(pool.map(_run_one, configs))
+    else:
+        outcomes = [_run_one(config) for config in configs]
+    rows = [
+        {
+            "run": r,
+            "seed": config.seed,
+            "completed": int(result.completed),
+            "steps_to_completion": result.steps_to_completion,
+            **report.to_row(),
+        }
+        for r, (config, (result, report)) in enumerate(zip(configs, outcomes))
+    ]
+    return [result for result, _ in outcomes], rows
 
 
 def _aggregate(rows: list[dict]) -> dict:
-    keys = [
-        k
-        for k in rows[0]
-        if any(isinstance(r[k], (int, float)) and r[k] is not None for r in rows)
-    ]
     out = {}
-    for k in keys:
+    for k in rows[0]:
         values = [r[k] for r in rows if isinstance(r[k], (int, float))]
         if not values:
             continue
@@ -214,11 +224,7 @@ def _write_trace(path: Path, inst: Instance, config: SimConfig, trace) -> None:
 
 
 def cmd_check(args) -> int:
-    try:
-        inst = load_instance(args.instance)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    inst = load_instance(args.instance)
     verdict = feasibility.check_feasible_flow(inst)
     strict = feasibility.check_strict(inst) if verdict.feasible else None
     report = {
@@ -235,36 +241,32 @@ def cmd_check(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    try:
-        spec = load_experiment_spec(args.spec)
-        for key in ("seed", "replications", "variant", "horizon"):
-            if getattr(args, key) is not None:
-                spec[key] = getattr(args, key)
-        inst: Instance = spec["instance"]
-        sched: GammaSchedule = spec["schedule"]
-        schedule = GammaSchedule(  # in force, the default increment resolved
-            sched.gamma0 if args.gamma0 is None else args.gamma0,
-            sched.increment_for(max(inst.reliability))
-            if args.gamma_increment is None else args.gamma_increment,
+    spec = load_experiment_spec(args.spec)
+    for key in ("seed", "replications", "variant", "horizon"):
+        if getattr(args, key) is not None:
+            spec[key] = getattr(args, key)
+    inst: Instance = spec["instance"]
+    sched: GammaSchedule = spec["schedule"]
+    schedule = GammaSchedule(  # in force, the default increment resolved
+        sched.gamma0 if args.gamma0 is None else args.gamma0,
+        sched.increment_for(max(inst.reliability))
+        if args.gamma_increment is None else args.gamma_increment,
+    )
+    horizon = evaluate_horizon(spec["horizon"], inst)
+    if spec["replications"] < 1:
+        raise ValueError(f"replications must be positive, got {spec['replications']}")
+    configs = [
+        SimConfig(
+            instance=inst,
+            params=spec["params"],
+            schedule=schedule,
+            horizon=horizon,
+            seed=spec["seed"] + r,
+            variant=spec["variant"],
+            record_trace=args.trace,
         )
-        horizon = evaluate_horizon(spec["horizon"], inst)
-        if spec["replications"] < 1:
-            raise ValueError(f"replications must be positive, got {spec['replications']}")
-        configs = [
-            SimConfig(
-                instance=inst,
-                params=spec["params"],
-                schedule=schedule,
-                horizon=horizon,
-                seed=spec["seed"] + r,
-                variant=spec["variant"],
-                record_trace=args.trace,
-            )
-            for r in range(spec["replications"])
-        ]
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        for r in range(spec["replications"])
+    ]
 
     verdict = feasibility.check_feasible_flow(inst)
     if not verdict.feasible:
@@ -274,20 +276,10 @@ def cmd_simulate(args) -> int:
             file=sys.stderr,
         )
 
-    outcomes = _run_replications(configs, args.workers)
+    results, rows = _run_rows(configs, args.workers)
     out_dir = _out_dir(args)
-
-    rows = []
-    for r, (result, report) in enumerate(outcomes):
-        row = {
-            "run": r,
-            "seed": configs[r].seed,
-            "completed": int(result.completed),
-            "steps_to_completion": result.steps_to_completion,
-        }
-        row.update(report.to_row())
-        rows.append(row)
-        if args.trace and result.trace is not None:
+    if args.trace:
+        for r, result in enumerate(results):
             _write_trace(out_dir / f"trace_{r}.csv", inst, configs[r], result.trace)
 
     with open(out_dir / "runs.csv", "w", newline="", encoding="utf-8") as fh:
@@ -335,19 +327,15 @@ def _verify_absorption(inst: Instance, params: GameParams, trials: int, seed: in
 
 
 def cmd_verify(args) -> int:
-    try:
-        inst = load_instance(args.instance)
-        params = GameParams(k_c=args.k_c, k_a=args.k_a)
-        gamma = GammaSchedule.fixed(float(args.gamma)).gamma0
-        if args.empirical_steps < 0:
-            raise ValueError(f"--empirical-steps must be nonnegative, got {args.empirical_steps}")
-        if not args.empirical_tol > 0:
-            raise ValueError(f"--empirical-tol must be positive, got {args.empirical_tol}")
-        if args.empirical_steps and math.isinf(gamma):
-            raise ValueError("--empirical-steps needs a finite --gamma")
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    inst = load_instance(args.instance)
+    params = GameParams(k_c=args.k_c, k_a=args.k_a)
+    gamma = GammaSchedule.fixed(float(args.gamma)).gamma0
+    if args.empirical_steps < 0:
+        raise ValueError(f"--empirical-steps must be nonnegative, got {args.empirical_steps}")
+    if not args.empirical_tol > 0:
+        raise ValueError(f"--empirical-tol must be positive, got {args.empirical_tol}")
+    if args.empirical_steps and math.isinf(gamma):
+        raise ValueError("--empirical-steps needs a finite --gamma")
     report: dict = {"gamma": "inf" if math.isinf(gamma) else gamma}
     checks: list[tuple[str, bool, str]] = []
 
@@ -362,11 +350,7 @@ def cmd_verify(args) -> int:
             )
         )
     else:
-        try:
-            oracle = analysis.enumerate_states(inst)
-        except analysis.StateSpaceTooLarge as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+        oracle = analysis.enumerate_states(inst)
         report["num_states"] = len(oracle)
         analysis.build_transition_matrix(oracle, params, gamma)
         rows_ok = all(
@@ -420,16 +404,11 @@ def cmd_verify(args) -> int:
 
 def cmd_reproduce(args) -> int:
     table = args.table
-    if args.replications is not None and args.replications < 1:
-        print(f"error: replications must be positive, got {args.replications}", file=sys.stderr)
-        return 1
     presets = benchmarks.table_presets(table, args.replications, args.seed)
     reference = benchmarks.REFERENCE[table]
     comparison: dict = {"table": table, "columns": {}}
     for preset in presets:
-        configs = benchmarks.make_configs(preset)
-        outcomes = _run_replications(configs, args.workers)
-        rows = [dict(r.to_row(), completed=int(res.completed)) for res, r in outcomes]
+        _, rows = _run_rows(benchmarks.make_configs(preset), args.workers)
         agg = _aggregate(rows)
         col_index = reference["columns"].index(preset.column)
         cells = {}
@@ -515,8 +494,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command.  The only place an input error becomes exit code 1:
+    any OSError or ValueError a command raises prints one ``error:`` line."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -309,16 +309,32 @@ def check_feasible_matching(inst: Instance) -> FeasibilityVerdict:
     atom_unit = [x for x in range(n) for _ in range(inst.alpha[x])]
     out = inst.topology.out_neighbors
 
+    def slots(atom: int):
+        return (s for y in out(atom_unit[atom]) for s in range(slot_start[y], slot_start[y + 1]))
+
     def augment(atom: int, visited: list[bool]) -> bool:
-        x = atom_unit[atom]
-        for y in out(x):
-            for slot in range(slot_start[y], slot_start[y + 1]):
-                if visited[slot]:
-                    continue
-                visited[slot] = True
-                if slot_owner[slot] < 0 or augment(slot_owner[slot], visited):
-                    slot_owner[slot] = atom
-                    return True
+        # Kuhn's search for an augmenting path, with an explicit stack:
+        # path[k] tries the slots left in tries[k], taken[k] is its pick.
+        path, tries, taken = [atom], [slots(atom)], []
+        while path:
+            for slot in tries[-1]:
+                if not visited[slot]:
+                    break
+            else:  # no slot left for path[-1]: back up
+                path.pop()
+                tries.pop()
+                if taken:
+                    taken.pop()
+                continue
+            visited[slot] = True
+            taken.append(slot)
+            owner = slot_owner[slot]
+            if owner < 0:
+                for a, s in zip(path, taken):
+                    slot_owner[s] = a
+                return True
+            path.append(owner)
+            tries.append(slots(owner))
         return False
 
     unmatched = []

@@ -38,6 +38,7 @@ __all__ = [
 
 ALLOCATION = "allocation"
 DISTRIBUTION = "distribution"
+TIE_TOL = 1e-9  # utilities or potentials this close count as equal
 
 
 class RejectedMoveError(ValueError):
@@ -148,13 +149,6 @@ class AllocationState:
                 items.append((x, y, c))
         items.sort()
         return tuple(items)
-
-    def matrix(self) -> list[list[int]]:
-        full = [[0] * self.n for _ in range(self.n)]
-        for x, row in enumerate(self.counts):
-            for y, c in row.items():
-                full[x][y] = c
-        return full
 
     def validate(self, inst: Instance) -> None:
         """Recheck structural invariants and cache consistency."""
@@ -335,9 +329,7 @@ def gibbs_choice_distribution(
     return {y: w / norm for y, w in zip(cands, weights)}
 
 
-def is_nash(
-    inst: Instance, params: GameParams, state: AllocationState, tol: float = 1e-9
-) -> bool:
+def is_nash(inst: Instance, params: GameParams, state: AllocationState) -> bool:
     """True iff no unit can strictly improve by relocating a single atom.
 
     Deviations are compared at the post-move state; requires a full
@@ -348,7 +340,7 @@ def is_nash(
     for x in range(inst.n):
         for y in state.counts[x]:
             cands, utils = _choice(inst, params, state, x, source=y)
-            if max(utils) > utils[cands.index(y)] + tol:
+            if max(utils) > utils[cands.index(y)] + TIE_TOL:
                 return False
     return True
 
@@ -396,9 +388,7 @@ def state_to_snapshot(inst: Instance, state: AllocationState) -> dict:
     return {"fingerprint": inst.fingerprint(), "entries": entries}
 
 
-def state_from_snapshot(
-    inst: Instance, snapshot: dict, check_fingerprint: bool = True
-) -> AllocationState:
-    if check_fingerprint and snapshot.get("fingerprint") != inst.fingerprint():
+def state_from_snapshot(inst: Instance, snapshot: dict) -> AllocationState:
+    if snapshot.get("fingerprint") != inst.fingerprint():
         raise ValueError("snapshot fingerprint does not match the instance")
     return AllocationState.from_entries(inst, snapshot["entries"])

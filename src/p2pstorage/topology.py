@@ -229,7 +229,10 @@ def _real(value, name: str) -> float:
     """A JSON number, never a bool."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"'{name}' must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an integer beyond the float range
+        raise ValueError(f"'{name}' is too large for a float") from None
 
 
 def _broadcast(value, n: int, name: str, parse) -> tuple:
@@ -266,9 +269,11 @@ def instance_from_dict(data: dict) -> Instance:
         elif kind == "random_regular":
             if "d" not in gen or "seed" not in gen:
                 raise ValueError("random_regular generator needs 'd' and 'seed'")
-            topology = build_random_regular(
-                gn, _integer(gen["d"], "generator d"), _integer(gen["seed"], "generator seed")
-            )
+            d = _integer(gen["d"], "generator d")
+            try:
+                topology = build_random_regular(gn, d, _integer(gen["seed"], "generator seed"))
+            except GenerationFailed as exc:
+                raise ValueError(f"random_regular generator gave up: {exc}") from exc
         else:
             raise ValueError(f"unknown generator kind: {kind!r}")
         if "n" in data and _integer(data["n"], "n") != topology.n:

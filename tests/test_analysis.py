@@ -72,6 +72,24 @@ def test_enumerate_infeasible_is_empty():
     assert len(enumerate_states(inst)) == 0
 
 
+def test_enumerate_directed_ring_has_one_state():
+    # Each unit's only out-neighbour is the next one, so the one full state
+    # places every atom there, 400 units in a row.
+    n = 400
+    ring = Topology(n, frozenset((x, (x + 1) % n) for x in range(n)))
+    oracle = enumerate_states(make(ring, (1,) * n, (1,) * n, (1.0,) * n))
+    assert oracle.states == [tuple((x, (x + 1) % n, 1) for x in range(n))]
+
+
+def test_no_full_state_is_a_typed_error():
+    oracle = enumerate_states(make(build_complete(3), (2, 2, 2), (1, 1, 1), (1.0,) * 3))
+    params = GameParams(1.0, 0.0)
+    with pytest.raises(ValueError, match="no full allocation state"):
+        stationary_exact(oracle, params, 1.0)
+    with pytest.raises(ValueError, match="no full allocation state"):
+        empirical_distribution(oracle, params, 1.0, steps=10)
+
+
 def test_enumerate_guard():
     inst = make(build_complete(12), (10,) * 12, (20,) * 12, (1.0,) * 12)
     with pytest.raises(StateSpaceTooLarge):

@@ -42,6 +42,12 @@ def test_preset_schedule_selection():
     assert benchmarks.preset_schedule(warm.params) == GammaSchedule.fixed(benchmarks.AGGREGATED_GAMMA)
 
 
+@pytest.mark.parametrize("replications", [0, -2])
+def test_presets_reject_nonpositive_replications(replications):
+    with pytest.raises(ValueError, match="replications must be positive"):
+        benchmarks.table_presets(1, replications=replications)
+
+
 def test_make_configs_seeds_are_consecutive():
     preset = benchmarks.table_presets(2)[0]
     configs = benchmarks.make_configs(preset)

@@ -67,6 +67,12 @@ def test_horizon_expression_rejects_bad_input():
         evaluate_horizon("alpha", inst)
 
 
+def test_horizon_expression_too_deep_is_a_value_error():
+    inst = Instance(build_complete(2), (1, 1), (2, 2), (1.0, 1.0))
+    with pytest.raises(ValueError, match="bad horizon expression"):
+        evaluate_horizon("+".join(["1"] * 5000), inst)
+
+
 # ------------------------------------------------------------------- check
 
 
@@ -108,6 +114,24 @@ def test_check_rejects_bad_instance_values(tmp_path, capsys, text):
     captured = capsys.readouterr()
     assert captured.err.startswith("error:")
     assert captured.out == ""
+
+
+def assert_one_error_line(captured):
+    assert captured.err.startswith("error:")
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
+def test_check_generator_giving_up_exits_one(tmp_path, capsys):
+    doc = {
+        "generator": {"kind": "random_regular", "n": 30, "d": 28, "seed": 1},
+        "alpha": 1,
+        "beta": 1,
+        "lambda": 1.0,
+    }
+    path = write_instance(tmp_path, "regular.json", doc)
+    assert main(["check", str(path)]) == 1
+    assert_one_error_line(capsys.readouterr())
 
 
 def test_check_benchmark_scale_instance(tmp_path, capsys):
@@ -303,6 +327,16 @@ def test_simulate_summary_records_schedule_in_force(tmp_path, schedule, in_force
     assert summary["schedule"] == in_force
 
 
+def test_simulate_unwritable_out_exits_one(tmp_path, capsys):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec_doc(feasible_doc(), replications=1)))
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a file, not a directory")
+    code = main(["simulate", str(spec_path), "--out", str(blocker / "o"), "--workers", "1"])
+    assert code == 1
+    assert_one_error_line(capsys.readouterr())
+
+
 def test_simulate_uses_env_output_dir(tmp_path, monkeypatch):
     spec = spec_doc(feasible_doc(), replications=1)
     spec_path = tmp_path / "spec.json"
@@ -414,6 +448,34 @@ def test_verify_rejects_oversized_state_space(tmp_path, capsys):
     path = write_instance(tmp_path, "huge.json", doc)
     assert main(["verify", str(path), "--gamma", "1.0"]) == 1
     assert "exceeds" in capsys.readouterr().err
+
+
+def test_verify_without_full_state_exits_one(tmp_path, capsys):
+    # Two atoms per unit, one slot per unit: no state places every atom.
+    doc = {"generator": {"kind": "complete", "n": 3}, "alpha": 2, "beta": 1, "lambda": 1.0}
+    path = write_instance(tmp_path, "infeasible.json", doc)
+    assert main(["verify", str(path), "--gamma", "1.0"]) == 1
+    assert_one_error_line(capsys.readouterr())
+    # The best-response probe needs no full state.
+    assert main(["verify", str(path), "--gamma", "inf"]) == 0
+    out = capsys.readouterr().out
+    probe = json.loads(out[out.index("{"):])["best_response_absorption"]
+    assert probe["incomplete"] == probe["trials"]
+
+
+def test_verify_long_directed_ring_exits_zero(tmp_path, capsys):
+    n = 400
+    doc = {
+        "n": n,
+        "edges": [[x, (x + 1) % n] for x in range(n)],
+        "alpha": 1,
+        "beta": 1,
+        "lambda": 1.0,
+    }
+    path = write_instance(tmp_path, "ring.json", doc)
+    assert main(["verify", str(path), "--gamma", "1.0"]) == 0
+    out = capsys.readouterr().out
+    assert json.loads(out[out.index("{"):])["num_states"] == 1
 
 
 @pytest.mark.parametrize("gamma", ["abc", "nan", "-1", "0"])

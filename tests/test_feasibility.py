@@ -266,6 +266,14 @@ def test_atom_bipartite_guard():
         check_feasible_matching(inst)
 
 
+def test_matching_on_a_long_line_needs_no_recursion():
+    # Augmenting paths run the length of the line: 4,000 atom-graph nodes,
+    # under the size guard.
+    inst = make(build_line(2000), (1,) * 2000, (1,) * 2000)
+    assert check_feasible_matching(inst).feasible
+    assert check_feasible_flow(inst).feasible
+
+
 def test_matching_counts_uncovered_atoms():
     inst = make(build_complete(3), (2, 1, 1), (1, 1, 1))
     verdict = check_feasible_matching(inst)

@@ -124,6 +124,17 @@ def test_random_regular_generation_failure_is_typed():
         build_random_regular(10, 4, seed=0, max_retries=0)
 
 
+def test_instance_from_dict_generator_giving_up_is_a_value_error():
+    doc = {
+        "generator": {"kind": "random_regular", "n": 30, "d": 28, "seed": 1},
+        "alpha": 1,
+        "beta": 1,
+        "lambda": 1.0,
+    }
+    with pytest.raises(ValueError, match="random_regular generator gave up"):
+        instance_from_dict(doc)
+
+
 def test_neighborhood_complete_singleton():
     topo = build_complete(3)
     assert neighborhood_of_set(topo, {0}) == {1, 2}
@@ -243,6 +254,7 @@ BAD_INSTANCE_VALUES = {
     "bool-lambda": {"lambda": [True, 0.5]},
     "infinite-lambda": {"lambda": float("inf")},
     "nan-lambda": {"lambda": [0.5, float("nan")]},
+    "huge-integer-lambda": {"lambda": 10**400},
     "fractional-edge": {"edges": [[0, 1.5]]},
     "bool-generator-n": {"generator": {"kind": "complete", "n": True}},
     "fractional-generator-n": {"generator": {"kind": "line", "n": 3.5}},

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from itertools import combinations_with_replacement, groupby
+from itertools import combinations_with_replacement, groupby, islice
 
 import numpy as np
 
@@ -27,7 +27,6 @@ from .topology import Instance
 __all__ = [
     "EmpiricalResult",
     "MetricsReport",
-    "PartialRunError",
     "StateSpaceOracle",
     "StateSpaceTooLarge",
     "build_transition_matrix",
@@ -52,10 +51,6 @@ STATE_SPACE_LIMIT = 1_000_000
 
 class StateSpaceTooLarge(ValueError):
     """Estimated number of full states exceeds the enumeration guard."""
-
-
-class PartialRunError(ValueError):
-    """Metrics requested on an incomplete run without the explicit opt-in."""
 
 
 @dataclass(eq=False)
@@ -273,13 +268,21 @@ def empirical_distribution(
     """Long-run occupancy of the real dynamics engine at fixed gamma,
     compared to the closed-form stationary law by total variation.
 
-    The run starts empty, must complete within 50 * total demand steps,
-    then discards ``burn_in`` steps and counts the state after each of the
-    next ``steps`` steps.
+    The run starts empty and must place every atom within 50 * total demand
+    steps; it then discards the next ``burn_in`` steps and counts the state
+    after each of the ``steps`` steps that follow.
     """
     _check_gamma(gamma, finite=True)
+    if steps < 1:
+        raise ValueError(f"steps must be positive, got {steps}")
+    if burn_in < 0:
+        raise ValueError(f"burn_in must be nonnegative, got {burn_in}")
     inst = oracle.inst
-    cap = 50 * inst.total_alpha
+    remaining = inst.total_alpha
+    if remaining == 0:
+        raise ValueError("no unit has demand: the dynamics takes no step to sample")
+    mu = stationary_exact(oracle, params, gamma)
+    cap = 50 * remaining
     config = dynamics.SimConfig(
         instance=inst,
         params=params,
@@ -287,36 +290,27 @@ def empirical_distribution(
         horizon=cap + burn_in + steps,
         seed=seed,
     )
-    mu = stationary_exact(oracle, params, gamma)
+    state = AllocationState.zeros(inst)
+    stream = dynamics._engine(config, state)
+    for _t, _x, drawn in islice(stream, cap):
+        if drawn is not None and drawn[0] is None:
+            remaining -= 1
+            if remaining == 0:
+                break
+    else:
+        raise ValueError(f"the dynamics did not place every atom within {cap} steps")
     counts = np.zeros(len(oracle.states))
     index = oracle.index
-    total = inst.total_alpha
-    phase_started = None
-    recorded = 0
-    stream = dynamics.state_stream(config)
-    for t, state, _move in stream:
-        if phase_started is None:
-            if state.total_placed() == total:
-                phase_started = t
-            elif t >= cap:
-                raise RuntimeError(f"dynamics did not complete within {cap} steps")
-            continue
-        if t < phase_started + burn_in:
-            continue
+    for _ in islice(stream, burn_in, burn_in + steps):
         counts[index[state.key()]] += 1
-        recorded += 1
-        if recorded >= steps:
-            break
-    if recorded < steps:
-        raise RuntimeError("horizon exhausted before collecting the requested samples")
     if np.any(counts == 0):
         warnings.warn(
             f"{int((counts == 0).sum())} of {len(counts)} states were never "
             "visited; sample may be too small",
             stacklevel=2,
         )
-    freqs = counts / counts.sum()
-    return EmpiricalResult(freqs, mu, total_variation(freqs, mu), recorded)
+    freqs = counts / steps
+    return EmpiricalResult(freqs, mu, total_variation(freqs, mu), steps)
 
 
 def _argmax_states(oracle: StateSpaceOracle, value) -> tuple[float, list[tuple]]:
@@ -437,17 +431,13 @@ def compute_metrics(
     inst: Instance,
     params: GameParams,
     result: dynamics.RunResult,
-    allow_partial: bool = False,
 ) -> MetricsReport:
-    """All run indices from the final state and per-unit move counters.
+    """All run indices from the final state and per-unit move counters,
+    for a completed run or not.
 
     Units with zero demand are excluded from per-unit averages.  Class
     congestion is the fill fraction of the class's total capacity.
     """
-    if not result.completed and not allow_partial:
-        raise PartialRunError(
-            "run did not complete; pass allow_partial=True to compute anyway"
-        )
     state = result.final_state
     lam = inst.reliability
     active = [x for x in range(inst.n) if inst.alpha[x] > 0]

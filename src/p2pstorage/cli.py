@@ -77,7 +77,7 @@ def evaluate_horizon(expr, inst: Instance) -> int:
 
         try:
             value = ev(ast.parse(expr, mode="eval"))
-        except (SyntaxError, ZeroDivisionError, RecursionError) as exc:
+        except (SyntaxError, ZeroDivisionError, OverflowError, RecursionError) as exc:
             raise ValueError(f"bad horizon expression {expr!r}: {exc}") from exc
     else:
         raise ValueError("horizon must be an integer or an expression string")
@@ -124,8 +124,9 @@ def load_experiment_spec(path) -> dict:
     if not isinstance(inst_src, dict):
         raise ValueError("'instance' must be a mapping (inline or {'path': ...})")
     if set(inst_src) == {"path"}:
-        base = Path(path).parent
-        inst = load_instance(base / inst_src["path"])
+        if not isinstance(inst_src["path"], str):
+            raise ValueError("instance 'path' must be a string")
+        inst = load_instance(Path(path).parent / inst_src["path"])
     else:
         inst = instance_from_dict(inst_src)
     params_src = data.get("params", {})
@@ -160,9 +161,7 @@ def _out_dir(args) -> Path:
 
 def _run_one(config: SimConfig):
     result = dynamics.run(config)
-    report = analysis.compute_metrics(
-        config.instance, config.params, result, allow_partial=True
-    )
+    report = analysis.compute_metrics(config.instance, config.params, result)
     if result.completed:
         report.rho, report.rho_tag = analysis.compute_rho(
             config.instance, config.params, result.final_state
@@ -350,49 +349,51 @@ def cmd_verify(args) -> int:
             )
         )
     else:
-        oracle = analysis.enumerate_states(inst)
-        report["num_states"] = len(oracle)
-        analysis.build_transition_matrix(oracle, params, gamma)
-        rows_ok = all(
-            abs(sum(row.values()) - 1.0) <= 1e-12 for row in oracle.transition
-        )
-        checks.append(("kernel rows sum to 1", rows_ok, "tolerance 1e-12"))
-        strict = feasibility.check_strict(inst)
-        report["strict"] = strict.feasible
+        # Non-strictness is reported by the ergodicity line and unvisited
+        # states by the empirical one, so the oracles' warnings stay quiet.
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
+            oracle = analysis.enumerate_states(inst)
+            report["num_states"] = len(oracle)
+            analysis.build_transition_matrix(oracle, params, gamma)
+            rows_ok = all(
+                abs(sum(row.values()) - 1.0) <= 1e-12 for row in oracle.transition
+            )
+            checks.append(("kernel rows sum to 1", rows_ok, "tolerance 1e-12"))
+            strict = feasibility.check_strict(inst)
+            report["strict"] = strict.feasible
             mu = analysis.stationary_exact(oracle, params, gamma)
-        balance = analysis.detailed_balance_max_violation(oracle, mu)
-        residual = analysis.stationarity_residual(oracle, mu)
-        report["detailed_balance_max_violation"] = balance
-        report["stationarity_residual"] = residual
-        checks.append(("detailed balance", balance <= 1e-10, f"max violation {balance:.3e}"))
-        checks.append(("stationarity", residual <= 1e-10, f"residual {residual:.3e}"))
-        if strict.feasible:
-            connected = analysis.is_support_connected(oracle)
-            report["support_connected"] = connected
-            checks.append(("ergodicity (support connected)", connected, ""))
-        else:
-            checks.append(
-                (
-                    "ergodicity",
-                    True,
-                    "skipped: strict covering condition fails, "
-                    "connectivity of the full state space is not guaranteed",
+            balance = analysis.detailed_balance_max_violation(oracle, mu)
+            residual = analysis.stationarity_residual(oracle, mu)
+            report["detailed_balance_max_violation"] = balance
+            report["stationarity_residual"] = residual
+            checks.append(("detailed balance", balance <= 1e-10, f"max violation {balance:.3e}"))
+            checks.append(("stationarity", residual <= 1e-10, f"residual {residual:.3e}"))
+            if strict.feasible:
+                connected = analysis.is_support_connected(oracle)
+                report["support_connected"] = connected
+                checks.append(("ergodicity (support connected)", connected, ""))
+            else:
+                checks.append(
+                    (
+                        "ergodicity",
+                        True,
+                        "skipped: strict covering condition fails, "
+                        "connectivity of the full state space is not guaranteed",
+                    )
                 )
-            )
-        if args.empirical_steps > 0:
-            emp = analysis.empirical_distribution(
-                oracle, params, gamma, steps=args.empirical_steps, seed=args.seed
-            )
-            report["empirical_tv"] = emp.tv_distance
-            checks.append(
-                (
-                    "empirical occupancy",
-                    emp.tv_distance < args.empirical_tol,
-                    f"TV {emp.tv_distance:.4f} (tolerance {args.empirical_tol})",
+            if args.empirical_steps > 0:
+                emp = analysis.empirical_distribution(
+                    oracle, params, gamma, steps=args.empirical_steps, seed=args.seed
                 )
-            )
+                report["empirical_tv"] = emp.tv_distance
+                note = f"TV {emp.tv_distance:.4f} (tolerance {args.empirical_tol})"
+                unvisited = int((emp.frequencies == 0).sum())
+                if unvisited:
+                    note += f"; {unvisited} of {len(oracle)} states never visited"
+                checks.append(
+                    ("empirical occupancy", emp.tv_distance < args.empirical_tol, note)
+                )
 
     failed = [name for name, ok, _ in checks if not ok]
     for name, ok, note in checks:

@@ -35,14 +35,10 @@ __all__ = [
     "ALLOCATE_FIRST",
     "PROPORTIONAL",
     "VARIANTS",
-    "DegenerateInstanceError",
     "GammaSchedule",
     "RunResult",
     "SimConfig",
-    "activation_distribution",
-    "allocation_move",
     "default_horizon",
-    "distribution_move",
     "move_kind_probabilities",
     "run",
     "state_stream",
@@ -51,10 +47,6 @@ __all__ = [
 PROPORTIONAL = "proportional"
 ALLOCATE_FIRST = "allocate-first"
 VARIANTS = (PROPORTIONAL, ALLOCATE_FIRST)
-
-
-class DegenerateInstanceError(ValueError):
-    """No unit has anything to back up; the run is trivially complete."""
 
 
 @dataclass(frozen=True)
@@ -136,14 +128,6 @@ class RunResult:
     trace: list[tuple[int, Move]] | None = None
 
 
-def activation_distribution(inst: Instance) -> list[float]:
-    """P(unit x wakes up) proportional to its demand."""
-    total = inst.total_alpha
-    if total == 0:
-        raise DegenerateInstanceError("all alpha are zero; nothing to allocate")
-    return [a / total for a in inst.alpha]
-
-
 def move_kind_probabilities(
     inst: Instance, state: AllocationState, x: int, variant: str
 ) -> tuple[float, float]:
@@ -207,37 +191,6 @@ def _as_move(x: int, drawn: tuple[int | None, int] | None) -> Move | None:
         return None
     source, dest = drawn
     return Move(ALLOCATION if source is None else DISTRIBUTION, x, source, dest)
-
-
-def allocation_move(
-    rng: random.Random,
-    inst: Instance,
-    params: GameParams,
-    state: AllocationState,
-    x: int,
-    gamma: float,
-) -> Move | None:
-    """Sample (without applying) an allocation move for unit x; None when
-    every neighbor is full."""
-    _check_gamma(gamma, finite=False)
-    if state.placed[x] >= inst.alpha[x]:
-        raise ValueError(f"unit {x} is fully allocated; allocation move is invalid")
-    return _as_move(x, _sample(rng, inst, params, state, x, True, gamma))
-
-
-def distribution_move(
-    rng: random.Random,
-    inst: Instance,
-    params: GameParams,
-    state: AllocationState,
-    x: int,
-    gamma: float,
-) -> Move:
-    """Sample (without applying) a relocation move for unit x."""
-    _check_gamma(gamma, finite=False)
-    if state.placed[x] <= 0:
-        raise ValueError(f"unit {x} has nothing stored; distribution move is invalid")
-    return _as_move(x, _sample(rng, inst, params, state, x, False, gamma))
 
 
 def _initial_state(config: SimConfig) -> AllocationState:

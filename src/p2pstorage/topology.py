@@ -51,24 +51,17 @@ class Topology:
         edges = frozenset((int(x), int(y)) for x, y in self.edges)
         object.__setattr__(self, "edges", edges)
         out: list[list[int]] = [[] for _ in range(self.n)]
-        inn: list[list[int]] = [[] for _ in range(self.n)]
         for x, y in edges:
             if not (0 <= x < self.n and 0 <= y < self.n):
                 raise ValueError(f"edge ({x}, {y}) out of range for n={self.n}")
             if x == y:
                 raise ValueError(f"self-loop ({x}, {y}) is not allowed")
             out[x].append(y)
-            inn[y].append(x)
         object.__setattr__(self, "_out", tuple(tuple(sorted(v)) for v in out))
-        object.__setattr__(self, "_in", tuple(tuple(sorted(v)) for v in inn))
 
     def out_neighbors(self, x: int) -> tuple[int, ...]:
         """Resources unit x may store into."""
         return self._out[x]
-
-    def in_neighbors(self, y: int) -> tuple[int, ...]:
-        """Units that may store into resource y."""
-        return self._in[y]
 
     def to_dict(self) -> dict:
         return {"n": self.n, "edges": sorted([x, y] for x, y in self.edges)}
@@ -212,6 +205,11 @@ class Instance:
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
+# Units plus directed edges an instance document may describe: about 90
+# times the largest benchmark instance (1,000 units, 10,000 edges), and
+# checked before anything of that size is built.
+MAX_INSTANCE_SIZE = 1_000_000
+
 _INSTANCE_KEYS = {"n", "edges", "generator", "alpha", "beta", "lambda"}
 _GENERATOR_KEYS = {"kind", "n", "d", "seed"}
 
@@ -243,6 +241,14 @@ def _broadcast(value, n: int, name: str, parse) -> tuple:
     return (parse(value, name),) * n
 
 
+def _check_size(n: int, directed_edges: int) -> None:
+    size = n + directed_edges
+    if size > MAX_INSTANCE_SIZE:
+        raise ValueError(
+            f"instance has {size} units plus directed edges, above the limit {MAX_INSTANCE_SIZE}"
+        )
+
+
 def instance_from_dict(data: dict) -> Instance:
     """Parse the instance file schema (see README).  Rejects unknown keys."""
     if not isinstance(data, dict):
@@ -263,13 +269,16 @@ def instance_from_dict(data: dict) -> Instance:
         kind = gen.get("kind")
         gn = _integer(gen.get("n"), "generator n")
         if kind == "complete":
+            _check_size(gn, gn * (gn - 1))
             topology = build_complete(gn)
         elif kind == "line":
+            _check_size(gn, 2 * (gn - 1))
             topology = build_line(gn)
         elif kind == "random_regular":
             if "d" not in gen or "seed" not in gen:
                 raise ValueError("random_regular generator needs 'd' and 'seed'")
             d = _integer(gen["d"], "generator d")
+            _check_size(gn, gn * d)
             try:
                 topology = build_random_regular(gn, d, _integer(gen["seed"], "generator seed"))
             except GenerationFailed as exc:
@@ -285,6 +294,7 @@ def instance_from_dict(data: dict) -> Instance:
         edges = data["edges"]
         if not isinstance(edges, list):
             raise ValueError("'edges' must be an array of [x, y] pairs")
+        _check_size(n, len(edges))
         pairs = set()
         for item in edges:
             if not (isinstance(item, (list, tuple)) and len(item) == 2):

@@ -7,7 +7,6 @@ import pytest
 
 from p2pstorage import analysis, dynamics, feasibility, game
 from p2pstorage.analysis import (
-    PartialRunError,
     StateSpaceTooLarge,
     build_transition_matrix,
     classes_by_reliability,
@@ -220,6 +219,42 @@ def test_empirical_distribution_warns_on_tiny_sample():
         empirical_distribution(oracle, params, gamma=1.0, steps=3, burn_in=0, seed=1)
 
 
+def _empirical_counts(oracle, params, steps, burn_in, seed=5):
+    result = empirical_distribution(oracle, params, 1.0, steps=steps, burn_in=burn_in, seed=seed)
+    counts = np.rint(result.frequencies * steps)
+    assert result.steps == steps and counts.sum() == steps
+    return counts
+
+
+@pytest.mark.parametrize("burn_in", [1, 5])
+def test_empirical_burn_in_discards_exactly_that_many_steps(burn_in):
+    # The first burn_in samples of a run without burn-in, plus the samples
+    # of the run that discards them, are the samples of the longer run.
+    oracle = enumerate_states(eight_state_instance((0.5, 0.8, 0.6)))
+    params = GameParams(1.0, 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # short samples leave states unvisited
+        head = _empirical_counts(oracle, params, burn_in, 0)
+        tail = _empirical_counts(oracle, params, 40, burn_in)
+        whole = _empirical_counts(oracle, params, burn_in + 40, 0)
+    assert np.array_equal(head + tail, whole)
+
+
+@pytest.mark.parametrize(
+    "steps,burn_in", [(0, 0), (-3, 0), (10, -1)], ids=["zero-steps", "negative-steps",
+                                                       "negative-burn-in"])
+def test_empirical_rejects_bad_sample_sizes(steps, burn_in):
+    oracle = enumerate_states(eight_state_instance())
+    with pytest.raises(ValueError, match="steps|burn_in"):
+        empirical_distribution(oracle, GameParams(1.0, 0.0), 1.0, steps=steps, burn_in=burn_in)
+
+
+def test_empirical_without_demand_is_a_value_error():
+    oracle = enumerate_states(make(build_complete(2), (0, 0), (1, 1), (1.0, 1.0)))
+    with pytest.raises(ValueError, match="no unit has demand"):
+        empirical_distribution(oracle, GameParams(1.0, 0.0), 1.0, steps=10)
+
+
 def _bare_gamma_calls():
     # Each public function that takes gamma as a bare float, on the
     # eight-state instance; the last three need a finite gamma.
@@ -227,14 +262,9 @@ def _bare_gamma_calls():
     params = GameParams(1.0, 0.0)
     oracle = enumerate_states(inst)
     empty = AllocationState.zeros(inst)
-    full = state_from_key(inst, oracle.states[0])
     return {
         "gibbs_choice_distribution": lambda g: game.gibbs_choice_distribution(
             inst, params, empty, 0, g),
-        "allocation_move": lambda g: dynamics.allocation_move(
-            random.Random(0), inst, params, empty, 0, g),
-        "distribution_move": lambda g: dynamics.distribution_move(
-            random.Random(0), inst, params, full, 0, g),
         "build_transition_matrix": lambda g: build_transition_matrix(oracle, params, g),
         "stationary_exact": lambda g: stationary_exact(oracle, params, g),
         "empirical_distribution": lambda g: empirical_distribution(oracle, params, g, steps=10),
@@ -328,7 +358,7 @@ def _completed_result(inst, entries, moves):
 def test_metrics_single_resource_per_unit():
     inst = make(build_complete(2), (2, 2), (2, 2), (0.5, 0.8))
     result = _completed_result(inst, [(0, 1, 2), (1, 0, 2)], [2, 2])
-    report = compute_metrics(inst, GameParams(1.0, 0.0), result, [[0], [1]])
+    report = compute_metrics(inst, GameParams(1.0, 0.0), result)
     assert report.d_out == 1.0
     assert report.nu_moves == pytest.approx(1.0)
     # unit 0 stores everything at reliability 0.8, unit 1 at 0.5
@@ -358,9 +388,7 @@ def test_metrics_class_capacity_identity():
 def test_metrics_partial_requires_opt_in():
     inst = make(build_complete(2), (1, 1), (1, 1), (1.0, 1.0))
     result = RunResult(AllocationState.zeros(inst), False, None, [0, 0], None)
-    with pytest.raises(PartialRunError):
-        compute_metrics(inst, GameParams(1.0, 0.0), result)
-    report = compute_metrics(inst, GameParams(1.0, 0.0), result, allow_partial=True)
+    report = compute_metrics(inst, GameParams(1.0, 0.0), result)
     assert report.d_out == 0.0
 
 
@@ -380,7 +408,7 @@ def test_metrics_nu_at_least_one_on_completed_runs():
 def test_metrics_report_row_names():
     inst = make(build_complete(2), (2, 2), (2, 2), (0.5, 0.8))
     result = _completed_result(inst, [(0, 1, 2), (1, 0, 2)], [2, 2])
-    row = compute_metrics(inst, GameParams(1.0, 0.0), result, [[0], [1]]).to_row()
+    row = compute_metrics(inst, GameParams(1.0, 0.0), result).to_row()
     assert set(row) == {
         "nu_moves", "lambda_mean", "lambda_var",
         "c1_mean", "c1_var", "c2_mean", "c2_var",

@@ -73,9 +73,10 @@ _CORRUPTIONS = [
 
 
 @st.composite
-def instance_docs(draw):
+def instance_docs(draw, valid=False):
     """A valid document of at most 12 units, the same with up to three
-    corruptions, or now and then a junk value in place of the document."""
+    corruptions, or now and then a junk value in place of the document;
+    only the first with ``valid``."""
     n = draw(st.integers(1, 12))
     if draw(st.booleans()):
         pairs = [[x, y] for x in range(n) for y in range(n) if x != y]
@@ -90,6 +91,8 @@ def instance_docs(draw):
     for key, value in (("alpha", st.integers(0, 4)), ("beta", st.integers(0, 4)),
                        ("lambda", st.floats(0.0, 2.0))):
         doc[key] = draw(st.one_of(value, st.lists(value, min_size=n, max_size=n)))
+    if valid:
+        return doc
     for corrupt in draw(st.lists(st.sampled_from(_CORRUPTIONS), max_size=3)):
         corrupt(draw, doc, n)
     return draw(st.one_of(st.just(doc), _junk)) if draw(st.integers(0, 19)) == 19 else doc

@@ -1,8 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import p2pstorage
 from p2pstorage import cli
 from p2pstorage.cli import evaluate_horizon, load_experiment_spec, main
 from p2pstorage.topology import Instance, build_complete, instance_to_dict, save_instance
@@ -73,6 +79,14 @@ def test_horizon_expression_too_deep_is_a_value_error():
         evaluate_horizon("+".join(["1"] * 5000), inst)
 
 
+@pytest.mark.parametrize("expr", ["9" * 400 + "/7", "1.5*" + "9" * 400],
+                         ids=["true-division", "float-product"])
+def test_horizon_integer_beyond_floats_is_a_value_error(expr):
+    inst = Instance(build_complete(2), (1, 1), (2, 2), (1.0, 1.0))
+    with pytest.raises(ValueError, match="bad horizon expression"):
+        evaluate_horizon(expr, inst)
+
+
 # ------------------------------------------------------------------- check
 
 
@@ -132,6 +146,27 @@ def test_check_generator_giving_up_exits_one(tmp_path, capsys):
     path = write_instance(tmp_path, "regular.json", doc)
     assert main(["check", str(path)]) == 1
     assert_one_error_line(capsys.readouterr())
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"n": 3_000_000, "edges": [], "alpha": 0, "beta": 0, "lambda": 0.5},
+        {"generator": {"kind": "complete", "n": 1500}, "alpha": 1, "beta": 1, "lambda": 0.5},
+        {"generator": {"kind": "line", "n": 333_335}, "alpha": 1, "beta": 1, "lambda": 0.5},
+        {"generator": {"kind": "random_regular", "n": 100_000, "d": 10, "seed": 1},
+         "alpha": 1, "beta": 1, "lambda": 0.5},
+    ],
+    ids=["many-units", "complete", "line", "random-regular"],
+)
+def test_check_rejects_oversized_instance_before_building_it(tmp_path, capsys, doc):
+    path = write_instance(tmp_path, "huge.json", doc)
+    start = time.perf_counter()
+    assert main(["check", str(path)]) == 1
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert_one_error_line(captured)
+    assert "above the limit 1000000" in captured.err
 
 
 def test_check_benchmark_scale_instance(tmp_path, capsys):
@@ -476,6 +511,30 @@ def test_verify_long_directed_ring_exits_zero(tmp_path, capsys):
     assert main(["verify", str(path), "--gamma", "1.0"]) == 0
     out = capsys.readouterr().out
     assert json.loads(out[out.index("{"):])["num_states"] == 1
+
+
+def test_verify_without_demand_exits_one(tmp_path, capsys):
+    doc = {"n": 2, "edges": [[0, 1], [1, 0]], "alpha": 0, "beta": 1, "lambda": 1.0}
+    path = write_instance(tmp_path, "idle.json", doc)
+    assert main(["verify", str(path), "--empirical-steps", "10"]) == 1
+    assert_one_error_line(capsys.readouterr())
+
+
+def test_verify_prints_no_python_warnings(tmp_path):
+    # K3 with one slot per unit is not strict and its chain never moves, so
+    # both the stationary law and the sampler would warn.  The verdicts
+    # carry that information; stderr stays clean.
+    doc = {"generator": {"kind": "complete", "n": 3}, "alpha": 1, "beta": 1, "lambda": 1.0}
+    path = write_instance(tmp_path, "k3.json", doc)
+    env = dict(os.environ, PYTHONPATH=str(Path(p2pstorage.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from p2pstorage.cli import main; sys.exit(main())",
+         "verify", str(path), "--empirical-steps", "2000", "--empirical-tol", "0.5"],
+        capture_output=True, text=True, env=env, check=False,
+    )
+    assert proc.returncode == 2
+    assert "Warning" not in proc.stderr
+    assert "1 of 2 states never visited" in proc.stdout
 
 
 @pytest.mark.parametrize("gamma", ["abc", "nan", "-1", "0"])

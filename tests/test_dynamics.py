@@ -14,13 +14,9 @@ from p2pstorage.dynamics import (
     ALLOCATE_FIRST,
     PROPORTIONAL,
     VARIANTS,
-    DegenerateInstanceError,
     GammaSchedule,
     SimConfig,
-    activation_distribution,
-    allocation_move,
     default_horizon,
-    distribution_move,
     move_kind_probabilities,
     run,
     state_stream,
@@ -49,29 +45,27 @@ def chain_blocked_state(inst):
     return AllocationState.from_entries(inst, [(1, 0, 1), (2, 1, 1), (3, 2, 1)])
 
 
+def engine_move(inst, state, params, gamma, seed, variant=PROPORTIONAL):
+    """The move the engine makes in its first step from ``state``."""
+    config = SimConfig(inst, params, GammaSchedule.fixed(gamma), horizon=1, seed=seed,
+                       variant=variant, initial_state=state)
+    [(_t, _state, move)] = state_stream(config)
+    return move
+
+
 # -------------------------------------------------------------- activation
 
 
-def test_activation_uniform():
-    inst = make(build_complete(3), (1, 1, 1), (2, 2, 2), (1.0,) * 3)
-    assert activation_distribution(inst) == pytest.approx([1 / 3] * 3)
-
-
 def test_activation_proportional_to_demand():
-    inst = make(build_complete(5), (35, 40, 45, 50, 55), (60,) * 5, (1.0,) * 5)
-    probs = activation_distribution(inst)
-    assert probs == pytest.approx([a / 225 for a in (35, 40, 45, 50, 55)])
-
-
-def test_activation_zero_demand_unit():
-    inst = make(build_complete(2), (0, 5), (9, 9), (1.0, 1.0))
-    assert activation_distribution(inst) == pytest.approx([0.0, 1.0])
-
-
-def test_activation_degenerate():
-    inst = make(build_complete(2), (0, 0), (9, 9), (1.0, 1.0))
-    with pytest.raises(DegenerateInstanceError):
-        activation_distribution(inst)
+    # From the empty state every woken unit places an atom, so the mover of
+    # the first step is the unit the engine woke.
+    inst = make(build_complete(3), (1, 3, 0), (4, 4, 4), (1.0,) * 3)
+    empty = AllocationState.zeros(inst)
+    counts = Counter(
+        engine_move(inst, empty, GameParams(1.0, 0.0), 1.0, seed).unit for seed in range(4000)
+    )
+    assert counts[2] == 0
+    assert counts[1] / 4000 == pytest.approx(0.75, abs=0.03)
 
 
 # -------------------------------------------------------------- move kinds
@@ -97,45 +91,49 @@ def test_move_kind_forced_distribution_when_full():
 
 
 # ------------------------------------------------------------ single moves
+# One engine step from a given state, on instances where only the unit
+# under test has demand unless stated otherwise.
 
 
 def test_allocation_move_single_candidate():
-    inst = make(build_line(3), (1, 1, 1), (1, 1, 1), (1.0,) * 3)
-    state = AllocationState.zeros(inst)
-    rng = random.Random(0)
-    move = allocation_move(rng, inst, GameParams(1.0, 0.0), state, 0, gamma=1.0)
+    inst = make(build_line(3), (1, 0, 0), (1, 1, 1), (1.0,) * 3)
+    move = engine_move(inst, AllocationState.zeros(inst), GameParams(1.0, 0.0), 1.0, seed=0)
     assert move == Move(ALLOCATION, 0, None, 1)
 
 
 def test_allocation_move_best_response_picks_reliable():
-    inst = line_chain_instance()
-    state = AllocationState.zeros(inst)
-    rng = random.Random(1)
-    for _ in range(20):
-        move = allocation_move(rng, inst, GameParams(1.0, 0.0), state, 2, gamma=math.inf)
+    inst = make(build_line(4), (0, 0, 1, 0), (1, 1, 1, 1), (1.0, 3.0, 1.0, 1.0))
+    empty = AllocationState.zeros(inst)
+    for seed in range(20):
+        move = engine_move(inst, empty, GameParams(1.0, 0.0), math.inf, seed)
         assert move.dest == 1  # reliability 3.0 dominates
 
 
 def test_allocation_move_blocked_returns_none():
+    # Every unit has demand here: units 1..3 are full and relocate, and a
+    # relocation always has its source to return to, so a None move is the
+    # starved unit 0 finding its only resource full.
     inst = line_chain_instance()
     state = chain_blocked_state(inst)
-    rng = random.Random(2)
-    assert allocation_move(rng, inst, GameParams(1.0, 0.0), state, 0, gamma=1.0) is None
+    moves = [engine_move(inst, state, GameParams(1.0, 0.0), 1.0, seed) for seed in range(40)]
+    assert None in moves
+    assert all(move.kind == DISTRIBUTION for move in moves if move is not None)
 
 
 def test_allocation_move_invalid_on_full_unit():
-    inst = make(build_complete(2), (1, 1), (2, 2), (1.0, 1.0))
+    inst = make(build_complete(2), (1, 0), (2, 2), (1.0, 1.0))
     state = AllocationState.from_entries(inst, [(0, 1, 1)])
-    with pytest.raises(ValueError):
-        allocation_move(random.Random(3), inst, GameParams(1.0, 0.0), state, 0, gamma=1.0)
+    for variant in VARIANTS:
+        for seed in range(20):
+            move = engine_move(inst, state, GameParams(1.0, 0.0), 1.0, seed, variant)
+            assert move == Move(DISTRIBUTION, 0, 1, 1)
 
 
 def test_distribution_move_single_source():
     inst = make(build_complete(3), (2, 0, 0), (4, 4, 4), (1.0,) * 3)
     state = AllocationState.from_entries(inst, [(0, 2, 2)])
-    rng = random.Random(4)
-    for _ in range(10):
-        move = distribution_move(rng, inst, GameParams(0.0, 0.0), state, 0, gamma=1.0)
+    for seed in range(10):
+        move = engine_move(inst, state, GameParams(0.0, 0.0), 1.0, seed)
         assert move.kind == DISTRIBUTION
         assert move.source == 2
 
@@ -144,19 +142,19 @@ def test_distribution_move_source_frequencies():
     # source picked proportionally to stored atoms: 3:1
     inst = make(build_complete(3), (4, 0, 0), (4, 4, 4), (1.0,) * 3)
     state = AllocationState.from_entries(inst, [(0, 1, 3), (0, 2, 1)])
-    rng = random.Random(5)
     counts = Counter(
-        distribution_move(rng, inst, GameParams(0.0, 0.0), state, 0, gamma=1.0).source
-        for _ in range(4000)
+        engine_move(inst, state, GameParams(0.0, 0.0), 1.0, seed).source for seed in range(4000)
     )
     assert counts[1] / 4000 == pytest.approx(0.75, abs=0.03)
 
 
 def test_distribution_move_requires_stored_atoms():
-    inst = make(build_complete(2), (1, 1), (2, 2), (1.0, 1.0))
-    state = AllocationState.zeros(inst)
-    with pytest.raises(ValueError):
-        distribution_move(random.Random(6), inst, GameParams(1.0, 0.0), state, 0, gamma=1.0)
+    inst = make(build_complete(2), (1, 0), (2, 2), (1.0, 1.0))
+    empty = AllocationState.zeros(inst)
+    for variant in VARIANTS:
+        for seed in range(20):
+            move = engine_move(inst, empty, GameParams(1.0, 0.0), 1.0, seed, variant)
+            assert move.kind == ALLOCATION
 
 
 # ---------------------------------------------------------------- schedule

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 
@@ -401,6 +402,60 @@ def test_apply_move_rejects_non_edge():
     state = AllocationState.zeros(inst)
     with pytest.raises(RejectedMoveError):
         state.apply_move(inst, Move(ALLOCATION, 0, None, 2))
+
+
+def _corrupt(**changes):
+    # A state edit that bypasses _shift, then the invariant check.
+    def edit(inst, state):
+        for attr, (index, value) in changes.items():
+            getattr(state, attr)[index] = value
+        state.validate(inst)
+    return edit
+
+
+def _move(*fields):
+    return lambda inst, state: state.apply_move(inst, Move(*fields))
+
+
+# On the line 0 - 1 - 2, with alpha (2, 1, 1) and beta 2, from the state
+# whose resource 1 holds one atom of unit 0 and one of unit 2: the error
+# and the words of its message, then the rejected action.
+_REJECTIONS = {
+    "negative-count": (ValueError, "negative count", lambda inst, _s:
+                       AllocationState.from_entries(inst, [(0, 1, -1)])),
+    "duplicate-entry": (ValueError, "duplicate entry", lambda inst, _s:
+                        AllocationState.from_entries(inst, [(0, 1, 1), (0, 1, 1)])),
+    "n-mismatch": (InvalidStateError, "instance n=2", lambda _i, state: state.validate(
+        make(build_complete(2), (1, 1), (1, 1), (1.0, 1.0)))),
+    "nonpositive-count": (InvalidStateError, "nonpositive", _corrupt(counts=(0, {1: 0}))),
+    "non-edge": (InvalidStateError, "non-edge", _corrupt(counts=(0, {1: 1, 2: 1}))),
+    "stale-row-cache": (InvalidStateError, "stale row", _corrupt(placed=(0, 2))),
+    "placed-above-alpha": (InvalidStateError, "> alpha", _corrupt(
+        counts=(0, {1: 3}), placed=(0, 3), load=(1, 4))),
+    "stale-column-cache": (InvalidStateError, "stale column", _corrupt(load=(1, 1))),
+    "load-above-beta": (InvalidStateError, "> beta", _corrupt(
+        counts=(0, {1: 2}), placed=(0, 2), load=(1, 3))),
+    "unit-out-of-range": (RejectedMoveError, "out of range", _move(ALLOCATION, 5, None, 1)),
+    "allocation-with-source": (RejectedMoveError, "cannot carry a source",
+                               _move(ALLOCATION, 0, 1, 1)),
+    "allocation-on-full-unit": (RejectedMoveError, "fully allocated",
+                                _move(ALLOCATION, 2, None, 1)),
+    "distribution-without-source": (RejectedMoveError, "needs a source",
+                                    _move(DISTRIBUTION, 0, None, 1)),
+    "unknown-kind": (RejectedMoveError, "unknown move kind", _move("teleport", 0, None, 1)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REJECTIONS))
+def test_state_rejections_are_typed(case):
+    inst = make(build_line(3), (2, 1, 1), (2, 2, 2), (1.0,) * 3)
+    state = AllocationState.from_entries(inst, [(0, 1, 1), (2, 1, 1)])
+    error, words, action = _REJECTIONS[case]
+    before = state.key()
+    with pytest.raises(error, match=re.escape(words)):
+        action(inst, state)
+    if error is RejectedMoveError:
+        assert state.key() == before
 
 
 def test_adversarial_move_stream_never_corrupts_state():

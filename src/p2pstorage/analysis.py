@@ -58,20 +58,33 @@ class StateSpaceOracle:
     """Exhaustive view of the full allocation states of one instance.
 
     ``states`` holds canonical state keys (sorted nonzero (x, y, count)
-    triples) and ``index`` maps each key to its position; ``transition``
-    (filled by build_transition_matrix) holds one sparse row per state.
+    triples); ``index`` maps each key, and ``code_index`` each state's
+    integer ``code``, to its position; ``transition`` (filled by
+    build_transition_matrix) holds one sparse row per state.
     """
 
     inst: Instance
     states: list[tuple]
     index: dict[tuple, int] = field(init=False)
+    code_weight: list[dict[int, int]] = field(init=False)
+    code_index: dict[int, int] = field(init=False)
     transition: list[dict[int, float]] | None = field(init=False, default=None)
 
     def __post_init__(self) -> None:
         self.index = {key: i for i, key in enumerate(self.states)}
+        self.code_weight, radix = [], 1
+        for x, a in enumerate(self.inst.alpha):
+            out = self.inst.topology.out_neighbors(x)
+            self.code_weight.append({y: radix * (a + 1) ** k for k, y in enumerate(out)})
+            radix *= (a + 1) ** len(out)
+        self.code_index = {self.code(key): i for i, key in enumerate(self.states)}
 
     def __len__(self) -> int:
         return len(self.states)
+
+    def code(self, entries) -> int:
+        """Mixed-radix code over the edges (base alpha_x + 1): injective on states."""
+        return sum(c * self.code_weight[x][y] for x, y, c in entries)
 
 
 def state_from_key(inst: Instance, key: tuple) -> AllocationState:
@@ -134,8 +147,8 @@ def build_transition_matrix(
 
     On full states every activation is a relocation, so both move-kind
     variants induce the same kernel; self-moves and saturation contribute
-    the diagonal.  Each neighbour state is reached by the engine's own
-    state mutation.  Requires a finite positive gamma.
+    the diagonal.  Each neighbour state is found by its integer code.
+    Requires a finite positive gamma.
     """
     _check_gamma(gamma, finite=True)
     inst = oracle.inst
@@ -143,26 +156,23 @@ def build_transition_matrix(
     rows: list[dict[int, float]] = []
     for i, key in enumerate(oracle.states):
         state = state_from_key(inst, key)
+        code = oracle.code(key)
         row_probs: dict[int, float] = {}
         for x in range(inst.n):
             a = inst.alpha[x]
             if a == 0:
                 continue
             p_wake = a / total_alpha
-            # A snapshot: each move below deletes and re-inserts row entries.
-            for source, c in list(state.counts[x].items()):
+            wx = oracle.code_weight[x]
+            for source, c in state.counts[x].items():
                 p_source = c / a
                 cands, utils = _choice(inst, params, state, x, source)
                 exps = _gibbs_weights(utils, gamma)
                 norm = sum(exps)
+                base = code - wx[source]
                 for y, w in zip(cands, exps):
                     p = p_wake * p_source * w / norm
-                    if y == source:
-                        j = i
-                    else:
-                        state._shift(x, source, y)
-                        j = oracle.index[state.key()]
-                        state._shift(x, y, source)
+                    j = i if y == source else oracle.code_index[base + wx[y]]
                     row_probs[j] = row_probs.get(j, 0.0) + p
         rows.append(row_probs or {i: 1.0})  # no demand: the chain stands still
     oracle.transition = rows
@@ -299,10 +309,13 @@ def empirical_distribution(
                 break
     else:
         raise ValueError(f"the dynamics did not place every atom within {cap} steps")
+    next(islice(stream, burn_in, burn_in), None)  # discard burn_in steps
+    code = oracle.code(state.key())
+    w, code_index = oracle.code_weight, oracle.code_index
     counts = np.zeros(len(oracle.states))
-    index = oracle.index
-    for _ in islice(stream, burn_in, burn_in + steps):
-        counts[index[state.key()]] += 1
+    for _t, x, (source, dest) in islice(stream, steps):  # relocations only
+        code += w[x][dest] - w[x][source]
+        counts[code_index[code]] += 1
     if np.any(counts == 0):
         warnings.warn(
             f"{int((counts == 0).sum())} of {len(counts)} states were never "

@@ -23,7 +23,7 @@ import warnings
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
-from . import analysis, benchmarks, dynamics, feasibility, game
+from . import analysis, benchmarks, dynamics, feasibility
 from .dynamics import GammaSchedule, SimConfig
 from .game import GameParams
 from .topology import Instance, _integer, _real, instance_from_dict, load_instance
@@ -362,7 +362,12 @@ def cmd_verify(args) -> int:
             checks.append(("kernel rows sum to 1", rows_ok, "tolerance 1e-12"))
             strict = feasibility.check_strict(inst)
             report["strict"] = strict.feasible
-            mu = analysis.stationary_exact(oracle, params, gamma)
+            emp = None  # the empirical check computes the stationary law too
+            if args.empirical_steps > 0:
+                emp = analysis.empirical_distribution(
+                    oracle, params, gamma, steps=args.empirical_steps, seed=args.seed
+                )
+            mu = emp.stationary if emp else analysis.stationary_exact(oracle, params, gamma)
             balance = analysis.detailed_balance_max_violation(oracle, mu)
             residual = analysis.stationarity_residual(oracle, mu)
             report["detailed_balance_max_violation"] = balance
@@ -382,10 +387,7 @@ def cmd_verify(args) -> int:
                         "connectivity of the full state space is not guaranteed",
                     )
                 )
-            if args.empirical_steps > 0:
-                emp = analysis.empirical_distribution(
-                    oracle, params, gamma, steps=args.empirical_steps, seed=args.seed
-                )
+            if emp:
                 report["empirical_tv"] = emp.tv_distance
                 note = f"TV {emp.tv_distance:.4f} (tolerance {args.empirical_tol})"
                 unvisited = int((emp.frequencies == 0).sum())

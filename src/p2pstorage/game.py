@@ -89,8 +89,8 @@ class AllocationState:
     ``counts[x]`` maps resource -> atoms of unit x stored there (nonzero
     entries only), ``placed[x]`` is unit x's row sum, ``load[y]`` is
     resource y's column sum.  Mutated only through ``_shift``: apply_move
-    calls it after validating a move, the dynamics engine and the exact
-    kernel with moves valid by construction.
+    calls it after validating a move, and the dynamics engine with moves
+    valid by construction.
     """
 
     __slots__ = ("n", "counts", "placed", "load")
@@ -143,12 +143,7 @@ class AllocationState:
 
     def key(self) -> tuple:
         """Canonical hashable form: sorted nonzero (x, y, count) triples."""
-        items = []
-        for x, row in enumerate(self.counts):
-            for y, c in row.items():
-                items.append((x, y, c))
-        items.sort()
-        return tuple(items)
+        return tuple(sorted((x, y, c) for x, row in enumerate(self.counts) for y, c in row.items()))
 
     def validate(self, inst: Instance) -> None:
         """Recheck structural invariants and cache consistency."""
@@ -206,8 +201,8 @@ class AllocationState:
     def _shift(self, x: int, source: int | None, dest: int) -> None:
         """Move one atom of unit x from ``source`` to ``dest`` without any
         check: ``source`` None places a new atom, ``source == dest`` does
-        nothing.  The one state mutation behind apply_move, the dynamics
-        engine and the exact kernel."""
+        nothing.  The one state mutation behind apply_move and the dynamics
+        engine."""
         if source == dest:
             return
         row = self.counts[x]

@@ -1,11 +1,14 @@
 import math
 import random
 import warnings
+from itertools import islice
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from p2pstorage import analysis, dynamics, feasibility, game
+from p2pstorage import dynamics, feasibility, game
 from p2pstorage.analysis import (
     StateSpaceTooLarge,
     build_transition_matrix,
@@ -25,7 +28,7 @@ from p2pstorage.analysis import (
     total_variation,
 )
 from p2pstorage.dynamics import GammaSchedule, RunResult, SimConfig, run
-from p2pstorage.game import AllocationState, GameParams
+from p2pstorage.game import ALLOCATION, AllocationState, GameParams
 from p2pstorage.topology import Instance, Topology, build_complete, build_line
 
 
@@ -238,6 +241,90 @@ def test_empirical_burn_in_discards_exactly_that_many_steps(burn_in):
         tail = _empirical_counts(oracle, params, 40, burn_in)
         whole = _empirical_counts(oracle, params, burn_in + 40, 0)
     assert np.array_equal(head + tail, whole)
+
+
+@st.composite
+def small_oracles(draw):
+    """The full states of a small instance (n <= 5, alpha <= 3), feasible
+    by construction: each unit places up to three atoms on its
+    out-neighbours, and each resource offers that load plus 0 or 1 slot."""
+    n = draw(st.integers(2, 5))
+    pairs = [(x, y) for x in range(n) for y in range(n) if x != y]
+    topo = Topology(n, frozenset(draw(st.sets(st.sampled_from(pairs), min_size=1))))
+    alpha, load = [0] * n, [0] * n
+    for x in range(n):
+        if topo.out_neighbors(x):
+            for y in draw(st.lists(st.sampled_from(topo.out_neighbors(x)), max_size=3)):
+                alpha[x] += 1
+                load[y] += 1
+    beta = [w + draw(st.integers(0, 1)) for w in load]
+    lam = draw(st.lists(st.sampled_from([0.3, 0.5, 0.8, 1.0]), min_size=n, max_size=n))
+    try:
+        return enumerate_states(make(topo, alpha, beta, lam))
+    except StateSpaceTooLarge:
+        assume(False)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_oracles())
+def test_state_codes_index_the_states(oracle):
+    # The mixed radix written out: edges unit by unit in out-neighbour
+    # order, each weight the previous one times alpha + 1 of its unit.
+    inst = oracle.inst
+    weight, radix = {}, 1
+    for x in range(inst.n):
+        for y in inst.topology.out_neighbors(x):
+            weight[x, y] = radix
+            radix *= inst.alpha[x] + 1
+    assert len(oracle.code_index) == len(oracle.states)
+    for key in oracle.states:
+        code = sum(c * weight[x, y] for x, y, c in key)
+        assert oracle.code(key) == code
+        assert oracle.code_index[code] == oracle.index[key]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    small_oracles(),
+    st.sampled_from([GameParams(0.0, 0.0), GameParams(1.0, 0.0), GameParams(1.0, 0.45)]),
+    st.integers(0, 30),
+    st.integers(1, 300),
+    st.integers(0, 2**32),
+)
+def test_empirical_counts_equal_the_engine_states_counted_by_key(
+    oracle, params, burn_in, steps, seed
+):
+    # The sampler tracks the state by a running code; counting the keys of
+    # the states state_stream yields for the same config gives the same counts.
+    inst = oracle.inst
+    assume(inst.total_alpha)
+    cap = 50 * inst.total_alpha
+    config = SimConfig(
+        instance=inst,
+        params=params,
+        schedule=GammaSchedule.fixed(1.3),
+        horizon=cap + burn_in + steps,
+        seed=seed,
+    )
+    stream = dynamics.state_stream(config)
+    remaining = inst.total_alpha
+    for _t, _state, move in islice(stream, cap):
+        if move is not None and move.kind == ALLOCATION:
+            remaining -= 1
+            if remaining == 0:
+                break
+    else:
+        with pytest.raises(ValueError, match="did not place every atom"):
+            empirical_distribution(oracle, params, 1.3, steps, burn_in, seed)
+        return
+    counts = np.zeros(len(oracle))
+    for _t, state, _move in islice(stream, burn_in, burn_in + steps):
+        counts[oracle.index[state.key()]] += 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # short samples leave states unvisited
+        result = empirical_distribution(oracle, params, 1.3, steps, burn_in, seed)
+    assert np.array_equal(result.frequencies, counts / steps)
+    assert np.array_equal(np.rint(result.frequencies * steps), counts)
 
 
 @pytest.mark.parametrize(

@@ -9,9 +9,8 @@ from pathlib import Path
 import pytest
 
 import p2pstorage
-from p2pstorage import cli
 from p2pstorage.cli import evaluate_horizon, load_experiment_spec, main
-from p2pstorage.topology import Instance, build_complete, instance_to_dict, save_instance
+from p2pstorage.topology import Instance, build_complete
 
 
 def write_instance(tmp_path, name, doc):

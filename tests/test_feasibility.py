@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from p2pstorage.feasibility import (
     SizeLimitExceeded,
@@ -174,6 +176,30 @@ def test_strict_agrees_with_exhaustive_on_thousand_instances():
             assert witness_violates(inst, verdict.witness, strict=True)
         outcomes[verdict.feasible] += 1
     assert min(outcomes.values()) > 50
+
+
+@st.composite
+def small_instances(draw):
+    """n <= 10 units, a random directed edge set, alpha and beta <= 4."""
+    n = draw(st.integers(1, 10))
+    pairs = [(x, y) for x in range(n) for y in range(n) if x != y]
+    edges = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    alpha = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+    beta = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+    return make(Topology(n, frozenset(edges)), tuple(alpha), tuple(beta))
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_instances())
+def test_flow_verdicts_agree_with_exhaustive_and_witnesses_violate(inst):
+    flow = check_feasible_flow(inst)
+    assert flow.feasible == check_feasible_exhaustive(inst).feasible
+    if not flow.feasible:
+        assert witness_violates(inst, flow.witness)
+    strict = check_strict(inst)
+    assert strict.feasible == check_strict_exhaustive(inst).feasible
+    if not strict.feasible:
+        assert witness_violates(inst, strict.witness, strict=True)
 
 
 def _brute_force_maximal_irreducible(inst):

@@ -14,13 +14,12 @@ the global utility ratio.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement, groupby, islice
 
 import numpy as np
 
-from . import dynamics, feasibility, game
+from . import dynamics, game
 from .game import TIE_TOL, AllocationState, GameParams, _check_gamma, _choice, _gibbs_weights
 from .topology import Instance
 
@@ -185,19 +184,13 @@ def stationary_exact(
     """Closed-form stationary law: combinatorial weight times exp(gamma *
     potential), normalized in log space.
 
-    Warns when the strict covering condition fails (the chain may then be
-    reducible and the law only stationary per component).
+    The law is stationary on any instance and unique under the strict
+    covering condition, which ``verify`` reports.
     """
     _check_gamma(gamma, finite=True)
     inst = oracle.inst
     if not oracle.states:
         raise ValueError("the instance has no full allocation state: it is infeasible")
-    if not feasibility.check_strict(inst).feasible:
-        warnings.warn(
-            "strict covering condition fails: ergodicity over the full state "
-            "space is not guaranteed",
-            stacklevel=2,
-        )
     logs = np.empty(len(oracle.states))
     for i, key in enumerate(oracle.states):
         state = state_from_key(inst, key)
@@ -316,12 +309,6 @@ def empirical_distribution(
     for _t, x, (source, dest) in islice(stream, steps):  # relocations only
         code += w[x][dest] - w[x][source]
         counts[code_index[code]] += 1
-    if np.any(counts == 0):
-        warnings.warn(
-            f"{int((counts == 0).sum())} of {len(counts)} states were never "
-            "visited; sample may be too small",
-            stacklevel=2,
-        )
     freqs = counts / steps
     return EmpiricalResult(freqs, mu, total_variation(freqs, mu), steps)
 

@@ -19,7 +19,6 @@ import json
 import math
 import os
 import sys
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -173,6 +172,8 @@ def _run_rows(configs: list[SimConfig], workers: int):
     """Run and score the configs, through a process pool when workers > 1.
     Returns the results and one row per run: run, seed, completed,
     steps_to_completion, then the metrics."""
+    if workers < 1:
+        raise ValueError(f"--workers must be at least 1, got {workers}")
     if workers > 1 and len(configs) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_run_one, configs))
@@ -349,53 +350,45 @@ def cmd_verify(args) -> int:
             )
         )
     else:
-        # Non-strictness is reported by the ergodicity line and unvisited
-        # states by the empirical one, so the oracles' warnings stay quiet.
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            oracle = analysis.enumerate_states(inst)
-            report["num_states"] = len(oracle)
-            analysis.build_transition_matrix(oracle, params, gamma)
-            rows_ok = all(
-                abs(sum(row.values()) - 1.0) <= 1e-12 for row in oracle.transition
+        oracle = analysis.enumerate_states(inst)
+        report["num_states"] = len(oracle)
+        analysis.build_transition_matrix(oracle, params, gamma)
+        rows_ok = all(abs(sum(row.values()) - 1.0) <= 1e-12 for row in oracle.transition)
+        checks.append(("kernel rows sum to 1", rows_ok, "tolerance 1e-12"))
+        strict = feasibility.check_strict(inst)
+        report["strict"] = strict.feasible
+        emp = None  # the empirical check computes the stationary law too
+        if args.empirical_steps > 0:
+            emp = analysis.empirical_distribution(
+                oracle, params, gamma, steps=args.empirical_steps, seed=args.seed
             )
-            checks.append(("kernel rows sum to 1", rows_ok, "tolerance 1e-12"))
-            strict = feasibility.check_strict(inst)
-            report["strict"] = strict.feasible
-            emp = None  # the empirical check computes the stationary law too
-            if args.empirical_steps > 0:
-                emp = analysis.empirical_distribution(
-                    oracle, params, gamma, steps=args.empirical_steps, seed=args.seed
+        mu = emp.stationary if emp else analysis.stationary_exact(oracle, params, gamma)
+        balance = analysis.detailed_balance_max_violation(oracle, mu)
+        residual = analysis.stationarity_residual(oracle, mu)
+        report["detailed_balance_max_violation"] = balance
+        report["stationarity_residual"] = residual
+        checks.append(("detailed balance", balance <= 1e-10, f"max violation {balance:.3e}"))
+        checks.append(("stationarity", residual <= 1e-10, f"residual {residual:.3e}"))
+        if strict.feasible:
+            connected = analysis.is_support_connected(oracle)
+            report["support_connected"] = connected
+            checks.append(("ergodicity (support connected)", connected, ""))
+        else:
+            checks.append(
+                (
+                    "ergodicity",
+                    True,
+                    "skipped: strict covering condition fails, "
+                    "connectivity of the full state space is not guaranteed",
                 )
-            mu = emp.stationary if emp else analysis.stationary_exact(oracle, params, gamma)
-            balance = analysis.detailed_balance_max_violation(oracle, mu)
-            residual = analysis.stationarity_residual(oracle, mu)
-            report["detailed_balance_max_violation"] = balance
-            report["stationarity_residual"] = residual
-            checks.append(("detailed balance", balance <= 1e-10, f"max violation {balance:.3e}"))
-            checks.append(("stationarity", residual <= 1e-10, f"residual {residual:.3e}"))
-            if strict.feasible:
-                connected = analysis.is_support_connected(oracle)
-                report["support_connected"] = connected
-                checks.append(("ergodicity (support connected)", connected, ""))
-            else:
-                checks.append(
-                    (
-                        "ergodicity",
-                        True,
-                        "skipped: strict covering condition fails, "
-                        "connectivity of the full state space is not guaranteed",
-                    )
-                )
-            if emp:
-                report["empirical_tv"] = emp.tv_distance
-                note = f"TV {emp.tv_distance:.4f} (tolerance {args.empirical_tol})"
-                unvisited = int((emp.frequencies == 0).sum())
-                if unvisited:
-                    note += f"; {unvisited} of {len(oracle)} states never visited"
-                checks.append(
-                    ("empirical occupancy", emp.tv_distance < args.empirical_tol, note)
-                )
+            )
+        if emp:
+            report["empirical_tv"] = emp.tv_distance
+            note = f"TV {emp.tv_distance:.4f} (tolerance {args.empirical_tol})"
+            unvisited = int((emp.frequencies == 0).sum())
+            if unvisited:
+                note += f"; {unvisited} of {len(oracle)} states never visited"
+            checks.append(("empirical occupancy", emp.tv_distance < args.empirical_tol, note))
 
     failed = [name for name, ok, _ in checks if not ok]
     for name, ok, note in checks:

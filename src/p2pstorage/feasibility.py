@@ -75,29 +75,45 @@ class _Dinic:
                     queue.append(edge[0])
         return self.level[t] >= 0
 
-    def _dfs(self, u: int, t: int, pushed: int) -> int:
-        if u == t:
-            return pushed
-        while self.it[u] < len(self.adj[u]):
-            edge = self.adj[u][self.it[u]]
-            v = edge[0]
-            if edge[1] > 0 and self.level[v] == self.level[u] + 1:
-                flow = self._dfs(v, t, min(pushed, edge[1]))
-                if flow > 0:
-                    edge[1] -= flow
-                    self.adj[v][edge[2]][1] += flow
-                    return flow
-            self.it[u] += 1
-        return 0
+    def _augment(self, s: int, t: int) -> int:
+        """Push the bottleneck of the first s-t path of the level graph.
+
+        A depth-first walk with an explicit stack of edges, so long paths
+        cannot overflow the recursion limit.  ``it[u]`` is the edge of u
+        being tried, in insertion order; it moves on past dead ends only.
+        Returns the amount pushed, 0 once the level graph is blocked.
+        """
+        adj, level, it = self.adj, self.level, self.it
+        u, path = s, []
+        while u != t:
+            edges, i, nxt = adj[u], it[u], level[u] + 1
+            end = len(edges)
+            while i < end:
+                edge = edges[i]
+                if edge[1] > 0 and level[edge[0]] == nxt:
+                    break
+                i += 1
+            it[u] = i
+            if i < end:
+                path.append(edge)
+                u = edge[0]
+            elif path:  # dead end: back up to the tail of the last edge and skip it
+                edge = path.pop()
+                u = adj[edge[0]][edge[2]][0]
+                it[u] += 1
+            else:
+                return 0
+        flow = min([edge[1] for edge in path])
+        for edge in path:
+            edge[1] -= flow
+            adj[edge[0]][edge[2]][1] += flow
+        return flow
 
     def max_flow(self, s: int, t: int) -> int:
         total = 0
         while self._bfs(s, t):
             self.it = [0] * self.size
-            while True:
-                flow = self._dfs(s, t, 1 << 62)
-                if flow == 0:
-                    break
+            while flow := self._augment(s, t):
                 total += flow
         return total
 

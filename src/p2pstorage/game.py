@@ -31,8 +31,6 @@ __all__ = [
     "log_multinomial_weight",
     "multinomial_weight",
     "potential",
-    "state_from_snapshot",
-    "state_to_snapshot",
     "utility",
 ]
 
@@ -376,14 +374,3 @@ def log_multinomial_weight(inst: Instance, state: AllocationState) -> float:
             total -= math.lgamma(c + 1)
     return total
 
-
-def state_to_snapshot(inst: Instance, state: AllocationState) -> dict:
-    """Serializable snapshot: nonzero entries plus the instance fingerprint."""
-    entries = sorted([x, y, c] for x, row in enumerate(state.counts) for y, c in row.items())
-    return {"fingerprint": inst.fingerprint(), "entries": entries}
-
-
-def state_from_snapshot(inst: Instance, snapshot: dict) -> AllocationState:
-    if snapshot.get("fingerprint") != inst.fingerprint():
-        raise ValueError("snapshot fingerprint does not match the instance")
-    return AllocationState.from_entries(inst, snapshot["entries"])

@@ -1,6 +1,5 @@
 import math
 import random
-import warnings
 from itertools import islice
 
 import numpy as np
@@ -167,13 +166,21 @@ def test_detailed_balance_and_residual_on_desk_instances():
         assert is_support_connected(oracle)
 
 
-def test_stationary_warns_without_strictness():
+@pytest.mark.filterwarnings("error")
+def test_oracles_emit_no_warnings_on_a_non_strict_frozen_chain():
+    # K3 with one slot per unit is not strict, and once full its chain never
+    # moves: the law is still stationary, and the sampler sees one state.
+    # verify reports both facts; the oracles only compute.
     inst = make(build_complete(3), (1, 1, 1), (1, 1, 1), (1.0,) * 3)
+    assert not feasibility.check_strict(inst).feasible
     oracle = enumerate_states(inst)
     params = GameParams(1.0, 0.0)
     build_transition_matrix(oracle, params, 1.0)
-    with pytest.warns(UserWarning, match="strict covering"):
-        stationary_exact(oracle, params, 1.0)
+    mu = stationary_exact(oracle, params, 1.0)
+    assert np.allclose(mu, [0.5, 0.5])
+    assert stationarity_residual(oracle, mu) <= 1e-12
+    result = empirical_distribution(oracle, params, gamma=1.0, steps=50, seed=1)
+    assert sorted(result.frequencies) == [0.0, 1.0]
 
 
 def test_stationary_concentrates_on_potential_argmax():
@@ -214,14 +221,6 @@ def test_empirical_distribution_converges():
     assert result.frequencies.sum() == pytest.approx(1.0)
 
 
-def test_empirical_distribution_warns_on_tiny_sample():
-    oracle = enumerate_states(eight_state_instance())
-    params = GameParams(0.0, 0.0)
-    build_transition_matrix(oracle, params, 1.0)
-    with pytest.warns(UserWarning, match="never"):
-        empirical_distribution(oracle, params, gamma=1.0, steps=3, burn_in=0, seed=1)
-
-
 def _empirical_counts(oracle, params, steps, burn_in, seed=5):
     result = empirical_distribution(oracle, params, 1.0, steps=steps, burn_in=burn_in, seed=seed)
     counts = np.rint(result.frequencies * steps)
@@ -235,11 +234,9 @@ def test_empirical_burn_in_discards_exactly_that_many_steps(burn_in):
     # of the run that discards them, are the samples of the longer run.
     oracle = enumerate_states(eight_state_instance((0.5, 0.8, 0.6)))
     params = GameParams(1.0, 0.0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # short samples leave states unvisited
-        head = _empirical_counts(oracle, params, burn_in, 0)
-        tail = _empirical_counts(oracle, params, 40, burn_in)
-        whole = _empirical_counts(oracle, params, burn_in + 40, 0)
+    head = _empirical_counts(oracle, params, burn_in, 0)
+    tail = _empirical_counts(oracle, params, 40, burn_in)
+    whole = _empirical_counts(oracle, params, burn_in + 40, 0)
     assert np.array_equal(head + tail, whole)
 
 
@@ -320,9 +317,7 @@ def test_empirical_counts_equal_the_engine_states_counted_by_key(
     counts = np.zeros(len(oracle))
     for _t, state, _move in islice(stream, burn_in, burn_in + steps):
         counts[oracle.index[state.key()]] += 1
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # short samples leave states unvisited
-        result = empirical_distribution(oracle, params, 1.3, steps, burn_in, seed)
+    result = empirical_distribution(oracle, params, 1.3, steps, burn_in, seed)
     assert np.array_equal(result.frequencies, counts / steps)
     assert np.array_equal(np.rint(result.frequencies * steps), counts)
 

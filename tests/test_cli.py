@@ -9,7 +9,9 @@ from pathlib import Path
 import pytest
 
 import p2pstorage
+from p2pstorage import feasibility
 from p2pstorage.cli import evaluate_horizon, load_experiment_spec, main
+from p2pstorage.feasibility import check_strict
 from p2pstorage.topology import Instance, build_complete
 
 
@@ -181,6 +183,25 @@ def test_check_benchmark_scale_instance(tmp_path, capsys):
     assert report["strict"] is True
 
 
+def test_check_long_augmenting_path_exits_zero(tmp_path, capsys):
+    # The chain of test_feasibility.chain_instance(600): the last augmenting
+    # path runs through all 1,202 units.
+    m = 600
+    edges = [[i, 2 * m - i - d] for i in range(m) for d in (1, 0)] + [[2 * m + 1, m]]
+    doc = {
+        "n": 2 * m + 2,
+        "edges": edges,
+        "alpha": [1] * m + [0] * (m + 1) + [1],
+        "beta": [0] * m + [1] * (m + 1) + [0],
+        "lambda": 0.5,
+    }
+    path = write_instance(tmp_path, "chain.json", doc)
+    assert main(["check", str(path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["feasible"] is True
+    assert report["strict"] is False
+
+
 # ---------------------------------------------------------------- simulate
 
 
@@ -240,6 +261,16 @@ def test_simulate_warns_on_infeasible(tmp_path, capsys):
     code = main(["simulate", str(spec_path), "--out", str(tmp_path / "o"), "--workers", "1"])
     assert code == 0
     assert "infeasible" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_simulate_rejects_workers_below_one(tmp_path, capsys, workers):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec_doc(feasible_doc())))
+    out = tmp_path / "o"
+    assert main(["simulate", str(spec_path), "--out", str(out), "--workers", workers]) == 1
+    assert_one_error_line(capsys.readouterr())
+    assert not out.exists()
 
 
 def test_simulate_cli_overrides(tmp_path):
@@ -418,6 +449,22 @@ def test_verify_desk_instance_passes(tmp_path, capsys):
     assert "PASS  stationarity" in out
     assert "PASS  ergodicity" in out
     assert "PASS  empirical occupancy" in out
+
+
+@pytest.mark.parametrize("flags", [[], ["--empirical-steps", "2000", "--empirical-tol", "1"]],
+                         ids=["exact", "empirical"])
+def test_verify_checks_strictness_once(tmp_path, capsys, monkeypatch, flags):
+    calls = []
+
+    def counted(inst):
+        calls.append(inst)
+        return check_strict(inst)
+
+    monkeypatch.setattr(feasibility, "check_strict", counted)
+    doc = {"generator": {"kind": "complete", "n": 3}, "alpha": 1, "beta": 2, "lambda": 1.0}
+    path = write_instance(tmp_path, "desk.json", doc)
+    assert main(["verify", str(path), "--gamma", "1.0"] + flags) == 0
+    assert len(calls) == 1
 
 
 def test_verify_skips_ergodicity_without_strictness(tmp_path, capsys):
@@ -602,6 +649,15 @@ def test_reproduce_smoke_table_one(tmp_path, capsys):
     assert cells["lambda_mean"]["reference"] == pytest.approx(0.6667)
     assert cells["lambda_mean"]["simulated"] == pytest.approx(0.6667, abs=0.01)
     assert payload["columns"]["k_a=0"]["completed_runs"] == 2
+
+
+def test_reproduce_rejects_workers_below_one(tmp_path, capsys):
+    out = tmp_path / "rep"
+    code = main(["reproduce", "3", "--replications", "1", "--out", str(out),
+                 "--workers", "0"])
+    assert code == 1
+    assert_one_error_line(capsys.readouterr())
+    assert not out.exists()
 
 
 # ------------------------------------------------------------------- usage

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -298,6 +299,38 @@ def test_matching_on_a_long_line_needs_no_recursion():
     inst = make(build_line(2000), (1,) * 2000, (1,) * 2000)
     assert check_feasible_matching(inst).feasible
     assert check_feasible_flow(inst).feasible
+
+
+def chain_instance(m):
+    # Users i < m store into resources 2m-i-1 and 2m-i; user 2m+1 stores only
+    # into resource m, which user m-1 fills first, so the last augmenting
+    # path walks back through every user and resource: 1,202 units in all.
+    n = 2 * m + 2
+    edges = {(i, 2 * m - i - 1) for i in range(m)} | {(i, 2 * m - i) for i in range(m)}
+    topo = Topology(n, frozenset(edges | {(2 * m + 1, m)}))
+    alpha = (1,) * m + (0,) * (m + 1) + (1,)
+    beta = (0,) * m + (1,) * (m + 1) + (0,)
+    return make(topo, alpha, beta)
+
+
+def test_flow_on_a_long_augmenting_path_needs_no_recursion():
+    inst = chain_instance(600)
+    assert check_feasible_flow(inst).feasible
+    assert check_feasible_matching(inst).feasible  # 1,202 atom-graph nodes
+    verdict = check_strict(inst)  # demand equals capacity: tight, not strict
+    assert not verdict.feasible
+    assert witness_violates(inst, verdict.witness, strict=True)
+
+
+def test_flow_time_does_not_grow_with_capacity():
+    big = 10**30
+    inst = make(build_complete(2), (big, big), (big, big))
+    start = time.perf_counter()
+    assert check_feasible_flow(inst).feasible
+    verdict = check_strict(inst)
+    assert time.perf_counter() - start < 1.0
+    assert not verdict.feasible
+    assert witness_violates(inst, verdict.witness, strict=True)
 
 
 def test_matching_counts_uncovered_atoms():

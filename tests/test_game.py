@@ -476,25 +476,6 @@ def test_adversarial_move_stream_never_corrupts_state():
             state.validate(inst)
 
 
-# -------------------------------------------------------------- snapshots
-
-
-def test_snapshot_round_trip():
-    inst = make(build_complete(3), (2, 1, 0), (2, 2, 2), (0.5, 0.8, 0.5))
-    state = AllocationState.from_entries(inst, [(0, 1, 2), (1, 2, 1)])
-    snap = game.state_to_snapshot(inst, state)
-    again = game.state_from_snapshot(inst, snap)
-    assert again.key() == state.key()
-
-
-def test_snapshot_fingerprint_mismatch():
-    inst = make(build_complete(3), (2, 1, 0), (2, 2, 2), (0.5, 0.8, 0.5))
-    other = make(build_complete(3), (2, 1, 1), (2, 2, 2), (0.5, 0.8, 0.5))
-    snap = game.state_to_snapshot(inst, AllocationState.zeros(inst))
-    with pytest.raises(ValueError):
-        game.state_from_snapshot(other, snap)
-
-
 def test_params_validation():
     with pytest.raises(ValueError):
         GameParams(k_c=-1.0, k_a=0.0)

@@ -4,7 +4,9 @@ The oracle side enumerates every full allocation state, builds the exact
 one-step transition kernel of the relocation chain, and checks the
 closed-form stationary law (combinatorial weight times the exponential of
 the potential) against it: detailed balance pair by pair, stationarity
-residual, support connectivity, and long-run occupancy.
+residual, support connectivity, and long-run occupancy.  It works on
+arrays over all states at once: a state is coded by how each unit splits
+its atoms over its out-neighbours, and the kernel is a CSR matrix.
 
 The metrics side turns a finished run into the standard report: moves per
 atom, satisfaction, per-class congestion, support-subgraph degrees, and
@@ -14,17 +16,20 @@ the global utility ratio.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from itertools import combinations_with_replacement, groupby, islice
+from collections.abc import Sequence
+from dataclasses import dataclass
+from itertools import islice
+from typing import NamedTuple
 
 import numpy as np
 
 from . import dynamics, game
-from .game import TIE_TOL, AllocationState, GameParams, _check_gamma, _choice, _gibbs_weights
+from .game import TIE_TOL, AllocationState, GameParams, _check_gamma, _resources
 from .topology import Instance
 
 __all__ = [
     "EmpiricalResult",
+    "Kernel",
     "MetricsReport",
     "StateSpaceOracle",
     "StateSpaceTooLarge",
@@ -46,44 +51,143 @@ __all__ = [
 ]
 
 STATE_SPACE_LIMIT = 1_000_000
+_BLOCK = 1 << 11  # states per block of array work: bounds the temporaries, and so the peak RSS
 
 
 class StateSpaceTooLarge(ValueError):
     """Estimated number of full states exceeds the enumeration guard."""
 
 
+class _Splits:
+    """The splits of one unit's atoms over its out-neighbours (its slots),
+    one row of ``counts`` each, the largest count in the first slot first.
+
+    A split's index in that order is its rank: the sum over slots j >= 1 of
+    comb(R_j + d - j - 1, d - j), where R_j counts the atoms in slot j and
+    after.  Moving one atom from slot k to slot l raises every R_j with
+    k < j <= l by one, or lowers every R_j with l < j <= k, so the moved
+    split's index is the split's own plus a difference of two prefix sums
+    over j of the term changes: of ``_up`` when k < l, of ``_down`` when
+    k > l.
+    """
+
+    def __init__(self, out: tuple[int, ...], a: int) -> None:
+        d = len(out)
+        self.out = np.array(out, dtype=np.intp)
+        counts, left = np.zeros((1, 0), dtype=np.int64), np.array([a])
+        for _ in range(d - 1):  # each prefix with `left` atoms to go takes left, ..., 0 next
+            reps = left + 1
+            left = np.repeat(left, reps)
+            c = left - np.arange(len(left)) + np.repeat(np.cumsum(reps) - reps, reps)
+            counts, left = np.column_stack([np.repeat(counts, reps, axis=0), c]), left - c
+        no_slot = np.zeros((int(a == 0), 0), np.int64)  # one empty split, or none
+        self.counts = np.column_stack([counts, left]) if d else no_slot
+        # _comb[j - 1, r] = comb(r + d - j - 1, d - j); a < len(self) when d >= 2.
+        comb = [[math.comb(r + d - j - 1, d - j) for r in range(a + 2)] for j in range(1, d)]
+        self._comb = np.array(comb, dtype=np.int64).reshape(max(d - 1, 0), a + 2)
+        cols, tails = np.arange(d - 1), self._tails(self.counts)
+        term, start = self._comb[cols, tails], np.zeros((len(self), 1), dtype=np.int64)
+        self._up = np.hstack([start, np.cumsum(self._comb[cols, tails + 1] - term, axis=1)])
+        fall = term - self._comb[cols, np.maximum(tails - 1, 0)]
+        self._down = np.hstack([start, np.cumsum(fall, axis=1)])
+
+    def __len__(self) -> int:
+        return len(self.counts)
+
+    @staticmethod
+    def _tails(counts: np.ndarray) -> np.ndarray:
+        # R_1, ..., R_{d-1} of each row.
+        return np.cumsum(counts[:, :0:-1], axis=1)[:, ::-1]
+
+    def rank(self, counts: np.ndarray) -> np.ndarray:
+        """Index of the split with each row of counts."""
+        return self._comb[np.arange(counts.shape[1] - 1), self._tails(counts)].sum(axis=1)
+
+    def moved(self, split: np.ndarray, k: int) -> np.ndarray:
+        """Index of each split after one atom moves from slot k to slot l,
+        one column per l (column k: the split itself)."""
+        up, down = self._up[split], self._down[split]
+        later = np.arange(len(self.out)) > k
+        return split[:, None] + np.where(later, up - up[:, k, None], down - down[:, k, None])
+
+
+class Kernel(NamedTuple):
+    """One-step kernel in CSR form: row i holds the columns
+    ``indices[indptr[i]:indptr[i + 1]]``, ascending, with their
+    probabilities in ``data``; a move taken with probability 0.0 (an
+    underflowed Gibbs weight) keeps its entry."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+
+    def row(self, i: int) -> dict[int, float]:
+        span = slice(self.indptr[i], self.indptr[i + 1])
+        return dict(zip(self.indices[span].tolist(), self.data[span].tolist()))
+
+    def row_sums(self) -> np.ndarray:
+        return np.add.reduceat(self.data, self.indptr[:-1])  # no row is empty
+
+
+class _Lazy(Sequence):
+    """A read-only sequence whose items are computed on access."""
+
+    def __init__(self, size: int, item) -> None:
+        self._size, self._item = size, item
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __getitem__(self, i):
+        if not -self._size <= i < self._size:
+            raise IndexError(i)
+        return self._item(i % self._size)
+
+
 @dataclass(eq=False)
 class StateSpaceOracle:
     """Exhaustive view of the full allocation states of one instance.
 
-    ``states`` holds canonical state keys (sorted nonzero (x, y, count)
-    triples); ``index`` maps each key, and ``code_index`` each state's
-    integer ``code``, to its position; ``transition`` (filled by
-    build_transition_matrix) holds one sparse row per state.
+    A state's code is the mixed radix of its units' split indices (place
+    values ``strides``, unit 0 the most significant).  ``codes`` holds the
+    states' codes in ascending order, the order of enumeration, and
+    ``load`` their loads, a row each; ``position`` maps every code to its
+    state's position, -1 where the splits overfill a resource.  ``states``
+    decodes the canonical key of a state (sorted nonzero (x, y, count)
+    triples) on access.  ``kernel`` (filled by build_transition_matrix)
+    holds the one-step kernel, and ``transition`` reads it one {j: p} row
+    at a time.
     """
 
     inst: Instance
-    states: list[tuple]
-    index: dict[tuple, int] = field(init=False)
-    code_weight: list[dict[int, int]] = field(init=False)
-    code_index: dict[int, int] = field(init=False)
-    transition: list[dict[int, float]] | None = field(init=False, default=None)
+    splits: list[_Splits]
+    strides: list[int]
+    codes: np.ndarray
+    load: np.ndarray
+    kernel: Kernel | None = None
 
     def __post_init__(self) -> None:
-        self.index = {key: i for i, key in enumerate(self.states)}
-        self.code_weight, radix = [], 1
-        for x, a in enumerate(self.inst.alpha):
-            out = self.inst.topology.out_neighbors(x)
-            self.code_weight.append({y: radix * (a + 1) ** k for k, y in enumerate(out)})
-            radix *= (a + 1) ** len(out)
-        self.code_index = {self.code(key): i for i, key in enumerate(self.states)}
+        self.position = np.full(math.prod(len(sp) for sp in self.splits), -1, dtype=np.int32)
+        self.position[self.codes] = np.arange(len(self.codes), dtype=np.int32)
+        self.states: Sequence[tuple] = _Lazy(len(self.codes), self._key)
 
     def __len__(self) -> int:
-        return len(self.states)
+        return len(self.codes)
 
-    def code(self, entries) -> int:
-        """Mixed-radix code over the edges (base alpha_x + 1): injective on states."""
-        return sum(c * self.code_weight[x][y] for x, y, c in entries)
+    @property
+    def transition(self) -> Sequence[dict[int, float]] | None:
+        return None if self.kernel is None else _Lazy(len(self), self.kernel.row)
+
+    def split_of(self, x: int, rows: slice = slice(None)) -> np.ndarray:
+        """Index of unit x's split in each state of ``rows``."""
+        return self.codes[rows] // self.strides[x] % len(self.splits[x])
+
+    def _key(self, i: int) -> tuple:
+        code, key = int(self.codes[i]), []
+        for x, (sp, stride) in enumerate(zip(self.splits, self.strides)):
+            counts = sp.counts[code // stride % len(sp)].tolist()
+            key += [(x, y, c) for y, c in zip(sp.out.tolist(), counts) if c]
+        return tuple(key)
 
 
 def state_from_key(inst: Instance, key: tuple) -> AllocationState:
@@ -91,16 +195,12 @@ def state_from_key(inst: Instance, key: tuple) -> AllocationState:
 
 
 def _estimate_states(inst: Instance) -> int:
+    # The product of the units' split counts, capacities ignored.
     estimate = 1
-    for x in range(inst.n):
+    for x, a in enumerate(inst.alpha):
         deg = len(inst.topology.out_neighbors(x))
-        a = inst.alpha[x]
-        if a == 0:
-            continue
-        if deg == 0:
-            return 0
-        estimate *= math.comb(a + deg - 1, deg - 1)
-        if estimate > STATE_SPACE_LIMIT:
+        estimate *= math.comb(a + deg - 1, a) if deg else int(a == 0)
+        if not 0 < estimate <= STATE_SPACE_LIMIT:
             return estimate
     return estimate
 
@@ -108,35 +208,35 @@ def _estimate_states(inst: Instance) -> int:
 def enumerate_states(inst: Instance) -> StateSpaceOracle:
     """Exhaustively enumerate the full allocation states.
 
-    The pre-check bounds the state count by the product of per-unit
-    placement counts (capacities ignored), so it never underestimates.
-    Unit by unit, each partial state takes every split of the unit's atoms
-    over its out-neighbours that fits the room left, the largest count on
-    the first out-neighbour first.
+    The pre-check bounds the state count by the product of per-unit split
+    counts (capacities ignored), so it never underestimates; the product
+    also bounds the codes.  Unit by unit, each partial state takes every
+    split of the unit's atoms that fits the room left, units with one split
+    first (they drop states without multiplying them); the states are
+    then sorted by code.
     """
     estimate = _estimate_states(inst)
     if estimate > STATE_SPACE_LIMIT:
         raise StateSpaceTooLarge(
             f"state space estimate {estimate} exceeds the limit {STATE_SPACE_LIMIT}"
         )
-    beta = inst.beta
-    partial = [((), (0,) * inst.n)]  # entries placed so far, and the load they make
-    for x in range(inst.n):
-        # Sorted picks of a target per atom, in lexicographic order, are the
-        # splits with the largest count on the first target first.
-        picks = combinations_with_replacement(inst.topology.out_neighbors(x), inst.alpha[x])
-        splits = [tuple((x, y, len(list(run))) for y, run in groupby(p)) for p in picks]
-        grown = []
-        for entries, load in partial:
-            for split in splits:
-                if all(load[y] + c <= beta[y] for _, y, c in split):
-                    new = list(load)
-                    for _, y, c in split:
-                        new[y] += c
-                    grown.append((entries + split, tuple(new)))
-        partial = grown
-    # Entries come out in (unit, out-neighbour) order: already sorted keys.
-    return StateSpaceOracle(inst, [entries for entries, _ in partial])
+    if estimate == 0:  # a unit with demand and no out-neighbour
+        empty = np.zeros((0, inst.n), np.int64)
+        return StateSpaceOracle(inst, [], [], empty[:, 0], empty)
+    splits = [_Splits(inst.topology.out_neighbors(x), a) for x, a in enumerate(inst.alpha)]
+    strides = [math.prod(len(sp) for sp in splits[x + 1 :]) for x in range(inst.n)]
+    cap = np.array(inst.beta, dtype=float)
+    code, load = np.zeros(1, dtype=np.int64), np.zeros((1, inst.n), dtype=np.int64)
+    for x in sorted(range(inst.n), key=lambda x: len(splits[x]) > 1):
+        sp = splits[x]
+        fits = np.ones((len(code), len(sp)), dtype=bool)
+        for k, y in enumerate(sp.out):
+            fits &= load[:, y, None] + sp.counts[:, k] <= cap[y]
+        state, s = np.nonzero(fits)
+        code, load = code[state] + s * strides[x], load[state]
+        load[:, sp.out] += sp.counts[s]
+    order = np.argsort(code)
+    return StateSpaceOracle(inst, splits, strides, code[order], load[order])
 
 
 def build_transition_matrix(
@@ -146,36 +246,84 @@ def build_transition_matrix(
 
     On full states every activation is a relocation, so both move-kind
     variants induce the same kernel; self-moves and saturation contribute
-    the diagonal.  Each neighbour state is found by its integer code.
-    Requires a finite positive gamma.
+    the diagonal.  For a block of states at a time, one set of array
+    operations per (unit, source slot) scores the unit's choice at every
+    state with atoms in that slot, with the arithmetic of ``game._choice``
+    and ``game._gibbs_weights`` in their order (math.exp, as np.exp may
+    differ by an ulp; the norm summed left to right), so each entry is the
+    float a state-by-state loop over them gives; the diagonal adds up in
+    (unit, source) order, as that loop would.  Requires a finite positive
+    gamma.
     """
     _check_gamma(gamma, finite=True)
-    inst = oracle.inst
-    total_alpha = inst.total_alpha
-    rows: list[dict[int, float]] = []
-    for i, key in enumerate(oracle.states):
-        state = state_from_key(inst, key)
-        code = oracle.code(key)
-        row_probs: dict[int, float] = {}
-        for x in range(inst.n):
-            a = inst.alpha[x]
-            if a == 0:
-                continue
-            p_wake = a / total_alpha
-            wx = oracle.code_weight[x]
-            for source, c in state.counts[x].items():
-                p_source = c / a
-                cands, utils = _choice(inst, params, state, x, source)
-                exps = _gibbs_weights(utils, gamma)
-                norm = sum(exps)
-                base = code - wx[source]
-                for y, w in zip(cands, exps):
-                    p = p_wake * p_source * w / norm
-                    j = i if y == source else oracle.code_index[base + wx[y]]
-                    row_probs[j] = row_probs.get(j, 0.0) + p
-        rows.append(row_probs or {i: 1.0})  # no demand: the chain stands still
-    oracle.transition = rows
+    inst, m = oracle.inst, len(oracle)
+    (lam, divisor), cap = _resources(inst), np.array(inst.beta, dtype=float)
+    sizes, indices, data = [np.zeros(1, np.int64)], [np.zeros(0, np.int32)], [np.zeros(0)]
+    for lo in range(0, m, _BLOCK):
+        rows = slice(lo, lo + _BLOCK)
+        codes, load = oracle.codes[rows], oracle.load[rows]
+        diag = np.full(len(codes), 0.0 if inst.total_alpha else 1.0)  # no demand: no move
+        row_ids, cols, probs = [np.arange(len(codes))], [np.arange(lo, lo + len(codes))], [diag]
+        for x, sp in enumerate(oracle.splits):
+            a, out = inst.alpha[x], sp.out
+            split = oracle.split_of(x, rows)
+            own = sp.counts[split]
+            for k in range(len(out) if a else 0):
+                at = np.flatnonzero(own[:, k])
+                extra = np.arange(len(out)) != k  # the self-move adds no atom
+                w = load[at][:, out] + extra
+                fits = w <= cap[out]
+                utils = lam[out] - params.k_c * w / divisor[out] + params.k_a * (own[at] + extra)
+                top = np.where(fits, utils, -np.inf).max(axis=1)
+                exponents = gamma * (utils - top[:, None])
+                values, inverse = np.unique(exponents[fits], return_inverse=True)
+                weights = np.zeros(utils.shape)
+                weights[fits] = np.array([math.exp(v) for v in values.tolist()])[inverse]
+                norm = weights[:, 0].copy()
+                for column in weights.T[1:]:
+                    norm += column
+                p = (a / inst.total_alpha * (own[at, k] / a))[:, None] * weights / norm[:, None]
+                diag[at] += p[:, k]
+                fits[:, k] = False
+                hit, slot = np.nonzero(fits)
+                step = (sp.moved(split[at], k) - split[at, None]) * oracle.strides[x]
+                moved = codes[at, None] + step
+                row_ids.append(at[hit])
+                cols.append(oracle.position[moved[hit, slot]])
+                probs.append(p[hit, slot])
+        row_ids, cols = np.concatenate(row_ids), np.concatenate(cols).astype(np.int32)
+        order = np.argsort(row_ids * m + cols)
+        sizes.append(np.bincount(row_ids))
+        indices.append(cols[order])
+        data.append(np.concatenate(probs)[order])
+    indptr = np.concatenate(sizes).cumsum()
+    oracle.kernel = Kernel(indptr, np.concatenate(indices), np.concatenate(data))
     return oracle
+
+
+def _kernel(oracle: StateSpaceOracle) -> Kernel:
+    if oracle.kernel is None:
+        raise ValueError("build the transition matrix first")
+    return oracle.kernel
+
+
+def _kernel_blocks(oracle: StateSpaceOracle):
+    # The kernel's entries a block of rows at a time: (row, column, probability).
+    indptr, indices, data = _kernel(oracle)
+    for lo in range(0, len(oracle), _BLOCK):
+        ptr = indptr[lo : lo + _BLOCK + 1]
+        span = slice(ptr[0], ptr[-1])
+        yield np.repeat(np.arange(lo, lo + len(ptr) - 1), np.diff(ptr)), indices[span], data[span]
+
+
+def _over_states(oracle: StateSpaceOracle, quantity) -> np.ndarray:
+    # quantity((load, counts)) of every state, a block at a time (see game._bulk).
+    values = [np.zeros(0)]
+    for lo in range(0, len(oracle), _BLOCK):
+        rows = slice(lo, lo + _BLOCK)
+        counts = [sp.counts[oracle.split_of(x, rows)] for x, sp in enumerate(oracle.splits)]
+        values.append(quantity((oracle.load[rows], np.hstack(counts))))
+    return np.concatenate(values)
 
 
 def stationary_exact(
@@ -189,14 +337,12 @@ def stationary_exact(
     """
     _check_gamma(gamma, finite=True)
     inst = oracle.inst
-    if not oracle.states:
+    if not len(oracle):
         raise ValueError("the instance has no full allocation state: it is infeasible")
-    logs = np.empty(len(oracle.states))
-    for i, key in enumerate(oracle.states):
-        state = state_from_key(inst, key)
-        logs[i] = game.log_multinomial_weight(inst, state) + gamma * game.potential(
-            inst, params, state
-        )
+    logs = _over_states(
+        oracle,
+        lambda s: game.log_multinomial_weight(inst, s) + gamma * game.potential(inst, params, s),
+    )
     logs -= logs.max()
     weights = np.exp(logs)
     return weights / weights.sum()
@@ -204,48 +350,44 @@ def stationary_exact(
 
 def stationarity_residual(oracle: StateSpaceOracle, mu: np.ndarray) -> float:
     """Max-norm of mu P - mu."""
-    if oracle.transition is None:
-        raise ValueError("build the transition matrix first")
-    out = -mu.copy()
-    for i, row in enumerate(oracle.transition):
-        mi = mu[i]
-        for j, p in row.items():
-            out[j] += mi * p
-    return float(np.abs(out).max())
+    flow = -mu
+    for i, j, p in _kernel_blocks(oracle):
+        flow += np.bincount(j, mu[i] * p, minlength=len(mu))
+    return float(np.abs(flow).max())
 
 
 def detailed_balance_max_violation(oracle: StateSpaceOracle, mu: np.ndarray) -> float:
-    """Max over transition pairs of |mu_i P_ij - mu_j P_ji|."""
-    if oracle.transition is None:
-        raise ValueError("build the transition matrix first")
+    """Max over transition pairs of |mu_i P_ij - mu_j P_ji|, each P_ji
+    found by one sorted search over the entries' (row, column) keys."""
+    m = len(oracle)
+    keys = [np.zeros(0, np.int64), *(i * m + j for i, j, _ in _kernel_blocks(oracle))]
+    keys = np.concatenate(keys)
     worst = 0.0
-    for i, row in enumerate(oracle.transition):
-        for j, p in row.items():
-            if j == i:
-                continue
-            back = oracle.transition[j].get(i, 0.0)
-            gap = abs(mu[i] * p - mu[j] * back)
-            if gap > worst:
-                worst = gap
+    for i, j, p in _kernel_blocks(oracle):
+        back = j * np.int64(m) + i
+        order = np.argsort(back)  # sorted needles make the search far faster
+        i, j, p, back = i[order], j[order], p[order], back[order]
+        where = np.minimum(np.searchsorted(keys, back), len(keys) - 1)
+        p_back = np.where(keys[where] == back, oracle.kernel.data[where], 0.0)
+        worst = max(worst, float(np.abs(mu[i] * p - mu[j] * p_back)[i != j].max(initial=0.0)))
     return worst
 
 
 def is_support_connected(oracle: StateSpaceOracle) -> bool:
-    """Whether the transition support graph on full states is one component."""
-    if oracle.transition is None:
-        raise ValueError("build the transition matrix first")
-    m = len(oracle.states)
-    if m <= 1:
-        return True
-    seen = {0}
-    stack = [0]
-    while stack:
-        i = stack.pop()
-        for j in oracle.transition[i]:
-            if j not in seen:
-                seen.add(j)
-                stack.append(j)
-    return len(seen) == m
+    """Whether the transition support graph on full states is one component
+    (every state reachable from the first), by a frontier search."""
+    indptr, indices, _ = _kernel(oracle)
+    seen = np.zeros(len(oracle), dtype=bool)
+    frontier = np.zeros(min(len(oracle), 1), dtype=np.int64)
+    seen[frontier] = True
+    while frontier.size:
+        starts, sizes = indptr[frontier], indptr[frontier + 1] - indptr[frontier]
+        offsets = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        reached = indices[np.repeat(starts, sizes) + offsets]
+        reached = np.sort(reached[~seen[reached]])  # not np.unique: its hash path costs MBs
+        frontier = reached[np.diff(reached, prepend=-1) != 0]
+        seen[frontier] = True
+    return bool(seen.all())
 
 
 def total_variation(p: np.ndarray, q: np.ndarray) -> float:
@@ -303,35 +445,51 @@ def empirical_distribution(
     else:
         raise ValueError(f"the dynamics did not place every atom within {cap} steps")
     next(islice(stream, burn_in, burn_in), None)  # discard burn_in steps
-    code = oracle.code(state.key())
-    w, code_index = oracle.code_weight, oracle.code_index
-    counts = np.zeros(len(oracle.states))
+    # Per step the sampler moves the cheapest running code, a place value
+    # per edge (base alpha_x + 1), and tallies it in a dict; the codes it
+    # saw turn into slot counts, split codes and positions once at the end.
+    weights, radix = [], 1
+    for x, a in enumerate(inst.alpha):
+        out = inst.topology.out_neighbors(x)
+        weights.append({y: radix * (a + 1) ** k for k, y in enumerate(out)})
+        radix *= (a + 1) ** len(out)
+    code = sum(c * weights[x][y] for x, y, c in state.key())
+    tally: dict[int, int] = {}
     for _t, x, (source, dest) in islice(stream, steps):  # relocations only
-        code += w[x][dest] - w[x][source]
-        counts[code_index[code]] += 1
+        code += weights[x][dest] - weights[x][source]
+        tally[code] = tally.get(code, 0) + 1
+    seen, split_code = np.array(list(tally), dtype=np.int64 if radix < 2**63 else object), 0
+    for wx, a, sp, stride in zip(weights, inst.alpha, oracle.splits, oracle.strides):
+        digits = np.array([seen // w % (a + 1) for w in wx.values()], dtype=np.int64)
+        split_code = split_code + sp.rank(digits.reshape(len(wx), len(seen)).T) * stride
+    counts = np.zeros(len(oracle))
+    counts[oracle.position[split_code]] = list(tally.values())
     freqs = counts / steps
     return EmpiricalResult(freqs, mu, total_variation(freqs, mu), steps)
 
 
-def _argmax_states(oracle: StateSpaceOracle, value) -> tuple[float, list[tuple]]:
-    # Exact maximum of value(state) over full states, with the keys within TIE_TOL of it.
-    values = [value(state_from_key(oracle.inst, key)) for key in oracle.states]
-    best = max(values, default=-math.inf)
-    return best, [key for key, v in zip(oracle.states, values) if v >= best - TIE_TOL]
+def _argmax_states(oracle: StateSpaceOracle, values: np.ndarray) -> tuple[float, list[tuple]]:
+    # The maximum of values over full states, with the keys within TIE_TOL of it.
+    best = float(values.max(initial=-math.inf))
+    return best, [oracle.states[i] for i in np.flatnonzero(values >= best - TIE_TOL)]
 
 
 def max_potential_bruteforce(
     oracle: StateSpaceOracle, params: GameParams
 ) -> tuple[float, list[tuple]]:
     """Exact maximum of the potential over full states, with argmax keys."""
-    return _argmax_states(oracle, lambda s: game.potential(oracle.inst, params, s))
+    return _argmax_states(
+        oracle, _over_states(oracle, lambda s: game.potential(oracle.inst, params, s))
+    )
 
 
 def max_global_utility_bruteforce(
     oracle: StateSpaceOracle, params: GameParams
 ) -> tuple[float, list[tuple]]:
     """Exact maximum of the global utility over full states."""
-    return _argmax_states(oracle, lambda s: game.global_utility(oracle.inst, params, s))
+    return _argmax_states(
+        oracle, _over_states(oracle, lambda s: game.global_utility(oracle.inst, params, s))
+    )
 
 
 def greedy_utility_bound(inst: Instance, params: GameParams) -> float:

@@ -19,6 +19,7 @@ import json
 import math
 import os
 import sys
+import time
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -174,7 +175,8 @@ def _run_rows(configs: list[SimConfig], workers: int):
     steps_to_completion, then the metrics."""
     if workers < 1:
         raise ValueError(f"--workers must be at least 1, got {workers}")
-    if workers > 1 and len(configs) > 1:
+    workers = min(workers, len(configs), os.cpu_count() or 1)  # never more processes than runs
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_run_one, configs))
     else:
@@ -350,27 +352,31 @@ def cmd_verify(args) -> int:
             )
         )
     else:
-        oracle = analysis.enumerate_states(inst)
+        seconds = report["seconds"] = {}
+
+        def timed(stage, fn, *args, **kwargs):
+            start = time.perf_counter()
+            result = fn(*args, **kwargs)
+            seconds[stage] = time.perf_counter() - start
+            return result
+
+        oracle = timed("enumerate", analysis.enumerate_states, inst)
         report["num_states"] = len(oracle)
-        analysis.build_transition_matrix(oracle, params, gamma)
-        rows_ok = all(abs(sum(row.values()) - 1.0) <= 1e-12 for row in oracle.transition)
+        kernel = timed("kernel", analysis.build_transition_matrix, oracle, params, gamma).kernel
+        report["kernel_nnz"] = len(kernel.data)
+        rows_ok = bool((abs(kernel.row_sums() - 1.0) <= 1e-12).all())
         checks.append(("kernel rows sum to 1", rows_ok, "tolerance 1e-12"))
         strict = feasibility.check_strict(inst)
         report["strict"] = strict.feasible
-        emp = None  # the empirical check computes the stationary law too
-        if args.empirical_steps > 0:
-            emp = analysis.empirical_distribution(
-                oracle, params, gamma, steps=args.empirical_steps, seed=args.seed
-            )
-        mu = emp.stationary if emp else analysis.stationary_exact(oracle, params, gamma)
-        balance = analysis.detailed_balance_max_violation(oracle, mu)
-        residual = analysis.stationarity_residual(oracle, mu)
+        mu = timed("stationary", analysis.stationary_exact, oracle, params, gamma)
+        balance = timed("balance", analysis.detailed_balance_max_violation, oracle, mu)
+        residual = timed("residual", analysis.stationarity_residual, oracle, mu)
         report["detailed_balance_max_violation"] = balance
         report["stationarity_residual"] = residual
         checks.append(("detailed balance", balance <= 1e-10, f"max violation {balance:.3e}"))
         checks.append(("stationarity", residual <= 1e-10, f"residual {residual:.3e}"))
         if strict.feasible:
-            connected = analysis.is_support_connected(oracle)
+            connected = timed("connectivity", analysis.is_support_connected, oracle)
             report["support_connected"] = connected
             checks.append(("ergodicity (support connected)", connected, ""))
         else:
@@ -382,7 +388,12 @@ def cmd_verify(args) -> int:
                     "connectivity of the full state space is not guaranteed",
                 )
             )
-        if emp:
+        if args.empirical_steps > 0:
+            emp = timed(
+                "empirical",
+                analysis.empirical_distribution,
+                oracle, params, gamma, steps=args.empirical_steps, seed=args.seed,
+            )
             report["empirical_tv"] = emp.tv_distance
             note = f"TV {emp.tv_distance:.4f} (tolerance {args.empirical_tol})"
             unvisited = int((emp.frequencies == 0).sum())

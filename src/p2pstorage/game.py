@@ -5,12 +5,16 @@ unit keeps in each resource.  On top of it live the per-move utility, the
 exact potential whose increments equal utility increments, the Gibbs
 choice distribution used by the noisy best response, the Nash test, and
 the combinatorial weight that appears in the stationary distribution.
+The potential, the global utility and the log weight take one state or
+the arrays of many.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .topology import Instance
 
@@ -29,7 +33,6 @@ __all__ = [
     "global_utility",
     "is_nash",
     "log_multinomial_weight",
-    "multinomial_weight",
     "potential",
     "utility",
 ]
@@ -272,22 +275,18 @@ def utility(inst: Instance, params: GameParams, state: AllocationState, x: int, 
     return utils[cands.index(y)]
 
 
-def potential(inst: Instance, params: GameParams, state: AllocationState) -> float:
+def potential(inst: Instance, params: GameParams, state):
     """Exact potential: any single-atom move changes it by exactly the
-    mover's utility change (see the identity test in the suite)."""
-    total = 0.0
-    for y in range(inst.n):
-        w = state.load[y]
-        total += (w + 1) * inst.reliability[y]
-        if w:
-            total -= params.k_c * (w * (w + 1) / 2.0) / inst.beta[y]
-    if params.k_a:
-        triangular = 0
-        for row in state.counts:
-            for c in row.values():
-                triangular += c * (c + 1)
-        total += params.k_a * triangular / 2.0
-    return total
+    mover's utility change (see the identity test in the suite).  Per
+    resource, (load + 1) times its reliability less k_c times the triangular
+    number of its load over its capacity; plus k_a times the sum of the
+    triangular numbers of the counts.  ``state`` is an AllocationState
+    (gives a float) or the arrays of many states (see ``_bulk``)."""
+    load, counts, single = _bulk(state)
+    lam, beta = _resources(inst)
+    total = ((load + 1) * lam - params.k_c * (load * (load + 1) / 2.0) / beta).sum(axis=-1)
+    total = total + params.k_a * (counts * (counts + 1)).sum(axis=-1) / 2.0
+    return float(total[0]) if single else total
 
 
 def available_resources(inst: Instance, state: AllocationState, x: int) -> list[int]:
@@ -338,39 +337,42 @@ def is_nash(inst: Instance, params: GameParams, state: AllocationState) -> bool:
     return True
 
 
-def global_utility(inst: Instance, params: GameParams, state: AllocationState) -> float:
+def global_utility(inst: Instance, params: GameParams, state):
     """Sum over stored atoms of the owner's utility for where they sit,
     summed per resource: load * (reliability - k_c * fill fraction), plus
-    k_a times the sum of squared counts."""
-    total = 0.0
-    for y in range(inst.n):
-        w = state.load[y]
-        if w:
-            total += w * (inst.reliability[y] - params.k_c * w / inst.beta[y])
-    if params.k_a:
-        total += params.k_a * sum(c * c for row in state.counts for c in row.values())
-    return total
+    k_a times the sum of squared counts.  ``state`` as for ``potential``."""
+    load, counts, single = _bulk(state)
+    lam, beta = _resources(inst)
+    total = (load * (lam - params.k_c * load / beta)).sum(axis=-1)
+    total = total + params.k_a * (counts * counts).sum(axis=-1)
+    return float(total[0]) if single else total
 
 
-def multinomial_weight(inst: Instance, state: AllocationState) -> int:
-    """Number of atom-labelled allocations collapsing to this state:
-    prod_x alpha_x! / prod_(x,y) W_xy!  (exact big integer)."""
-    numerator = 1
-    for a in inst.alpha:
-        numerator *= math.factorial(a)
-    denominator = 1
-    for row in state.counts:
-        for c in row.values():
-            denominator *= math.factorial(c)
-    return numerator // denominator
+def log_multinomial_weight(inst: Instance, state):
+    """Log of the number of atom-labelled allocations collapsing to a state:
+    log(prod_x alpha_x! / prod_(x,y) W_xy!).  ``state`` as for ``potential``."""
+    _load, counts, single = _bulk(state)
+    values, inverse = np.unique(counts, return_inverse=True)
+    lgammas = np.array([math.lgamma(c + 1) for c in values.tolist()])
+    total = sum(math.lgamma(a + 1) for a in inst.alpha) - lgammas[
+        inverse.reshape(counts.shape)
+    ].sum(axis=-1)
+    return float(total[0]) if single else total
 
 
-def log_multinomial_weight(inst: Instance, state: AllocationState) -> float:
-    total = 0.0
-    for a in inst.alpha:
-        total += math.lgamma(a + 1)
-    for row in state.counts:
-        for c in row.values():
-            total -= math.lgamma(c + 1)
-    return total
+def _bulk(state) -> tuple[np.ndarray, np.ndarray, bool]:
+    """The arrays the closed-form quantities take, and whether they hold one
+    AllocationState: ``state`` is one, or a (load, counts) pair with a row
+    per state: ``load`` the atoms held by each resource, ``counts`` the
+    atoms of each (unit, resource) pair, in any order, zeros allowed."""
+    if isinstance(state, AllocationState):
+        counts = [c for row in state.counts for c in row.values()]
+        return np.array([state.load]), np.array([counts], dtype=np.int64), True
+    load, counts = state
+    return load, counts, False
 
+
+def _resources(inst: Instance) -> tuple[np.ndarray, np.ndarray]:
+    # Reliabilities, and capacities as divisors: a resource of capacity 0
+    # holds nothing, so it may divide by 1.
+    return np.array(inst.reliability), np.array([b or 1 for b in inst.beta], dtype=float)

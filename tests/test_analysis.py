@@ -1,13 +1,13 @@
 import math
 import random
-from itertools import islice
+from itertools import combinations_with_replacement, islice
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from p2pstorage import dynamics, feasibility, game
+from p2pstorage import analysis, dynamics, feasibility, game
 from p2pstorage.analysis import (
     StateSpaceTooLarge,
     build_transition_matrix,
@@ -56,7 +56,7 @@ DESK_INSTANCES = [
 def test_enumerate_forced_single_state():
     inst = make(build_complete(2), (1, 1), (1, 1), (1.0, 1.0))
     oracle = enumerate_states(inst)
-    assert oracle.states == [((0, 1, 1), (1, 0, 1))]
+    assert list(oracle.states) == [((0, 1, 1), (1, 0, 1))]
 
 
 def test_enumerate_eight_states():
@@ -79,7 +79,7 @@ def test_enumerate_directed_ring_has_one_state():
     n = 400
     ring = Topology(n, frozenset((x, (x + 1) % n) for x in range(n)))
     oracle = enumerate_states(make(ring, (1,) * n, (1,) * n, (1.0,) * n))
-    assert oracle.states == [tuple((x, (x + 1) % n, 1) for x in range(n))]
+    assert list(oracle.states) == [tuple((x, (x + 1) % n, 1) for x in range(n))]
 
 
 def test_no_full_state_is_a_typed_error():
@@ -119,7 +119,7 @@ def test_kernel_single_state_space():
     inst = make(build_complete(2), (1, 1), (1, 1), (1.0, 1.0))
     oracle = enumerate_states(inst)
     build_transition_matrix(oracle, GameParams(1.0, 0.0), 1.0)
-    assert oracle.transition == [{0: 1.0}]
+    assert list(oracle.transition) == [{0: 1.0}]
 
 
 def test_kernel_symmetric_instance_uniform_stationary():
@@ -141,7 +141,7 @@ def test_kernel_entry_matches_hand_formula():
     build_transition_matrix(oracle, params, gamma)
     w = AllocationState.from_entries(inst, [(0, 1, 1), (1, 0, 1), (2, 0, 1)])
     w2 = AllocationState.from_entries(inst, [(0, 2, 1), (1, 0, 1), (2, 0, 1)])
-    i, j = oracle.index[w.key()], oracle.index[w2.key()]
+    i, j = oracle.states.index(w.key()), oracle.states.index(w2.key())
     # unit 0 wakes with probability 1/3, its single pile is the source:
     # candidates after removing it are resources 1 and 2, each then
     # holding one atom of 2 (its own, for aggregation)
@@ -164,6 +164,24 @@ def test_detailed_balance_and_residual_on_desk_instances():
         assert detailed_balance_max_violation(oracle, mu) <= 1e-10
         assert stationarity_residual(oracle, mu) <= 1e-10
         assert is_support_connected(oracle)
+
+
+@pytest.mark.parametrize("block", [1, 7])
+def test_blocks_of_states_change_no_result(monkeypatch, block):
+    # The oracle works a block of states at a time; tiny blocks cut every
+    # row range, and the kernel, the law and the checks come out the same.
+    inst, params, gamma = DESK_INSTANCES[-1]
+    whole = build_transition_matrix(enumerate_states(inst), params, gamma)
+    mu = stationary_exact(whole, params, gamma)
+    monkeypatch.setattr(analysis, "_BLOCK", block)
+    split = build_transition_matrix(enumerate_states(inst), params, gamma)
+    for a, b in zip(whole.kernel, split.kernel):
+        assert np.array_equal(a, b)
+    assert np.array_equal(stationary_exact(split, params, gamma), mu)
+    assert stationarity_residual(split, mu) == pytest.approx(stationarity_residual(whole, mu))
+    assert detailed_balance_max_violation(split, mu) == detailed_balance_max_violation(whole, mu)
+    assert is_support_connected(split)
+    assert max_potential_bruteforce(split, params) == max_potential_bruteforce(whole, params)
 
 
 @pytest.mark.filterwarnings("error")
@@ -193,8 +211,8 @@ def test_stationary_concentrates_on_potential_argmax():
     _best, argmax = max_potential_bruteforce(oracle, params)
     weights = np.zeros(len(oracle))
     for key in argmax:
-        weights[oracle.index[key]] = game.multinomial_weight(
-            inst, state_from_key(inst, key)
+        weights[oracle.states.index(key)] = math.exp(
+            game.log_multinomial_weight(inst, state_from_key(inst, key))
         )
     limit = weights / weights.sum()
     assert total_variation(mu, limit) < 0.01
@@ -265,25 +283,94 @@ def small_oracles(draw):
 @settings(max_examples=100, deadline=None)
 @given(small_oracles())
 def test_state_codes_index_the_states(oracle):
-    # The mixed radix written out: edges unit by unit in out-neighbour
-    # order, each weight the previous one times alpha + 1 of its unit.
+    # A unit's splits, listed the largest count first, written out with
+    # itertools; the code is the mixed radix over them, unit 0 first, and
+    # the position of every code is its state's.
     inst = oracle.inst
-    weight, radix = {}, 1
+    splits = []
     for x in range(inst.n):
-        for y in inst.topology.out_neighbors(x):
-            weight[x, y] = radix
-            radix *= inst.alpha[x] + 1
-    assert len(oracle.code_index) == len(oracle.states)
+        out = inst.topology.out_neighbors(x)
+        picks = combinations_with_replacement(range(len(out)), inst.alpha[x])
+        splits.append([tuple(p.count(k) for k in range(len(out))) for p in picks])
+    assert [[tuple(row) for row in sp.counts.tolist()] for sp in oracle.splits] == splits
+    codes = []
     for key in oracle.states:
-        code = sum(c * weight[x, y] for x, y, c in key)
-        assert oracle.code(key) == code
-        assert oracle.code_index[code] == oracle.index[key]
+        code = 0
+        for x, table in enumerate(splits):
+            row = {y: c for u, y, c in key if u == x}
+            out = inst.topology.out_neighbors(x)
+            code = code * len(table) + table.index(tuple(row.get(y, 0) for y in out))
+        codes.append(code)
+    assert codes == sorted(set(codes)) == oracle.codes.tolist()
+    assert oracle.position[codes].tolist() == list(range(len(oracle)))
+    assert (oracle.position >= 0).sum() == len(oracle)
+    for x, (sp, table) in enumerate(zip(oracle.splits, splits)):
+        # Moving one atom from slot k to slot l, by the split tables.
+        for s, counts in enumerate(table):
+            for k in range(len(counts)):
+                if counts[k]:
+                    moved = sp.moved(np.array([s]), k)[0].tolist()
+                    for l in range(len(counts)):
+                        after = list(counts)
+                        after[k] -= 1
+                        after[l] += 1
+                        assert moved[l] == table.index(tuple(after))
+
+
+def _kernel_row_by_state(oracle, params, gamma, i):
+    # Row i of the kernel, built from game.gibbs_choice_distribution: wake a
+    # unit, pick one of its atoms, then draw its destination.
+    inst = oracle.inst
+    state = state_from_key(inst, oracle.states[i])
+    row = {}
+    for x, a in enumerate(inst.alpha):
+        for source, c in sorted(state.counts[x].items()):
+            dist = game.gibbs_choice_distribution(inst, params, state, x, gamma, source=source)
+            for dest, p in dist.items():
+                moved = state.copy()
+                moved._shift(x, source, dest)
+                j = oracle.states.index(moved.key())
+                row[j] = row.get(j, 0.0) + a / inst.total_alpha * c / a * p
+    return row or {i: 1.0}
+
+
+_PARAMS = st.sampled_from([GameParams(0.0, 0.0), GameParams(1.0, 0.0), GameParams(1.0, 0.45)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_oracles(), _PARAMS, st.sampled_from([0.7, 1.3, 3.0, 2000.0]))
+def test_kernel_rows_equal_the_rows_built_state_by_state(oracle, params, gamma):
+    # At gamma 2000 some Gibbs weights underflow to 0.0: those entries stay.
+    build_transition_matrix(oracle, params, gamma)
+    for i, row in enumerate(oracle.transition):
+        expected = _kernel_row_by_state(oracle, params, gamma, i)
+        assert sorted(row) == sorted(expected)
+        assert all(type(j) is int and type(p) is float for j, p in row.items())
+        for j, p in expected.items():
+            assert row[j] == pytest.approx(p, rel=1e-12, abs=0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_oracles(), _PARAMS, st.sampled_from([0.7, 1.3, 3.0]))
+def test_stationary_law_equals_the_per_state_recompute(oracle, params, gamma):
+    assume(len(oracle))
+    inst = oracle.inst
+    logs = []
+    for key in oracle.states:
+        state = state_from_key(inst, key)
+        logs.append(
+            game.log_multinomial_weight(inst, state) + gamma * game.potential(inst, params, state)
+        )
+    top = max(logs)
+    weights = [math.exp(v - top) for v in logs]
+    expected = [w / sum(weights) for w in weights]
+    assert stationary_exact(oracle, params, gamma).tolist() == pytest.approx(expected, rel=1e-12)
 
 
 @settings(max_examples=100, deadline=None)
 @given(
     small_oracles(),
-    st.sampled_from([GameParams(0.0, 0.0), GameParams(1.0, 0.0), GameParams(1.0, 0.45)]),
+    _PARAMS,
     st.integers(0, 30),
     st.integers(1, 300),
     st.integers(0, 2**32),
@@ -314,9 +401,10 @@ def test_empirical_counts_equal_the_engine_states_counted_by_key(
         with pytest.raises(ValueError, match="did not place every atom"):
             empirical_distribution(oracle, params, 1.3, steps, burn_in, seed)
         return
+    index = {key: i for i, key in enumerate(oracle.states)}
     counts = np.zeros(len(oracle))
     for _t, state, _move in islice(stream, burn_in, burn_in + steps):
-        counts[oracle.index[state.key()]] += 1
+        counts[index[state.key()]] += 1
     result = empirical_distribution(oracle, params, 1.3, steps, burn_in, seed)
     assert np.array_equal(result.frequencies, counts / steps)
     assert np.array_equal(np.rint(result.frequencies * steps), counts)

@@ -263,6 +263,46 @@ def test_simulate_warns_on_infeasible(tmp_path, capsys):
     assert "infeasible" in capsys.readouterr().err
 
 
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers and runs the
+    map in this process, so no worker is ever started."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize(
+    "workers,cores,size",
+    [("5000", 8, 3), ("5000", 2, 2), ("2", 8, 2), ("5000", 1, None), ("5000", None, None)],
+    ids=["runs-bound", "cores-bound", "workers-bound", "one-core-serial", "unknown-cores-serial"],
+)
+def test_simulate_pool_is_bounded_by_runs_and_cores(tmp_path, monkeypatch, workers, cores, size):
+    # Three replications: never more processes than runs, or than cores.
+    from p2pstorage import cli
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cores)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec_doc(feasible_doc())))
+    out = tmp_path / "o"
+    assert main(["simulate", str(spec_path), "--out", str(out), "--workers", workers]) == 0
+    assert _RecordingPool.sizes == ([] if size is None else [size])
+    main(["simulate", str(spec_path), "--out", str(tmp_path / "serial"), "--workers", "1"])
+    assert (out / "runs.csv").read_bytes() == (tmp_path / "serial" / "runs.csv").read_bytes()
+
+
 @pytest.mark.parametrize("workers", ["0", "-2"])
 def test_simulate_rejects_workers_below_one(tmp_path, capsys, workers):
     spec_path = tmp_path / "spec.json"
@@ -449,6 +489,23 @@ def test_verify_desk_instance_passes(tmp_path, capsys):
     assert "PASS  stationarity" in out
     assert "PASS  ergodicity" in out
     assert "PASS  empirical occupancy" in out
+
+
+@pytest.mark.parametrize("flags", [[], ["--empirical-steps", "2000", "--empirical-tol", "1"]],
+                         ids=["exact", "empirical"])
+def test_verify_reports_kernel_size_and_stage_seconds(tmp_path, capsys, flags):
+    doc = {"generator": {"kind": "complete", "n": 3}, "alpha": 1, "beta": 2, "lambda": 1.0}
+    path = write_instance(tmp_path, "desk.json", doc)
+    assert main(["verify", str(path), "--gamma", "1.0"] + flags) == 0
+    out = capsys.readouterr().out
+    payload = json.loads(out[out.index("{"):])
+    # Eight states; from each, three units may each move their atom to the
+    # other out-neighbour (always room) or stay: 8 * (1 + 3) entries.
+    assert payload["num_states"] == 8
+    assert payload["kernel_nnz"] == 32
+    stages = {"enumerate", "kernel", "stationary", "balance", "residual", "connectivity"}
+    assert set(payload["seconds"]) == stages | ({"empirical"} if flags else set())
+    assert all(value >= 0 for value in payload["seconds"].values())
 
 
 @pytest.mark.parametrize("flags", [[], ["--empirical-steps", "2000", "--empirical-tol", "1"]],

@@ -342,22 +342,31 @@ def test_global_utility_full_congestion_cancels_reliability():
     assert game.global_utility(inst, GameParams(1.0, 0.0), state) == pytest.approx(0.0)
 
 
+def multinomial_weight(inst, state):
+    """Number of atom-labelled allocations collapsing to a state, as an
+    exact integer: prod_x alpha_x! / prod_(x,y) W_xy!."""
+    numerator = math.prod(math.factorial(a) for a in inst.alpha)
+    return numerator // math.prod(math.factorial(c) for row in state.counts for c in row.values())
+
+
 def test_multinomial_weight_unit_demands():
     inst = make(build_complete(3), (1, 1, 1), (2, 2, 2), (1.0,) * 3)
     state = AllocationState.from_entries(inst, [(0, 1, 1), (1, 2, 1), (2, 0, 1)])
-    assert game.multinomial_weight(inst, state) == 1
+    assert multinomial_weight(inst, state) == 1
+    assert game.log_multinomial_weight(inst, state) == pytest.approx(math.log(1))
 
 
 def test_multinomial_weight_split_pair():
     inst = make(build_complete(3), (2, 0, 0), (2, 2, 2), (1.0,) * 3)
     state = AllocationState.from_entries(inst, [(0, 1, 1), (0, 2, 1)])
-    assert game.multinomial_weight(inst, state) == 2
+    assert multinomial_weight(inst, state) == 2
+    assert game.log_multinomial_weight(inst, state) == pytest.approx(math.log(2))
 
 
 def test_multinomial_weight_four_choose_two():
     inst = make(build_complete(3), (4, 0, 0), (4, 4, 4), (1.0,) * 3)
     state = AllocationState.from_entries(inst, [(0, 1, 2), (0, 2, 2)])
-    assert game.multinomial_weight(inst, state) == 6
+    assert multinomial_weight(inst, state) == 6
     assert game.log_multinomial_weight(inst, state) == pytest.approx(math.log(6))
 
 

@@ -64,11 +64,7 @@ class _Splits:
 
     A split's index in that order is its rank: the sum over slots j >= 1 of
     comb(R_j + d - j - 1, d - j), where R_j counts the atoms in slot j and
-    after.  Moving one atom from slot k to slot l raises every R_j with
-    k < j <= l by one, or lowers every R_j with l < j <= k, so the moved
-    split's index is the split's own plus a difference of two prefix sums
-    over j of the term changes: of ``_up`` when k < l, of ``_down`` when
-    k > l.
+    after.
     """
 
     def __init__(self, out: tuple[int, ...], a: int) -> None:
@@ -82,33 +78,20 @@ class _Splits:
             counts, left = np.column_stack([np.repeat(counts, reps, axis=0), c]), left - c
         no_slot = np.zeros((int(a == 0), 0), np.int64)  # one empty split, or none
         self.counts = np.column_stack([counts, left]) if d else no_slot
-        # _comb[j - 1, r] = comb(r + d - j - 1, d - j); a < len(self) when d >= 2.
-        comb = [[math.comb(r + d - j - 1, d - j) for r in range(a + 2)] for j in range(1, d)]
-        self._comb = np.array(comb, dtype=np.int64).reshape(max(d - 1, 0), a + 2)
-        cols, tails = np.arange(d - 1), self._tails(self.counts)
-        term, start = self._comb[cols, tails], np.zeros((len(self), 1), dtype=np.int64)
-        self._up = np.hstack([start, np.cumsum(self._comb[cols, tails + 1] - term, axis=1)])
-        fall = term - self._comb[cols, np.maximum(tails - 1, 0)]
-        self._down = np.hstack([start, np.cumsum(fall, axis=1)])
+        # _comb[j - 1, r] = comb(r + d - j - 1, d - j), at most len(self).
+        comb = [[math.comb(r + d - j - 1, d - j) for r in range(a + 1)] for j in range(1, d)]
+        self._comb = np.array(comb, dtype=np.int64)
 
     def __len__(self) -> int:
         return len(self.counts)
 
-    @staticmethod
-    def _tails(counts: np.ndarray) -> np.ndarray:
-        # R_1, ..., R_{d-1} of each row.
-        return np.cumsum(counts[:, :0:-1], axis=1)[:, ::-1]
-
     def rank(self, counts: np.ndarray) -> np.ndarray:
         """Index of the split with each row of counts."""
-        return self._comb[np.arange(counts.shape[1] - 1), self._tails(counts)].sum(axis=1)
-
-    def moved(self, split: np.ndarray, k: int) -> np.ndarray:
-        """Index of each split after one atom moves from slot k to slot l,
-        one column per l (column k: the split itself)."""
-        up, down = self._up[split], self._down[split]
-        later = np.arange(len(self.out)) > k
-        return split[:, None] + np.where(later, up - up[:, k, None], down - down[:, k, None])
+        index, tail = np.zeros(len(counts), np.int64), np.zeros(len(counts), np.int64)
+        for j in range(counts.shape[1] - 1, 0, -1):
+            tail += counts[:, j]  # R_j
+            index += self._comb[j - 1, tail]
+        return index
 
 
 class Kernel(NamedTuple):
@@ -223,6 +206,11 @@ def enumerate_states(inst: Instance) -> StateSpaceOracle:
     if estimate == 0:  # a unit with demand and no out-neighbour
         empty = np.zeros((0, inst.n), np.int64)
         return StateSpaceOracle(inst, [], [], empty[:, 0], empty)
+    total = 0
+    for x, a in enumerate(inst.alpha):  # no load exceeds the total demand
+        total += a
+        if total > np.iinfo(np.int64).max:
+            raise ValueError(f"unit {x}'s demand {a} takes the total beyond 64-bit integers")
     splits = [_Splits(inst.topology.out_neighbors(x), a) for x, a in enumerate(inst.alpha)]
     strides = [math.prod(len(sp) for sp in splits[x + 1 :]) for x in range(inst.n)]
     cap = np.array(inst.beta, dtype=float)
@@ -267,7 +255,7 @@ def build_transition_matrix(
         for x, sp in enumerate(oracle.splits):
             a, out = inst.alpha[x], sp.out
             split = oracle.split_of(x, rows)
-            own = sp.counts[split]
+            own, eye = sp.counts[split], np.eye(len(out), dtype=np.int64)
             for k in range(len(out) if a else 0):
                 at = np.flatnonzero(own[:, k])
                 extra = np.arange(len(out)) != k  # the self-move adds no atom
@@ -286,10 +274,10 @@ def build_transition_matrix(
                 diag[at] += p[:, k]
                 fits[:, k] = False
                 hit, slot = np.nonzero(fits)
-                step = (sp.moved(split[at], k) - split[at, None]) * oracle.strides[x]
-                moved = codes[at, None] + step
-                row_ids.append(at[hit])
-                cols.append(oracle.position[moved[hit, slot]])
+                src = at[hit]
+                index = sp.rank(own[src] + eye[slot] - eye[k])  # one atom moved from k to slot
+                row_ids.append(src)
+                cols.append(oracle.position[codes[src] + (index - split[src]) * oracle.strides[x]])
                 probs.append(p[hit, slot])
         row_ids, cols = np.concatenate(row_ids), np.concatenate(cols).astype(np.int32)
         order = np.argsort(row_ids * m + cols)

@@ -10,13 +10,14 @@ of two steps per atom:
   table 4 - random 10-regular graph, aggregation 0.45, n = 50/100/1000
 
 Schedules: congestion-only presets (k_a = 0) anneal the Gibbs parameter
-to the cold regime, which crystallizes the capacity-forced optimum
-(trusted resources saturate exactly).  Aggregation presets (k_a > 0)
-run at bounded noise instead: annealing cold makes the aggregation bonus
-compound during allocation and collapses each unit onto 2-3 piles,
-far below the reference support degrees, while bounded gamma reproduces
-the published structure (and bounded noise is also what a live deployment
-would run to stay adaptive).
+from 1 at ``dynamics.default_increment`` per step to the cold regime,
+which crystallizes the capacity-forced optimum (trusted resources
+saturate exactly).  Aggregation presets (k_a > 0) run at bounded noise
+instead: annealing cold makes the aggregation bonus compound during
+allocation and collapses each unit onto 2-3 piles, far below the
+reference support degrees, while bounded gamma reproduces the published
+structure (and bounded noise is also what a live deployment would run to
+stay adaptive).
 
 Reference numbers are single-run values and carry no variance; treat
 comparisons as indicative bands, not exact targets.
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .dynamics import ALLOCATE_FIRST, GammaSchedule, SimConfig, default_horizon
+from .dynamics import ALLOCATE_FIRST, GammaSchedule, SimConfig, default_horizon, default_increment
 from .game import GameParams
 from .topology import Instance, build_complete, build_random_regular
 
@@ -187,17 +188,18 @@ def table_presets(table: int, replications: int | None = None, seed: int | None 
     return runs
 
 
-def preset_schedule(params: GameParams) -> GammaSchedule:
-    """Cold-annealed for congestion-only presets, bounded for aggregation."""
+def preset_schedule(inst: Instance, params: GameParams) -> GammaSchedule:
+    """Annealed from 1 at the instance's default rate for congestion-only
+    presets, bounded for aggregation."""
     if params.k_a > 0:
         return GammaSchedule.fixed(AGGREGATED_GAMMA)
-    return GammaSchedule.annealed(1.0)
+    return GammaSchedule(1.0, default_increment(inst))
 
 
 def make_configs(preset: PresetRun) -> list[SimConfig]:
     """Seeded replication configs for one preset column."""
     inst = preset.instance
-    schedule = preset_schedule(preset.params)
+    schedule = preset_schedule(inst, preset.params)
     return [
         SimConfig(
             instance=inst,

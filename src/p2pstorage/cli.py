@@ -92,7 +92,9 @@ def evaluate_horizon(expr, inst: Instance) -> int:
 _SCHEDULE_KEYS = {"fixed": {"gamma0"}, "annealed": {"gamma0", "increment"}, "infinite": set()}
 
 
-def _schedule_from_dict(data: dict) -> GammaSchedule:
+def _schedule_from_dict(data: dict) -> tuple[float, float | None]:
+    """(gamma0, increment) of a spec's schedule; increment None stands for
+    the instance's default rate, resolved by cmd_simulate unless overridden."""
     if not isinstance(data, dict):
         raise ValueError("'schedule' must be a mapping")
     kind = data.get("kind", "annealed")
@@ -102,14 +104,13 @@ def _schedule_from_dict(data: dict) -> GammaSchedule:
     if unknown:
         raise ValueError(f"schedule kind {kind!r} does not take {sorted(unknown)}")
     if kind == "infinite":
-        return GammaSchedule.infinite()
+        return math.inf, 0.0
     gamma0 = _real(data.get("gamma0", 1.0), "gamma0")
-    if kind == "fixed":
-        return GammaSchedule.fixed(gamma0)
-    increment = data.get("increment")
+    increment = 0.0 if kind == "fixed" else data.get("increment")
     if increment is not None:
         increment = _real(increment, "increment")
-    return GammaSchedule.annealed(gamma0, increment)
+    GammaSchedule(gamma0, increment or 0.0)  # checks the values
+    return gamma0, increment
 
 
 def load_experiment_spec(path) -> dict:
@@ -206,13 +207,12 @@ def _aggregate(rows: list[dict]) -> dict:
     return out
 
 
-def _write_trace(path: Path, inst: Instance, config: SimConfig, trace) -> None:
-    lam_max = max(inst.reliability, default=0.0)
+def _write_trace(path: Path, config: SimConfig, trace) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["step", "unit", "kind", "source", "destination", "gamma"])
         for t, move in trace:
-            gamma = config.schedule.gamma_at(t, lam_max)
+            gamma = config.schedule.gamma_at(t)
             writer.writerow(
                 [
                     t,
@@ -248,12 +248,12 @@ def cmd_simulate(args) -> int:
         if getattr(args, key) is not None:
             spec[key] = getattr(args, key)
     inst: Instance = spec["instance"]
-    sched: GammaSchedule = spec["schedule"]
-    schedule = GammaSchedule(  # in force, the default increment resolved
-        sched.gamma0 if args.gamma0 is None else args.gamma0,
-        sched.increment_for(max(inst.reliability))
-        if args.gamma_increment is None else args.gamma_increment,
-    )
+    gamma0, increment = spec["schedule"]
+    if args.gamma_increment is not None:
+        increment = args.gamma_increment
+    elif increment is None:
+        increment = dynamics.default_increment(inst)
+    schedule = GammaSchedule(gamma0 if args.gamma0 is None else args.gamma0, increment)
     horizon = evaluate_horizon(spec["horizon"], inst)
     if spec["replications"] < 1:
         raise ValueError(f"replications must be positive, got {spec['replications']}")
@@ -282,7 +282,7 @@ def cmd_simulate(args) -> int:
     out_dir = _out_dir(args)
     if args.trace:
         for r, result in enumerate(results):
-            _write_trace(out_dir / f"trace_{r}.csv", inst, configs[r], result.trace)
+            _write_trace(out_dir / f"trace_{r}.csv", configs[r], result.trace)
 
     with open(out_dir / "runs.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0]))

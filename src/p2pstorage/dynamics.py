@@ -39,6 +39,7 @@ __all__ = [
     "RunResult",
     "SimConfig",
     "default_horizon",
+    "default_increment",
     "move_kind_probabilities",
     "run",
     "state_stream",
@@ -53,47 +54,40 @@ VARIANTS = (PROPORTIONAL, ALLOCATE_FIRST)
 class GammaSchedule:
     """Gibbs parameter over simulation time: gamma0 + t * increment.
 
-    ``increment`` None is the default annealing rate 1 / (100 * max
-    reliability); ``fixed(g)`` is (g, 0) and ``infinite()`` is (inf, 0),
-    pure best response throughout.
+    ``fixed(g)`` is (g, 0) and ``infinite()`` is (inf, 0), pure best
+    response throughout; ``default_increment`` gives the standard annealing
+    rate of an instance.
     """
 
     gamma0: float
-    increment: float | None = None
+    increment: float = 0.0
 
     def __post_init__(self) -> None:
         _check_gamma(self.gamma0, finite=False, name="gamma0")
-        if self.increment is not None and not (
-            math.isfinite(self.increment) and self.increment >= 0
-        ):
+        if not (math.isfinite(self.increment) and self.increment >= 0):
             raise ValueError(f"increment must be finite and nonnegative, got {self.increment}")
         if self.gamma0 == math.inf and self.increment != 0.0:
             raise ValueError("an infinite gamma0 takes increment 0, as nothing can add to it")
 
     @classmethod
     def fixed(cls, gamma0: float) -> "GammaSchedule":
-        return cls(gamma0, 0.0)
-
-    @classmethod
-    def annealed(cls, gamma0: float = 1.0, increment: float | None = None) -> "GammaSchedule":
-        return cls(gamma0, increment)
+        return cls(gamma0)
 
     @classmethod
     def infinite(cls) -> "GammaSchedule":
-        return cls(math.inf, 0.0)
+        return cls(math.inf)
 
-    def increment_for(self, lam_max: float) -> float:
-        """The increment in force on an instance whose largest reliability
-        is lam_max: the explicit one, else 1 / (100 * lam_max)."""
-        if self.increment is not None:
-            return self.increment
-        if lam_max <= 0:
-            raise ValueError("the default increment needs a positive max reliability")
-        return 1.0 / (100.0 * lam_max)
+    def gamma_at(self, t: int) -> float:
+        """Gamma in force at step t."""
+        return self.gamma0 + t * self.increment
 
-    def gamma_at(self, t: int, lam_max: float) -> float:
-        """Gamma in force at step t: gamma0 + t * increment."""
-        return self.gamma0 + t * self.increment_for(lam_max)
+
+def default_increment(inst: Instance) -> float:
+    """The standard annealing rate: 1 / (100 * max reliability)."""
+    lam_max = max(inst.reliability, default=0.0)
+    if lam_max <= 0:
+        raise ValueError("the default increment needs a positive max reliability")
+    return 1.0 / (100.0 * lam_max)
 
 
 def default_horizon(inst: Instance) -> int:
@@ -204,22 +198,20 @@ def _initial_state(config: SimConfig) -> AllocationState:
 def _engine(config: SimConfig, state: AllocationState):
     """The one step loop: step ``state`` in place over the horizon,
     yielding (t, x, drawn) for the unit x that woke, with drawn the applied
-    (source, dest) or None for a blocked activation.  The schedule is
-    resolved once, and only when there is a step to take."""
+    (source, dest) or None for a blocked activation."""
     inst = config.instance
     if inst.total_alpha == 0 or config.horizon == 0:
         return
     params, variant, alpha, placed = config.params, config.variant, inst.alpha, state.placed
     cum_alpha = list(accumulate(alpha))
     total = cum_alpha[-1]
-    gamma0 = config.schedule.gamma0
-    increment = config.schedule.increment_for(max(inst.reliability, default=0.0))
+    gamma_at = config.schedule.gamma_at
     rng = random.Random(config.seed)
     for t in range(config.horizon):
         x = bisect_right(cum_alpha, rng.random() * total)
         p_alloc, p_dist = _move_kind(alpha[x], placed[x], variant)
         allocate = p_dist == 0 or (p_alloc > 0 and rng.random() < p_alloc)
-        drawn = _sample(rng, inst, params, state, x, allocate, gamma0 + t * increment)
+        drawn = _sample(rng, inst, params, state, x, allocate, gamma_at(t))
         if drawn is not None:
             state._shift(x, *drawn)
         yield t, x, drawn

@@ -24,11 +24,9 @@ __all__ = [
     "check_feasible_matching",
     "check_strict",
     "check_strict_exhaustive",
-    "maximal_irreducible_subsets",
 ]
 
 EXHAUSTIVE_MAX_UNITS = 25
-IRREDUCIBLE_MAX_UNITS = 20
 ATOM_GRAPH_MAX_NODES = 10_000
 
 
@@ -197,11 +195,6 @@ def check_strict(inst: Instance) -> FeasibilityVerdict:
     return FeasibilityVerdict(True)
 
 
-def _nbr_masks(inst: Instance) -> list[int]:
-    """Bitmask of each unit's out-neighborhood."""
-    return [sum(1 << y for y in inst.topology.out_neighbors(x)) for x in range(inst.n)]
-
-
 def _exhaustive(inst: Instance, strict: bool) -> FeasibilityVerdict:
     # The covering inequality (strict: demand < capacity) on every nonempty
     # subset, in increasing bitmask order; the first violator is the witness.
@@ -211,7 +204,7 @@ def _exhaustive(inst: Instance, strict: bool) -> FeasibilityVerdict:
             f"subset enumeration is limited to n <= {EXHAUSTIVE_MAX_UNITS} "
             f"(got n={n}); use {'check_strict' if strict else 'check_feasible_flow'}"
         )
-    nbr_mask = _nbr_masks(inst)
+    nbr_mask = [sum(1 << y for y in inst.topology.out_neighbors(x)) for x in range(n)]
     for mask in range(1, 1 << n):
         demand = 0
         cover = 0
@@ -245,61 +238,6 @@ def check_feasible_exhaustive(inst: Instance) -> FeasibilityVerdict:
 def check_strict_exhaustive(inst: Instance) -> FeasibilityVerdict:
     """Exhaustive variant of the strict condition (witness has demand >= capacity)."""
     return _exhaustive(inst, strict=True)
-
-
-def _is_irreducible(members: list[int], nbr_mask: list[int]) -> bool:
-    # A subset splits into two independent halves iff the graph "neighborhoods
-    # overlap" on its members is disconnected.
-    if len(members) <= 1:
-        return True
-    seen = {members[0]}
-    stack = [members[0]]
-    while stack:
-        u = stack.pop()
-        for v in members:
-            if v not in seen and nbr_mask[u] & nbr_mask[v]:
-                seen.add(v)
-                stack.append(v)
-    return len(seen) == len(members)
-
-
-def maximal_irreducible_subsets(inst: Instance) -> list[tuple[int, ...]]:
-    """Enumerate the subsets it suffices to test the covering inequality on.
-
-    A subset is irreducible when it cannot be split into two nonempty
-    parts with disjoint neighborhoods, and maximal when every irreducible
-    strict superset strictly grows its neighborhood.  Quantifying
-    maximality over irreducible supersets (rather than all supersets)
-    keeps the reduction sound when units with empty neighborhoods exist.
-    Exhaustive; guarded to n <= 20 and intended for desk-scale checks.
-    """
-    n = inst.n
-    if n > IRREDUCIBLE_MAX_UNITS:
-        raise SizeLimitExceeded(
-            f"maximal_irreducible_subsets is limited to n <= {IRREDUCIBLE_MAX_UNITS}"
-        )
-    nbr_mask = _nbr_masks(inst)
-    # Irreducible subsets grouped by their neighborhood mask.  An
-    # irreducible superset can only share the neighborhood of a smaller
-    # set within the same group, so maximality is decided group-wise.
-    groups: dict[int, list[int]] = {}
-    for mask in range(1, 1 << n):
-        cover = 0
-        members = []
-        for i in range(n):
-            if mask >> i & 1:
-                cover |= nbr_mask[i]
-                members.append(i)
-        if _is_irreducible(members, nbr_mask):
-            groups.setdefault(cover, []).append(mask)
-    found: list[tuple[int, ...]] = []
-    for masks in groups.values():
-        for mask in masks:
-            if any(other != mask and other & mask == mask for other in masks):
-                continue
-            found.append(tuple(i for i in range(n) if mask >> i & 1))
-    found.sort(key=lambda d: (len(d), d))
-    return found
 
 
 def check_feasible_matching(inst: Instance) -> FeasibilityVerdict:

@@ -97,6 +97,14 @@ def test_enumerate_guard():
         enumerate_states(inst)
 
 
+def test_enumerate_refuses_a_total_demand_beyond_int64():
+    # Each demand fits an int64, their sum (the load of unit 2) does not.
+    inst = make(Topology(3, frozenset({(0, 2), (1, 2)})), (5 * 10**18,) * 2 + (0,),
+                (0, 0, 10**19), (1.0,) * 3)
+    with pytest.raises(ValueError, match="unit 1's demand 5000000000000000000"):
+        enumerate_states(inst)
+
+
 def test_enumerate_matches_independent_product_count():
     # capacity 3 never binds for unit demands on complete_4, so the count
     # is exactly 3^4
@@ -305,16 +313,15 @@ def test_state_codes_index_the_states(oracle):
     assert oracle.position[codes].tolist() == list(range(len(oracle)))
     assert (oracle.position >= 0).sum() == len(oracle)
     for x, (sp, table) in enumerate(zip(oracle.splits, splits)):
-        # Moving one atom from slot k to slot l, by the split tables.
+        # Moving one atom from slot k to slot l: rank gives the moved split's index.
         for s, counts in enumerate(table):
             for k in range(len(counts)):
                 if counts[k]:
-                    moved = sp.moved(np.array([s]), k)[0].tolist()
                     for l in range(len(counts)):
                         after = list(counts)
                         after[k] -= 1
                         after[l] += 1
-                        assert moved[l] == table.index(tuple(after))
+                        assert sp.rank(np.array([after]))[0] == table.index(tuple(after))
 
 
 def _kernel_row_by_state(oracle, params, gamma, i):

@@ -38,8 +38,10 @@ def test_reliability_split_is_half_and_half():
 def test_preset_schedule_selection():
     cold = benchmarks.table_presets(1)[0]  # k_a = 0
     warm = benchmarks.table_presets(1)[2]  # k_a = 0.45
-    assert benchmarks.preset_schedule(cold.params) == GammaSchedule.annealed(1.0)
-    assert benchmarks.preset_schedule(warm.params) == GammaSchedule.fixed(benchmarks.AGGREGATED_GAMMA)
+    assert benchmarks.preset_schedule(cold.instance, cold.params) == GammaSchedule(1.0, 1 / 80)
+    assert benchmarks.preset_schedule(warm.instance, warm.params) == GammaSchedule.fixed(
+        benchmarks.AGGREGATED_GAMMA
+    )
 
 
 @pytest.mark.parametrize("replications", [0, -2])

@@ -399,6 +399,18 @@ def test_simulate_gamma_overrides_change_runs(tmp_path, schedule, flags):
         assert summary["schedule"][key] == float(value)
 
 
+def test_simulate_increment_flag_needs_no_reliability(tmp_path):
+    # Only the default increment reads the reliabilities; the flag replaces it.
+    instance = dict(feasible_doc(), **{"lambda": 0.0})
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec_doc(instance, schedule={"kind": "annealed"})))
+    out = tmp_path / "o"
+    assert main(["simulate", str(spec_path), "--out", str(out), "--workers", "1",
+                 "--gamma-increment", "0.5"]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["schedule"] == {"gamma0": 1.0, "increment": 0.5}
+
+
 def test_simulate_rejects_increment_on_infinite_gamma(tmp_path, capsys):
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps(spec_doc(feasible_doc(), schedule={"kind": "infinite"})))
@@ -612,6 +624,24 @@ def test_verify_long_directed_ring_exits_zero(tmp_path, capsys):
     }
     path = write_instance(tmp_path, "ring.json", doc)
     assert main(["verify", str(path), "--gamma", "1.0"]) == 0
+    out = capsys.readouterr().out
+    assert json.loads(out[out.index("{"):])["num_states"] == 1
+
+
+def test_verify_rejects_demand_beyond_int64(tmp_path, capsys):
+    doc = {"n": 2, "edges": [[0, 1]], "alpha": [10**20, 0], "beta": [0, 10**20], "lambda": 1.0}
+    path = write_instance(tmp_path, "huge.json", doc)
+    assert main(["verify", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert_one_error_line(captured)
+    assert str(10**20) in captured.err
+
+
+def test_verify_takes_demand_within_int64(tmp_path, capsys):
+    doc = {"n": 2, "edges": [[0, 1]], "alpha": [5 * 10**9, 0], "beta": [0, 5 * 10**9],
+           "lambda": 1.0}
+    path = write_instance(tmp_path, "large.json", doc)
+    assert main(["verify", str(path)]) == 0
     out = capsys.readouterr().out
     assert json.loads(out[out.index("{"):])["num_states"] == 1
 

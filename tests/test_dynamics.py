@@ -17,6 +17,7 @@ from p2pstorage.dynamics import (
     GammaSchedule,
     SimConfig,
     default_horizon,
+    default_increment,
     move_kind_probabilities,
     run,
     state_stream,
@@ -161,35 +162,36 @@ def test_distribution_move_requires_stored_atoms():
 
 
 def test_gamma_schedule_annealed_default_increment():
-    sched = GammaSchedule.annealed(1.0)
-    assert sched.gamma_at(80, 0.8) == pytest.approx(2.0)
+    inst = make(build_complete(3), (1, 1, 1), (2, 2, 2), (0.5, 0.8, 0.3))
+    sched = GammaSchedule(1.0, default_increment(inst))
+    assert sched.gamma_at(80) == pytest.approx(2.0)
 
 
 def test_gamma_schedule_fixed():
     sched = GammaSchedule.fixed(5.0)
-    assert sched.gamma_at(12345, 0.8) == 5.0
+    assert sched.gamma_at(12345) == 5.0
 
 
 def test_gamma_schedule_at_zero():
-    assert GammaSchedule.annealed(1.0).gamma_at(0, 0.8) == 1.0
+    assert GammaSchedule(1.0, 0.5).gamma_at(0) == 1.0
 
 
 def test_gamma_schedule_infinite():
-    assert GammaSchedule.infinite().gamma_at(7, 0.8) == math.inf
+    assert GammaSchedule.infinite().gamma_at(7) == math.inf
 
 
 def test_gamma_schedule_explicit_increment():
-    sched = GammaSchedule.annealed(2.0, 0.5)
-    assert sched.gamma_at(10, 0.8) == pytest.approx(7.0)
+    sched = GammaSchedule(2.0, 0.5)
+    assert sched.gamma_at(10) == pytest.approx(7.0)
 
 
 @pytest.mark.parametrize("increment", [math.nan, math.inf, -math.inf, -0.1])
 def test_gamma_schedule_rejects_nonfinite_or_negative_increment(increment):
     with pytest.raises(ValueError):
-        GammaSchedule.annealed(1.0, increment)
+        GammaSchedule(1.0, increment)
 
 
-@pytest.mark.parametrize("make_schedule", [GammaSchedule.fixed, GammaSchedule.annealed],
+@pytest.mark.parametrize("make_schedule", [GammaSchedule.fixed, lambda g: GammaSchedule(g, 0.5)],
                          ids=["fixed", "annealed"])
 @pytest.mark.parametrize("gamma0", [math.nan, 0.0, -1.0])
 def test_gamma_schedule_rejects_nonpositive_gamma0(make_schedule, gamma0):
@@ -199,26 +201,18 @@ def test_gamma_schedule_rejects_nonpositive_gamma0(make_schedule, gamma0):
 
 def test_gamma_schedule_is_one_formula():
     assert [f.name for f in dataclasses.fields(GammaSchedule)] == ["gamma0", "increment"]
-    assert GammaSchedule.fixed(2.5) == GammaSchedule(2.5, 0.0)
+    assert GammaSchedule.fixed(2.5) == GammaSchedule(2.5) == GammaSchedule(2.5, 0.0)
     assert GammaSchedule.infinite() == GammaSchedule(math.inf, 0.0)
-    assert GammaSchedule.annealed(2.5) == GammaSchedule(2.5, None)
-    assert GammaSchedule(2.0, None).increment_for(0.8) == 1.0 / 80.0
+    assert GammaSchedule(2.0, 0.125).gamma_at(3) == 2.0 + 3 * 0.125
     with pytest.raises(ValueError):
-        GammaSchedule.annealed(math.inf, 0.5)
+        GammaSchedule(math.inf, 0.5)
 
 
 def test_gamma_schedule_default_increment_needs_positive_reliability():
-    with pytest.raises(ValueError):
-        GammaSchedule.annealed(1.0).gamma_at(3, 0.0)
-
-
-def test_run_default_increment_needs_positive_reliability():
     inst = make(build_complete(3), (1, 1, 1), (2, 2, 2), (0.0,) * 3)
-    config = SimConfig(inst, GameParams(1.0, 0.0), GammaSchedule.annealed(1.0), horizon=1)
-    with pytest.raises(ValueError):
-        run(config)
-    # a zero horizon takes no step, so nothing resolves the schedule
-    assert not run(dataclasses.replace(config, horizon=0)).completed
+    with pytest.raises(ValueError, match="positive max reliability"):
+        default_increment(inst)
+    assert default_increment(dataclasses.replace(inst, reliability=(0.0, 0.8, 0.5))) == 1 / 80
 
 
 # ----------------------------------------------------------------- stepping
@@ -249,7 +243,7 @@ def test_step_blocked_unit_idles_and_consumes_step():
 
 def test_run_deterministic_replay():
     inst = make(build_complete(5), (3,) * 5, (4,) * 5, (0.5, 0.5, 0.8, 0.8, 0.8))
-    config = SimConfig(inst, GameParams(1.0, 0.45), GammaSchedule.annealed(1.0),
+    config = SimConfig(inst, GameParams(1.0, 0.45), GammaSchedule(1.0, default_increment(inst)),
                        horizon=default_horizon(inst), seed=99, record_trace=True)
     first = run(config)
     second = run(config)
@@ -323,7 +317,7 @@ def test_run_counts_only_transfers():
 
 def test_run_allocate_first_monotone_fill():
     inst = make(build_complete(4), (3,) * 4, (4,) * 4, (0.5, 0.5, 0.8, 0.8))
-    config = SimConfig(inst, GameParams(1.0, 0.45), GammaSchedule.annealed(1.0),
+    config = SimConfig(inst, GameParams(1.0, 0.45), GammaSchedule(1.0, default_increment(inst)),
                        horizon=30 * inst.total_alpha, seed=21, record_trace=True,
                        variant=ALLOCATE_FIRST)
     result = run(config)
@@ -384,11 +378,13 @@ def run_configs(draw):
     )
     schedule = draw(st.sampled_from([
         GammaSchedule.fixed(1.5),
-        GammaSchedule.annealed(0.5),
-        GammaSchedule.annealed(0.5, 0.05),
+        None,  # annealed at the instance's default rate
+        GammaSchedule(0.5, 0.05),
         GammaSchedule.infinite(),
     ]))
-    assume(schedule.increment is not None or max(inst.reliability) > 0)
+    if schedule is None:
+        assume(max(inst.reliability) > 0)
+        schedule = GammaSchedule(0.5, default_increment(inst))
     initial = None
     if draw(st.booleans()):
         initial = AllocationState.zeros(inst)
@@ -475,10 +471,10 @@ def _pinned_configs():
             regular, GameParams(1.0, 0.0), GammaSchedule.fixed(1.5), horizon=400,
             seed=11, variant=PROPORTIONAL, record_trace=True),
         "annealed-default-allocate-first-ka": SimConfig(
-            regular, GameParams(1.0, 0.45), GammaSchedule.annealed(1.0), horizon=400,
-            seed=12, variant=ALLOCATE_FIRST, record_trace=True),
+            regular, GameParams(1.0, 0.45), GammaSchedule(1.0, default_increment(regular)),
+            horizon=400, seed=12, variant=ALLOCATE_FIRST, record_trace=True),
         "annealed-explicit-proportional-partial": SimConfig(
-            dense, GameParams(0.7, 0.25), GammaSchedule.annealed(0.5, 0.05), horizon=300,
+            dense, GameParams(0.7, 0.25), GammaSchedule(0.5, 0.05), horizon=300,
             seed=13, variant=PROPORTIONAL, record_trace=True, initial_state=partial),
         "infinite-allocate-first-ka0": SimConfig(
             dense, GameParams(1.0, 0.0), GammaSchedule.infinite(), horizon=300,

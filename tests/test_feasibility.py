@@ -13,7 +13,6 @@ from p2pstorage.feasibility import (
     check_feasible_matching,
     check_strict,
     check_strict_exhaustive,
-    maximal_irreducible_subsets,
     witness_violates,
 )
 from p2pstorage.topology import (
@@ -201,85 +200,6 @@ def test_flow_verdicts_agree_with_exhaustive_and_witnesses_violate(inst):
     assert strict.feasible == check_strict_exhaustive(inst).feasible
     if not strict.feasible:
         assert witness_violates(inst, strict.witness, strict=True)
-
-
-def _brute_force_maximal_irreducible(inst):
-    """Definition checked literally: irreducibility against every
-    2-partition, maximality against every irreducible strict superset."""
-    topo = inst.topology
-    n = inst.n
-
-    def is_irreducible(d):
-        members = sorted(d)
-        for split in range(1, 2 ** (len(members) - 1)):
-            part1 = {m for i, m in enumerate(members) if split >> i & 1}
-            part2 = d - part1
-            if not part1 or not part2:
-                continue
-            if not (neighborhood_of_set(topo, part1) & neighborhood_of_set(topo, part2)):
-                return False
-        return True
-
-    irreducibles = []
-    for size in range(1, n + 1):
-        for subset in itertools.combinations(range(n), size):
-            if is_irreducible(set(subset)):
-                irreducibles.append(set(subset))
-
-    out = []
-    for d in irreducibles:
-        nd = neighborhood_of_set(topo, d)
-        maximal = all(
-            neighborhood_of_set(topo, other) != nd
-            for other in irreducibles
-            if other > d
-        )
-        if maximal:
-            out.append(tuple(sorted(d)))
-    return sorted(out, key=lambda t: (len(t), t))
-
-
-def test_maximal_irreducible_complete_four():
-    inst = make(build_complete(4), (1, 1, 1, 1), (1, 1, 1, 1))
-    result = maximal_irreducible_subsets(inst)
-    assert result == [(0,), (1,), (2,), (3,), (0, 1, 2, 3)]
-
-
-def test_maximal_irreducible_line_four():
-    inst = make(build_line(4), (1, 1, 1, 1), (1, 1, 1, 1))
-    result = maximal_irreducible_subsets(inst)
-    # all members have the alternating form {i, i+2, ...}
-    for subset in result:
-        steps = {b - a for a, b in zip(subset, subset[1:])}
-        assert steps <= {2}
-    assert result == _brute_force_maximal_irreducible(inst)
-
-
-def test_maximal_irreducible_single_unit():
-    inst = make(Topology(1, frozenset()), (0,), (0,))
-    assert maximal_irreducible_subsets(inst) == [(0,)]
-
-
-def test_maximal_irreducible_matches_brute_force_random():
-    rng = random.Random(77)
-    for _ in range(30):
-        inst = random_instance(rng, max_n=6)
-        assert maximal_irreducible_subsets(inst) == _brute_force_maximal_irreducible(inst)
-
-
-def test_covering_condition_restricted_to_maximal_irreducible():
-    # testing the inequality only on maximal irreducible subsets is
-    # equivalent to testing it on all subsets
-    rng = random.Random(404)
-    for _ in range(120):
-        inst = random_instance(rng, max_n=6)
-        topo = inst.topology
-        restricted_ok = all(
-            sum(inst.alpha[x] for x in d)
-            <= sum(inst.beta[y] for y in neighborhood_of_set(topo, set(d)))
-            for d in maximal_irreducible_subsets(inst)
-        )
-        assert restricted_ok == check_feasible_exhaustive(inst).feasible
 
 
 def test_atom_bipartite_structure():

@@ -25,9 +25,10 @@ from .game import (
     AllocationState,
     GameParams,
     Move,
+    _candidates,
     _check_gamma,
-    _choice,
     _gibbs_weights,
+    _resource_term,
 )
 from .topology import Instance
 
@@ -135,49 +136,13 @@ def move_kind_probabilities(
 
 
 def _move_kind(a: int, placed: int, variant: str) -> tuple[float, float]:
-    # Kept out of __all__, like _draw and _sample: the engine calls them
-    # every step, and span tracers wrap every exported name.
+    # Kept out of __all__: the engine calls it every step, and span tracers
+    # wrap every exported name.
     if placed >= a:
         return (0.0, 1.0)
     if placed == 0 or variant == ALLOCATE_FIRST:
         return (1.0, 0.0)
     return ((a - placed) / a, placed / a)
-
-
-def _draw(rng, cands: list[int], utils: list[float], gamma: float) -> int:
-    """Sample one candidate from the Gibbs law over its utilities."""
-    weights = _gibbs_weights(utils, gamma)
-    if gamma == math.inf:
-        ties = [y for y, w in zip(cands, weights) if w]
-        return ties[rng.randrange(len(ties))] if len(ties) > 1 else ties[0]
-    r = rng.random() * sum(weights)
-    acc = 0.0
-    for y, w in zip(cands, weights):
-        acc += w
-        if r < acc:
-            return y
-    return cands[-1]
-
-
-def _sample(
-    rng, inst, params, state: AllocationState, x: int, allocate: bool, gamma
-) -> tuple[int | None, int] | None:
-    """Draw, without applying, one move of unit x as (source, dest):
-    source None places a new atom, else the source pile is drawn in
-    proportion to the atoms stored there.  None when a new atom finds every
-    neighbor full; a relocation always has its own source to return to."""
-    source = None
-    if not allocate:
-        r = rng.random() * state.placed[x]
-        acc = 0
-        for source, c in sorted(state.counts[x].items()):
-            acc += c
-            if r < acc:
-                break  # running off the end (r == placed) keeps the largest pile
-    cands, utils = _choice(inst, params, state, x, source)
-    if not cands:
-        return None
-    return source, _draw(rng, cands, utils, gamma)
 
 
 def _as_move(x: int, drawn: tuple[int | None, int] | None) -> Move | None:
@@ -198,23 +163,62 @@ def _initial_state(config: SimConfig) -> AllocationState:
 def _engine(config: SimConfig, state: AllocationState):
     """The one step loop: step ``state`` in place over the horizon,
     yielding (t, x, drawn) for the unit x that woke, with drawn the applied
-    (source, dest) or None for a blocked activation."""
+    (source, dest) or None for a blocked activation.
+
+    Each resource's utility term is kept at its load (a relocation's
+    source) and at one atom more (any other destination), so a step scores
+    no resource from scratch and a transfer computes one new term for each
+    of its two resources.  The destination is drawn from one running sum
+    of the Gibbs weights.
+    """
     inst = config.instance
     if inst.total_alpha == 0 or config.horizon == 0:
         return
-    params, variant, alpha, placed = config.params, config.variant, inst.alpha, state.placed
+    variant, alpha, out = config.variant, inst.alpha, inst.topology.out_neighbors
+    placed, counts, load = state.placed, state.counts, state.load
+    k_c, k_a = config.params.k_c, config.params.k_a
+    stay = [_resource_term(inst, k_c, y, w) for y, w in enumerate(load)]
+    enter = [_resource_term(inst, k_c, y, w + 1) for y, w in enumerate(load)]
     cum_alpha = list(accumulate(alpha))
     total = cum_alpha[-1]
     gamma_at = config.schedule.gamma_at
     rng = random.Random(config.seed)
+    uniform = rng.random
     for t in range(config.horizon):
-        x = bisect_right(cum_alpha, rng.random() * total)
+        x = bisect_right(cum_alpha, uniform() * total)
         p_alloc, p_dist = _move_kind(alpha[x], placed[x], variant)
-        allocate = p_dist == 0 or (p_alloc > 0 and rng.random() < p_alloc)
-        drawn = _sample(rng, inst, params, state, x, allocate, gamma_at(t))
-        if drawn is not None:
-            state._shift(x, *drawn)
-        yield t, x, drawn
+        source = None
+        if not (p_dist == 0 or (p_alloc > 0 and uniform() < p_alloc)):
+            # The source pile, drawn in proportion to the atoms stored there.
+            r = uniform() * placed[x]
+            acc = 0
+            for source, c in sorted(counts[x].items()):
+                acc += c
+                if r < acc:
+                    break  # running off the end (r == placed) keeps the last pile
+            enter[source], full = stay[source], enter[source]  # its atom has left
+        cands, utils = _candidates(out(x), enter, counts[x], k_a, source)
+        if not cands:  # a new atom finds every neighbour full
+            yield t, x, None
+            continue
+        gamma = gamma_at(t)
+        weights = _gibbs_weights(utils, gamma)
+        if gamma == math.inf:
+            ties = [y for y, w in zip(cands, weights) if w]
+            dest = ties[rng.randrange(len(ties))] if len(ties) > 1 else ties[0]
+        else:
+            cum = list(accumulate(weights))
+            dest = cands[bisect_right(cum, uniform() * cum[-1])]
+        if dest == source:
+            enter[source] = full
+        else:
+            # One atom more shifts dest's terms down by one, one fewer shifts
+            # the source's up: its second term is already in place.
+            state._shift(x, source, dest)
+            stay[dest], enter[dest] = enter[dest], _resource_term(inst, k_c, dest, load[dest] + 1)
+            if source is not None:
+                stay[source] = _resource_term(inst, k_c, source, load[source])
+        yield t, x, (source, dest)
 
 
 def run(config: SimConfig) -> RunResult:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -218,32 +219,40 @@ class AllocationState:
         self.load[dest] += 1
 
 
+def _resource_term(inst: Instance, k_c: float, y: int, w: int) -> float | None:
+    """The resource part of the utility, written only here: y's reliability
+    less k_c times its fill fraction at w atoms after the move, the moved
+    one among them; None unless 1 <= w <= capacity (it does not fit)."""
+    b = inst.beta[y]
+    return inst.reliability[y] - k_c * w / b if 0 < w <= b else None
+
+
+def _candidates(out, terms, row: dict[int, int], k_a: float, source: int | None):
+    """The choices and utilities of a unit with out-neighbours ``out`` and
+    counts ``row``, for the engine and ``_choice``: ``terms[y]`` is y's
+    resource term once the atom has left ``source`` and landed on y, plus
+    the aggregation bonus, the float the whole utility expression gives."""
+    get = row.get
+    cands, utils = [], []
+    for y in out:
+        term = terms[y]
+        if term is not None:
+            cands.append(y)
+            utils.append(term + k_a * (get(y, 0) + (y != source)))  # a self-move adds no atom
+    return cands, utils
+
+
 def _choice(
     inst: Instance, params: GameParams, state: AllocationState, x: int, source: int | None = None
 ) -> tuple[list[int], list[float]]:
-    """The choice set of unit x and the utility of each choice.
-
-    One pass over the out-neighbors of x keeps the resources with room for
-    one atom of x once it has left ``source`` (None places a new atom;
-    ``source`` itself stays a choice, the self-move), and scores each at
-    the post-move state: reliability, minus congestion proportional to the
-    fill fraction, plus an aggregation bonus for the atoms x keeps there.
-    This is the only place the utility is written.
-    """
-    lam = inst.reliability
-    beta = inst.beta
-    k_c, k_a = params.k_c, params.k_a
-    load = state.load
-    row = state.counts[x]
-    cands = []
-    utils = []
-    for y in inst.topology.out_neighbors(x):
-        extra = 0 if y == source else 1
-        w = load[y] + extra
-        if w <= beta[y]:
-            cands.append(y)
-            utils.append(lam[y] - k_c * w / beta[y] + k_a * (row.get(y, 0) + extra))
-    return cands, utils
+    """The choice set of unit x and the utility of each choice: the
+    out-neighbors of x with room for one atom of x once it has left
+    ``source`` (None places a new atom; ``source`` itself stays a choice,
+    the self-move), each scored at the post-move state.  Builds the
+    resource terms of x's out-neighbours only."""
+    out, load = inst.topology.out_neighbors(x), state.load
+    terms = {y: _resource_term(inst, params.k_c, y, load[y] + (y != source)) for y in out}
+    return _candidates(out, terms, state.counts[x], params.k_a, source)
 
 
 def _check_gamma(gamma: float, finite: bool, name: str = "gamma") -> None:
@@ -258,10 +267,10 @@ def _check_gamma(gamma: float, finite: bool, name: str = "gamma") -> None:
 def _gibbs_weights(utils: list[float], gamma: float) -> list[float]:
     """Unnormalized Gibbs weights exp(gamma * u), shifted by the maximum;
     gamma = math.inf gives 1 on the argmax set and 0 elsewhere."""
-    top = max(utils)
+    top, exp = max(utils), math.exp
     if gamma == math.inf:
         return [1.0 if u == top else 0.0 for u in utils]
-    return [math.exp(gamma * (u - top)) for u in utils]
+    return [exp(gamma * (u - top)) for u in utils]
 
 
 def utility(inst: Instance, params: GameParams, state: AllocationState, x: int, y: int) -> float:
@@ -317,7 +326,7 @@ def gibbs_choice_distribution(
     if not cands:
         raise NoAvailableResourceError(f"unit {x} has no available resource")
     weights = _gibbs_weights(utils, gamma)
-    norm = sum(weights)
+    norm = list(accumulate(weights))[-1]  # the total the engine draws against
     return {y: w / norm for y, w in zip(cands, weights)}
 
 

@@ -24,7 +24,9 @@ def test_every_exported_name_resolves(name):
 
 # The engine calls these every step.  Span tracers (perfbench/spans.py)
 # wrap every name in __all__, so exporting one would record a span per step.
-PER_STEP_KERNELS = {"_choice", "_gibbs_weights", "_move_kind", "_draw", "_sample"}
+PER_STEP_KERNELS = {
+    "_choice", "_gibbs_weights", "_move_kind", "_draw", "_sample", "_candidates", "_resource_term",
+}
 
 
 @pytest.mark.parametrize("name", MODULES)

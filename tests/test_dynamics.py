@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from p2pstorage import feasibility, game
 from p2pstorage.analysis import build_transition_matrix, enumerate_states
+from p2pstorage.benchmarks import benchmark_instance
 from p2pstorage.dynamics import (
     ALLOCATE_FIRST,
     PROPORTIONAL,
@@ -466,6 +467,7 @@ def _pinned_configs():
     regular = _pinned_regular_instance()
     dense = make(build_complete(5), (3, 2, 4, 1, 2), (3,) * 5, (0.5, 0.8, 0.6, 0.8, 0.5))
     partial = AllocationState.from_entries(dense, [(0, 1, 2), (2, 3, 1), (4, 0, 1)])
+    table1 = benchmark_instance(50, "complete")  # 49 candidates a step; resources fill
     return {
         "fixed-proportional-ka0": SimConfig(
             regular, GameParams(1.0, 0.0), GammaSchedule.fixed(1.5), horizon=400,
@@ -479,6 +481,9 @@ def _pinned_configs():
         "infinite-allocate-first-ka0": SimConfig(
             dense, GameParams(1.0, 0.0), GammaSchedule.infinite(), horizon=300,
             seed=14, variant=ALLOCATE_FIRST, record_trace=True),
+        "table1-complete-fixed-allocate-first-ka": SimConfig(
+            table1, GameParams(1.0, 0.45), GammaSchedule.fixed(1.1),
+            horizon=default_horizon(table1), seed=15, variant=ALLOCATE_FIRST, record_trace=True),
     }
 
 
@@ -487,6 +492,7 @@ PINNED_RUN_DIGESTS = {
     "annealed-default-allocate-first-ka": "4016af9580b5f738d82a8f6a4c096b40b7369a48a9129cf23e90d066648db108",
     "annealed-explicit-proportional-partial": "472408b6fd7c0de0042340db0eb23b61aecd6d78dc124d0ced6caea77dcd91a3",
     "infinite-allocate-first-ka0": "e8d6ab9a2776e883f27fa6d81b223390ccd5b7e5d192f8b70a49baeefd3be9a9",
+    "table1-complete-fixed-allocate-first-ka": "803fe5193cf35a63b0bd21e153081797f878c97269145097b811f7c1e4f93786",
 }
 
 PINNED_KERNEL_DIGEST = "adb8eda9043b5b42e9f092e50ffd2d05a241d08de46359f90ac4cca92a6febe7"

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -25,10 +25,11 @@ from .game import (
     AllocationState,
     GameParams,
     Move,
-    _candidates,
     _check_gamma,
     _gibbs_weights,
     _resource_term,
+    _unit_term,
+    _utilities,
 )
 from .topology import Instance
 
@@ -165,20 +166,24 @@ def _engine(config: SimConfig, state: AllocationState):
     yielding (t, x, drawn) for the unit x that woke, with drawn the applied
     (source, dest) or None for a blocked activation.
 
-    Each resource's utility term is kept at its load (a relocation's
-    source) and at one atom more (any other destination), so a step scores
-    no resource from scratch and a transfer computes one new term for each
-    of its two resources.  The destination is drawn from one running sum
-    of the Gibbs weights.
+    It keeps each resource's utility term at its load and one atom up (-inf
+    where the atom does not fit), and each unit's atom counts and unit terms
+    in rows aligned with its ascending out-neighbours.  A step adds terms
+    position by position and bisects running sums for the source pile and
+    the destination; a position that does not fit weighs 0.0, never drawn.
+    A transfer updates two positions per row and two resource terms.
     """
     inst = config.instance
     if inst.total_alpha == 0 or config.horizon == 0:
         return
-    variant, alpha, out = config.variant, inst.alpha, inst.topology.out_neighbors
-    placed, counts, load = state.placed, state.counts, state.load
+    variant, alpha = config.variant, inst.alpha
+    out = list(map(inst.topology.out_neighbors, range(inst.n)))  # each ascending
+    placed, load = state.placed, state.load
     k_c, k_a = config.params.k_c, config.params.k_a
     stay = [_resource_term(inst, k_c, y, w) for y, w in enumerate(load)]
     enter = [_resource_term(inst, k_c, y, w + 1) for y, w in enumerate(load)]
+    piles = [[row.get(y, 0) for y in ys] for ys, row in zip(out, state.counts)]
+    bonus = [[_unit_term(k_a, c + 1) for c in pile] for pile in piles]
     cum_alpha = list(accumulate(alpha))
     total = cum_alpha[-1]
     gamma_at = config.schedule.gamma_at
@@ -187,36 +192,37 @@ def _engine(config: SimConfig, state: AllocationState):
     for t in range(config.horizon):
         x = bisect_right(cum_alpha, uniform() * total)
         p_alloc, p_dist = _move_kind(alpha[x], placed[x], variant)
-        source = None
+        ys, pile, row = out[x], piles[x], bonus[x]
+        utils = _utilities(ys, enter, row)
+        source = slot = None
         if not (p_dist == 0 or (p_alloc > 0 and uniform() < p_alloc)):
-            # The source pile, drawn in proportion to the atoms stored there.
-            r = uniform() * placed[x]
-            acc = 0
-            for source, c in sorted(counts[x].items()):
-                acc += c
-                if r < acc:
-                    break  # running off the end (r == placed) keeps the last pile
-            enter[source], full = stay[source], enter[source]  # its atom has left
-        cands, utils = _candidates(out(x), enter, counts[x], k_a, source)
-        if not cands:  # a new atom finds every neighbour full
+            # The source pile, drawn in proportion to the atoms stored there;
+            # running off the end (r == placed) keeps the last nonempty pile.
+            cum = list(accumulate(pile))
+            slot = bisect_right(cum, uniform() * placed[x], 0, bisect_left(cum, placed[x]))
+            source, back = ys[slot], _unit_term(k_a, pile[slot])
+            utils[slot] = stay[source] + back  # the atom put back
+        if not utils or (top := max(utils)) == -math.inf:  # a new atom fits nowhere
             yield t, x, None
             continue
         gamma = gamma_at(t)
-        weights = _gibbs_weights(utils, gamma)
+        weights = _gibbs_weights(utils, gamma, top)
         if gamma == math.inf:
-            ties = [y for y, w in zip(cands, weights) if w]
-            dest = ties[rng.randrange(len(ties))] if len(ties) > 1 else ties[0]
+            ties = [i for i, w in enumerate(weights) if w]
+            i = ties[rng.randrange(len(ties))] if len(ties) > 1 else ties[0]
         else:
             cum = list(accumulate(weights))
-            dest = cands[bisect_right(cum, uniform() * cum[-1])]
-        if dest == source:
-            enter[source] = full
-        else:
+            i = bisect_right(cum, uniform() * cum[-1])
+        dest = ys[i]
+        if i != slot:
             # One atom more shifts dest's terms down by one, one fewer shifts
-            # the source's up: its second term is already in place.
+            # the source's up: its second term is its old first.
             state._shift(x, source, dest)
+            pile[i], row[i] = pile[i] + 1, _unit_term(k_a, pile[i] + 2)
             stay[dest], enter[dest] = enter[dest], _resource_term(inst, k_c, dest, load[dest] + 1)
             if source is not None:
+                pile[slot], row[slot] = pile[slot] - 1, back
+                enter[source] = stay[source]
                 stay[source] = _resource_term(inst, k_c, source, load[source])
         yield t, x, (source, dest)
 

@@ -219,27 +219,24 @@ class AllocationState:
         self.load[dest] += 1
 
 
-def _resource_term(inst: Instance, k_c: float, y: int, w: int) -> float | None:
+def _resource_term(inst: Instance, k_c: float, y: int, w: int) -> float:
     """The resource part of the utility, written only here: y's reliability
     less k_c times its fill fraction at w atoms after the move, the moved
-    one among them; None unless 1 <= w <= capacity (it does not fit)."""
+    one among them; -inf unless 1 <= w <= capacity, where it does not fit."""
     b = inst.beta[y]
-    return inst.reliability[y] - k_c * w / b if 0 < w <= b else None
+    return inst.reliability[y] - k_c * w / b if 0 < w <= b else -math.inf
 
 
-def _candidates(out, terms, row: dict[int, int], k_a: float, source: int | None):
-    """The choices and utilities of a unit with out-neighbours ``out`` and
-    counts ``row``, for the engine and ``_choice``: ``terms[y]`` is y's
-    resource term once the atom has left ``source`` and landed on y, plus
-    the aggregation bonus, the float the whole utility expression gives."""
-    get = row.get
-    cands, utils = [], []
-    for y in out:
-        term = terms[y]
-        if term is not None:
-            cands.append(y)
-            utils.append(term + k_a * (get(y, 0) + (y != source)))  # a self-move adds no atom
-    return cands, utils
+def _unit_term(k_a: float, c: int) -> float:
+    """The unit part of the utility, written only here: k_a * atoms after the move."""
+    return k_a * c
+
+
+def _utilities(out, enter, bonus: list[float]) -> list[float]:
+    """The utility of each out-neighbour y of a unit, one atom up, aligned
+    with ``out``: ``enter[y]`` plus the unit term in ``bonus``, -inf where
+    it does not fit.  The engine and ``_choice`` then set the source's."""
+    return [enter[y] + b for y, b in zip(out, bonus)]
 
 
 def _choice(
@@ -248,11 +245,17 @@ def _choice(
     """The choice set of unit x and the utility of each choice: the
     out-neighbors of x with room for one atom of x once it has left
     ``source`` (None places a new atom; ``source`` itself stays a choice,
-    the self-move), each scored at the post-move state.  Builds the
-    resource terms of x's out-neighbours only."""
-    out, load = inst.topology.out_neighbors(x), state.load
-    terms = {y: _resource_term(inst, params.k_c, y, load[y] + (y != source)) for y in out}
-    return _candidates(out, terms, state.counts[x], params.k_a, source)
+    the self-move), each scored at the post-move state: the engine's row
+    for x, built from x's out-neighbours only, less its -inf entries."""
+    out, load, row = inst.topology.out_neighbors(x), state.load, state.counts[x]
+    k_c, k_a = params.k_c, params.k_a
+    enter = {y: _resource_term(inst, k_c, y, load[y] + 1) for y in out}
+    utils = _utilities(out, enter, [_unit_term(k_a, row.get(y, 0) + 1) for y in out])
+    if source is not None:  # the atom back where it was
+        w, c = load[source], row.get(source, 0)
+        utils[out.index(source)] = _resource_term(inst, k_c, source, w) + _unit_term(k_a, c)
+    fits = [(y, u) for y, u in zip(out, utils) if u > -math.inf]
+    return [y for y, _ in fits], [u for _, u in fits]
 
 
 def _check_gamma(gamma: float, finite: bool, name: str = "gamma") -> None:
@@ -264,10 +267,11 @@ def _check_gamma(gamma: float, finite: bool, name: str = "gamma") -> None:
         raise ValueError(f"{name} must be positive ({allowed}), got {gamma}")
 
 
-def _gibbs_weights(utils: list[float], gamma: float) -> list[float]:
-    """Unnormalized Gibbs weights exp(gamma * u), shifted by the maximum;
-    gamma = math.inf gives 1 on the argmax set and 0 elsewhere."""
-    top, exp = max(utils), math.exp
+def _gibbs_weights(utils: list[float], gamma: float, top: float) -> list[float]:
+    """Unnormalized Gibbs weights exp(gamma * (u - top)), ``top`` the largest
+    (finite) utility, so -inf weighs 0.0; gamma = math.inf gives 1 on the
+    argmax set and 0 elsewhere."""
+    exp = math.exp
     if gamma == math.inf:
         return [1.0 if u == top else 0.0 for u in utils]
     return [exp(gamma * (u - top)) for u in utils]
@@ -325,7 +329,7 @@ def gibbs_choice_distribution(
     cands, utils = _choice(inst, params, state, x, source)
     if not cands:
         raise NoAvailableResourceError(f"unit {x} has no available resource")
-    weights = _gibbs_weights(utils, gamma)
+    weights = _gibbs_weights(utils, gamma, max(utils))
     norm = list(accumulate(weights))[-1]  # the total the engine draws against
     return {y: w / norm for y, w in zip(cands, weights)}
 

@@ -324,9 +324,10 @@ def test_state_codes_index_the_states(oracle):
                         assert sp.rank(np.array([after]))[0] == table.index(tuple(after))
 
 
-def _kernel_row_by_state(oracle, params, gamma, i):
+def _kernel_row_by_state(oracle, position, params, gamma, i):
     # Row i of the kernel, built from game.gibbs_choice_distribution: wake a
-    # unit, pick one of its atoms, then draw its destination.
+    # unit, pick one of its atoms, then draw its destination.  ``position``
+    # maps each state's key to its row.
     inst = oracle.inst
     state = state_from_key(inst, oracle.states[i])
     row = {}
@@ -336,7 +337,7 @@ def _kernel_row_by_state(oracle, params, gamma, i):
             for dest, p in dist.items():
                 moved = state.copy()
                 moved._shift(x, source, dest)
-                j = oracle.states.index(moved.key())
+                j = position[moved.key()]
                 row[j] = row.get(j, 0.0) + a / inst.total_alpha * c / a * p
     return row or {i: 1.0}
 
@@ -349,8 +350,9 @@ _PARAMS = st.sampled_from([GameParams(0.0, 0.0), GameParams(1.0, 0.0), GameParam
 def test_kernel_rows_equal_the_rows_built_state_by_state(oracle, params, gamma):
     # At gamma 2000 some Gibbs weights underflow to 0.0: those entries stay.
     build_transition_matrix(oracle, params, gamma)
+    position = {key: i for i, key in enumerate(oracle.states)}
     for i, row in enumerate(oracle.transition):
-        expected = _kernel_row_by_state(oracle, params, gamma, i)
+        expected = _kernel_row_by_state(oracle, position, params, gamma, i)
         assert sorted(row) == sorted(expected)
         assert all(type(j) is int and type(p) is float for j, p in row.items())
         for j, p in expected.items():

@@ -26,6 +26,7 @@ def test_every_exported_name_resolves(name):
 # wrap every name in __all__, so exporting one would record a span per step.
 PER_STEP_KERNELS = {
     "_choice", "_gibbs_weights", "_move_kind", "_draw", "_sample", "_candidates", "_resource_term",
+    "_unit_term", "_utilities",
 }
 
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from p2pstorage import feasibility, game
 from p2pstorage.analysis import build_transition_matrix, enumerate_states
-from p2pstorage.benchmarks import benchmark_instance
+from p2pstorage.benchmarks import benchmark_instance, preset_schedule
 from p2pstorage.dynamics import (
     ALLOCATE_FIRST,
     PROPORTIONAL,
@@ -468,6 +468,14 @@ def _pinned_configs():
     dense = make(build_complete(5), (3, 2, 4, 1, 2), (3,) * 5, (0.5, 0.8, 0.6, 0.8, 0.5))
     partial = AllocationState.from_entries(dense, [(0, 1, 2), (2, 3, 1), (4, 0, 1)])
     table1 = benchmark_instance(50, "complete")  # 49 candidates a step; resources fill
+    ka0 = GameParams(1.0, 0.0)
+    # Demand 35 on capacity 31, resource 4 of capacity 0, and up to three
+    # piles per unit to draw a relocation's source from.
+    piles = make(build_complete(7), (6, 5, 6, 4, 6, 5, 3), (5, 4, 6, 5, 0, 6, 5),
+                 (0.5, 0.8, 0.6, 0.8, 0.9, 0.5, 0.7))
+    spread = AllocationState.from_entries(piles, [
+        (0, 1, 2), (0, 3, 1), (0, 6, 2), (1, 0, 1), (1, 2, 2), (1, 5, 1), (2, 3, 2), (2, 5, 1),
+        (2, 6, 1), (3, 0, 1), (3, 1, 1), (5, 2, 2), (5, 6, 1), (6, 0, 1), (6, 1, 1)])
     return {
         "fixed-proportional-ka0": SimConfig(
             regular, GameParams(1.0, 0.0), GammaSchedule.fixed(1.5), horizon=400,
@@ -484,6 +492,12 @@ def _pinned_configs():
         "table1-complete-fixed-allocate-first-ka": SimConfig(
             table1, GameParams(1.0, 0.45), GammaSchedule.fixed(1.1),
             horizon=default_horizon(table1), seed=15, variant=ALLOCATE_FIRST, record_trace=True),
+        "table1-complete-annealed-allocate-first-ka0": SimConfig(
+            table1, ka0, preset_schedule(table1, ka0), horizon=default_horizon(table1),
+            seed=16, variant=ALLOCATE_FIRST, record_trace=True),
+        "complete-proportional-partial-piles": SimConfig(
+            piles, GameParams(1.0, 0.25), GammaSchedule.fixed(2.0), horizon=400,
+            seed=17, variant=PROPORTIONAL, record_trace=True, initial_state=spread),
     }
 
 
@@ -493,6 +507,8 @@ PINNED_RUN_DIGESTS = {
     "annealed-explicit-proportional-partial": "472408b6fd7c0de0042340db0eb23b61aecd6d78dc124d0ced6caea77dcd91a3",
     "infinite-allocate-first-ka0": "e8d6ab9a2776e883f27fa6d81b223390ccd5b7e5d192f8b70a49baeefd3be9a9",
     "table1-complete-fixed-allocate-first-ka": "803fe5193cf35a63b0bd21e153081797f878c97269145097b811f7c1e4f93786",
+    "table1-complete-annealed-allocate-first-ka0": "72a16859e6dc413a2f39aaf9b882bc667fb11b6ef3144f70e5c4fd35ce769c56",
+    "complete-proportional-partial-piles": "dd7a2d37052dd97a0698b4a55c2d616625e44ced57e034284d65efceb4f8192e",
 }
 
 PINNED_KERNEL_DIGEST = "adb8eda9043b5b42e9f092e50ffd2d05a241d08de46359f90ac4cca92a6febe7"

@@ -139,6 +139,13 @@ _STRANDED = Instance(Topology(3, frozenset({(1, 2), (1, 0), (2, 0)})), (2, 3, 2)
 # Demand 30 on capacity 22 over six resources: they fill, and relocations
 # run between full resources for most of the horizon.
 _DENSE = Instance(build_complete(6), (5,) * 6, (4, 5, 4, 5, 4, 0), (0.4, 0.9, 0.6, 0.9, 0.5, 1.0))
+# Unit 0's choices 1 and 3 tie, with resource 2 between them held full by
+# unit 3, whose only out-neighbour it is.
+_TIED = Instance(Topology(4, frozenset({(0, 1), (0, 2), (0, 3), (3, 2)})), (2, 0, 0, 1),
+                 (2, 2, 1, 2), (0.5, 0.8, 0.3, 0.8))
+# A full state where each relocation's only room is its own source: the
+# other out-neighbour is full (unit 0) or has no capacity (unit 1).
+_PINNED = Instance(build_complete(3), (1, 1, 0), (0, 1, 1), (0.5, 0.8, 0.6))
 
 
 @settings(max_examples=300, deadline=None)
@@ -151,6 +158,10 @@ _DENSE = Instance(build_complete(6), (5,) * 6, (4, 5, 4, 5, 4, 0), (0.4, 0.9, 0.
                    seed=21, variant=PROPORTIONAL))
 @example(SimConfig(_DENSE, GameParams(1.0, 0.45), GammaSchedule.infinite(), horizon=400,
                    seed=22, variant=PROPORTIONAL))
+@example(SimConfig(_TIED, GameParams(1.0, 0.0), GammaSchedule.infinite(), horizon=20, seed=5,
+                   initial_state=AllocationState.from_entries(_TIED, [(3, 2, 1)])))
+@example(SimConfig(_PINNED, GameParams(1.0, 0.45), GammaSchedule.fixed(1.5), horizon=20, seed=6,
+                   initial_state=AllocationState.from_entries(_PINNED, [(0, 1, 1), (1, 2, 1)])))
 def test_engine_stream_matches_reference_stepper(config):
     assert engine_stream(config) == list(reference_stream(config))
 

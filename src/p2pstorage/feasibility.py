@@ -14,6 +14,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
+import numpy as np
+
 from .topology import Instance, neighborhood_of_set
 
 __all__ = [
@@ -195,34 +197,47 @@ def check_strict(inst: Instance) -> FeasibilityVerdict:
     return FeasibilityVerdict(True)
 
 
+def _subset_tables(values, low: int, combine, dtype) -> list[np.ndarray]:
+    """For ``values[:low]`` and ``values[low:]``, the table whose entry m
+    combines the values at the set bits of m, built by doubling."""
+    tables = []
+    for part in (values[:low], values[low:]):
+        table = np.zeros(1, dtype)
+        for value in part:
+            table = np.concatenate([table, combine(table, value)])
+        tables.append(table)
+    return tables
+
+
 def _exhaustive(inst: Instance, strict: bool) -> FeasibilityVerdict:
-    # The covering inequality (strict: demand < capacity) on every nonempty
-    # subset, in increasing bitmask order; the first violator is the witness.
+    """The covering inequality (strict: demand < capacity) on every nonempty
+    subset, in increasing bitmask order; the first violator is the witness.
+    Demand and neighborhood union per subset of the low min(n, 16) units and
+    of the rest, and capacity per low and per high resource mask, are
+    tabulated (memory O(2^16)); each block of subsets sharing their high
+    units is one array comparison, whose argmax is its first violator."""
     n = inst.n
     if n > EXHAUSTIVE_MAX_UNITS:
         raise SizeLimitExceeded(
             f"subset enumeration is limited to n <= {EXHAUSTIVE_MAX_UNITS} "
             f"(got n={n}); use {'check_strict' if strict else 'check_feasible_flow'}"
         )
+    dtype = np.int64 if inst.total_alpha + inst.total_beta < 2**62 else object
+    low = min(n, 16)
     nbr_mask = [sum(1 << y for y in inst.topology.out_neighbors(x)) for x in range(n)]
-    for mask in range(1, 1 << n):
-        demand = 0
-        cover = 0
-        m = mask
-        while m:
-            low = m & -m
-            i = low.bit_length() - 1
-            demand += inst.alpha[i]
-            cover |= nbr_mask[i]
-            m ^= low
-        capacity = 0
-        while cover:
-            low = cover & -cover
-            capacity += inst.beta[low.bit_length() - 1]
-            cover ^= low
-        if demand > capacity or (strict and demand == capacity):
-            witness = tuple(i for i in range(n) if mask >> i & 1)
-            return FeasibilityVerdict(False, witness)
+    demand_lo, demand_hi = _subset_tables(inst.alpha, low, np.add, dtype)
+    cover_lo, cover_hi = _subset_tables(nbr_mask, low, np.bitwise_or, np.int64)
+    cap_lo, cap_hi = _subset_tables(inst.beta, low, np.add, dtype)
+    violates = np.greater_equal if strict else np.greater
+    for high in range(len(demand_hi)):
+        cover = cover_lo | cover_hi[high]
+        capacity = cap_lo[cover & ((1 << low) - 1)] + cap_hi[cover >> low]
+        bad = violates(demand_lo + demand_hi[high], capacity)
+        bad[0] &= high > 0  # the empty set is no witness
+        first = int(bad.argmax())
+        if bad[first]:
+            mask = high << low | first
+            return FeasibilityVerdict(False, tuple(i for i in range(n) if mask >> i & 1))
     return FeasibilityVerdict(True)
 
 

@@ -278,12 +278,12 @@ def _gibbs_weights(utils: list[float], gamma: float, top: float) -> list[float]:
 
 
 def utility(inst: Instance, params: GameParams, state: AllocationState, x: int, y: int) -> float:
-    """Value unit x derives from resource y at the current state (the
-    choice of y read off with y as the source, so nothing moves)."""
+    """Value unit x derives from an atom it stores on resource y at the
+    current state (the choice read off with y as the source, so nothing moves)."""
     if (x, y) not in inst.topology.edges:
         raise ValueError(f"({x}, {y}) is not an edge")
-    if inst.beta[y] == 0:
-        raise UndefinedUtilityError(f"resource {y} offers no space")
+    if state.get(x, y) == 0:
+        raise UndefinedUtilityError(f"unit {x} stores nothing on resource {y}")
     cands, utils = _choice(inst, params, state, x, source=y)
     return utils[cands.index(y)]
 

@@ -107,6 +107,37 @@ def test_check_infeasible_exit_two(tmp_path, capsys):
     assert report["witness"]  # violating units are listed
 
 
+def tight_doc():
+    # Feasible, but the three units together fill all three resources.
+    return {"generator": {"kind": "complete", "n": 3}, "alpha": 1, "beta": 1, "lambda": 1.0}
+
+
+@pytest.mark.parametrize(
+    "doc,code,strict",
+    [(feasible_doc(), 0, True), (tight_doc(), 0, False), (infeasible_doc(), 2, None)],
+    ids=["strict", "tight", "infeasible"],
+)
+def test_check_solves_one_flow(tmp_path, capsys, monkeypatch, doc, code, strict):
+    solve, calls = feasibility._max_flow, []
+
+    def counted(inst):
+        calls.append(inst)
+        return solve(inst)
+
+    monkeypatch.setattr(feasibility, "_max_flow", counted)
+    path = write_instance(tmp_path, "inst.json", doc)
+    assert main(["check", str(path)]) == code
+    assert len(calls) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert (report["feasible"], report["strict"]) == (code == 0, strict)
+    inst = calls[0]
+    if strict is None:
+        assert feasibility.witness_violates(inst, tuple(report["witness"]))
+    elif not strict:
+        assert report["witness"] is None
+        assert feasibility.witness_violates(inst, tuple(report["strict_witness"]), strict=True)
+
+
 def test_check_malformed_exit_one(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text('{"n": 3, "mystery": true}')
@@ -760,3 +791,27 @@ def test_usage_errors_exit_one(capsys, argv):
         main(argv)
     assert excinfo.value.code == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_repeated_main_calls_stay_independent(tmp_path, capsys, monkeypatch):
+    # One parser serves every call in a process; no call leaks into the next.
+    from p2pstorage import cli
+
+    seeds = []
+
+    def probe(inst, params, trials, seed):
+        seeds.append(seed)
+        return {"trials": trials, "incomplete": 0, "fraction": 0.0}
+
+    monkeypatch.setattr(cli, "_verify_absorption", probe)
+    path = write_instance(tmp_path, "ok.json", feasible_doc())
+    assert main(["verify", str(path), "--gamma", "inf", "--seed", "5"]) == 0
+    assert main(["verify", str(path), "--gamma", "inf"]) == 0
+    assert seeds == [5, 0]
+    with pytest.raises(SystemExit) as excinfo:
+        main(["verify", "--k-c", "abc", str(path)])
+    assert excinfo.value.code == 1
+    capsys.readouterr()
+    assert main(["check", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["strict"] is True
+    assert cli._parser() is cli._parser()

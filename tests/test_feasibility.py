@@ -82,6 +82,107 @@ def test_exhaustive_agrees_with_flow_on_random_instances():
             assert witness_violates(inst, exhaustive.witness)
 
 
+def scalar_exhaustive(inst, strict):
+    """The subset loop the exhaustive oracles replaced: each subset's units
+    and its neighborhood's resources added one bit at a time."""
+    n = inst.n
+    nbr_mask = [sum(1 << y for y in inst.topology.out_neighbors(x)) for x in range(n)]
+    for mask in range(1, 1 << n):
+        demand = 0
+        cover = 0
+        m = mask
+        while m:
+            low = m & -m
+            i = low.bit_length() - 1
+            demand += inst.alpha[i]
+            cover |= nbr_mask[i]
+            m ^= low
+        capacity = 0
+        while cover:
+            low = cover & -cover
+            capacity += inst.beta[low.bit_length() - 1]
+            cover ^= low
+        if demand > capacity or (strict and demand == capacity):
+            return False, tuple(i for i in range(n) if mask >> i & 1)
+    return True, None
+
+
+def equivalence_instance(rng):
+    """n <= 14 with zero demands and capacities, isolated units (no edge in
+    or out), and one instance in eight scaled by 10**30 (object arrays)."""
+    n = min(rng.randint(1, 14), rng.randint(1, 14))  # small n more often: the loop is 2^n
+    isolated = {x for x in range(n) if rng.random() < 0.15}
+    p = rng.uniform(0.1, 0.9)
+    edges = frozenset(
+        (x, y) for x in range(n) for y in range(n)
+        if x != y and x not in isolated and y not in isolated and rng.random() < p
+    )
+    scale = 10**30 if rng.random() < 0.125 else 1
+    alpha = tuple(scale * rng.choice([0, 0, 1, 2, 3]) for _ in range(n))
+    beta = tuple(scale * rng.choice([0, 1, 2, 4, 6]) for _ in range(n))
+    return make(Topology(n, edges), alpha, beta)
+
+
+def test_exhaustive_oracles_equal_the_scalar_subset_loop():
+    rng = random.Random(1935)
+    outcomes = {(strict, feasible): 0 for strict in (False, True) for feasible in (False, True)}
+    scaled = 0
+    for _ in range(1000):
+        inst = equivalence_instance(rng)
+        scaled += inst.total_alpha + inst.total_beta >= 2**62
+        for strict, oracle in ((False, check_feasible_exhaustive), (True, check_strict_exhaustive)):
+            verdict = oracle(inst)
+            assert (verdict.feasible, verdict.witness) == scalar_exhaustive(inst, strict)
+            outcomes[strict, verdict.feasible] += 1
+    assert min(outcomes.values()) > 50 and scaled > 50
+
+
+@pytest.mark.parametrize("scale", [1, 10**30])
+@pytest.mark.parametrize("alpha3,feasible,strict_witness", [(1, True, (3, 17)), (2, False, (3,))])
+def test_exhaustive_witness_past_the_low_sixteen_units(scale, alpha3, feasible, strict_witness):
+    # Units 3 and 17 store only on resource 0 and fill it together; every
+    # set without both has room, so the first violator past {3} is {3, 17},
+    # whose unit 17 lies beyond the 16 low units of the subset tables.
+    n = 18
+    edges = {(x, y) for x in range(17) for y in range(17) if x != y and x != 3} | {(3, 0), (17, 0)}
+    alpha = tuple(scale * (alpha3 if x == 3 else 1) for x in range(n))
+    inst = make(Topology(n, frozenset(edges)), alpha, tuple([2 * scale] * n))
+    verdict = check_feasible_exhaustive(inst)
+    assert (verdict.feasible, verdict.witness) == (feasible, None if feasible else (3, 17))
+    assert check_strict_exhaustive(inst).witness == strict_witness
+
+
+def test_exhaustive_agrees_with_flow_beyond_sixteen_units():
+    # The 16 low units always have room among themselves, so every verdict
+    # is decided by sets holding high units.
+    rng = random.Random(16)
+    verdicts = set()
+    for _ in range(30):
+        n = rng.randint(17, 20)
+        edges = {(x, y) for x in range(16) for y in range(16) if x != y}
+        edges |= {(x, y) for x in range(16, n) for y in range(n) if x != y and rng.random() < 0.15}
+        alpha = (1,) * 16 + tuple(rng.randint(0, 8) for _ in range(16, n))
+        beta = (3,) * 16 + tuple(rng.randint(0, 3) for _ in range(16, n))
+        inst = make(Topology(n, frozenset(edges)), alpha, beta)
+        for strict, flow, oracle in (
+            (False, check_feasible_flow, check_feasible_exhaustive),
+            (True, check_strict, check_strict_exhaustive),
+        ):
+            verdict = oracle(inst)
+            assert verdict.feasible == flow(inst).feasible
+            assert verdict.feasible or witness_violates(inst, verdict.witness, strict=strict)
+            verdicts.add((strict, verdict.feasible))
+    assert len(verdicts) == 4
+
+
+def test_exhaustive_decides_a_feasible_twenty_unit_instance_fast():
+    inst = make(build_complete(20), tuple([1] * 20), tuple([2] * 20))
+    start = time.perf_counter()
+    assert check_feasible_exhaustive(inst).feasible
+    assert check_strict_exhaustive(inst).feasible
+    assert time.perf_counter() - start < 0.5
+
+
 def test_exhaustive_large_benchmark_instance_guard():
     inst = make(build_complete(50), tuple([45] * 50), tuple([50] * 50))
     with pytest.raises(SizeLimitExceeded):

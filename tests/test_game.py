@@ -96,6 +96,15 @@ def test_utility_zero_capacity_error():
         game.utility(inst, GameParams(1.0, 0.0), state, 0, 1)
 
 
+@pytest.mark.parametrize("entries", [[], [(2, 1, 1)]], ids=["empty", "another-units-atom"])
+def test_utility_of_a_resource_holding_none_of_the_units_atoms_is_undefined(entries):
+    # With unit 2's atom on resource 1 no phantom atom of unit 0 is scored there.
+    inst = make(build_complete(3), (1, 1, 1), (2, 2, 2), (1.0, 1.0, 1.0))
+    state = AllocationState.from_entries(inst, entries)
+    with pytest.raises(UndefinedUtilityError, match="unit 0 stores nothing on resource 1"):
+        game.utility(inst, GameParams(1.0, 0.0), state, 0, 1)
+
+
 def test_utility_non_edge_error():
     inst = make(build_line(3), (1, 1, 1), (1, 1, 1), (1.0, 1.0, 1.0))
     state = AllocationState.zeros(inst)

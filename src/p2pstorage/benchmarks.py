@@ -14,10 +14,10 @@ from 1 at ``dynamics.default_increment`` per step to the cold regime,
 which crystallizes the capacity-forced optimum (trusted resources
 saturate exactly).  Aggregation presets (k_a > 0) run at bounded noise
 instead: annealing cold makes the aggregation bonus compound during
-allocation and collapses each unit onto 2-3 piles, far below the
-reference support degrees, while bounded gamma reproduces the published
-structure (and bounded noise is also what a live deployment would run to
-stay adaptive).
+allocation and collapses each unit onto 2-3 piles, far below the paper's
+d_out.  Bounded gamma comes close to the published d_out on the regular
+graphs of tables 2-4, not on table 1's complete graph (k_a = 0.25: 26.7
+against 9.54); bounded noise is also what a live deployment would run.
 
 Reference numbers are single-run values and carry no variance; treat
 comparisons as indicative bands, not exact targets.

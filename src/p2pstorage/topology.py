@@ -25,7 +25,6 @@ __all__ = [
     "instance_to_dict",
     "load_instance",
     "neighborhood_of_set",
-    "save_instance",
 ]
 
 
@@ -37,26 +36,34 @@ class GenerationFailed(RuntimeError):
 class Topology:
     """Directed graph on units 0..n-1; an edge (x, y) lets x store atoms in y.
 
-    Self-loops are rejected: a unit never backs its data up onto itself.
-    Adjacency is precomputed once; instances are immutable and safe to
-    share between concurrent runs.
+    Endpoints follow the instance file's integer rule (an int or integral
+    float, never a bool); self-loops are rejected.  This is the one place an
+    edge is validated, in the pass that builds the adjacency.  Instances are
+    immutable and safe to share between concurrent runs.
     """
 
     n: int
     edges: frozenset[tuple[int, int]]
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"need at least one unit, got n={self.n}")
-        edges = frozenset((int(x), int(y)) for x, y in self.edges)
-        object.__setattr__(self, "edges", edges)
-        out: list[list[int]] = [[] for _ in range(self.n)]
+        n = _integer(self.n, "n")
+        if n < 1:
+            raise ValueError(f"need at least one unit, got n={n}")
+        object.__setattr__(self, "n", n)
+        edges = self.edges if isinstance(self.edges, frozenset) else frozenset(self.edges)
+        out: list[list[int]] = [[] for _ in range(n)]
+        converted = False  # an integral float was read as its int
         for x, y in edges:
-            if not (0 <= x < self.n and 0 <= y < self.n):
-                raise ValueError(f"edge ({x}, {y}) out of range for n={self.n}")
+            if type(x) is not int or type(y) is not int:
+                x, y, converted = _integer(x, "edges"), _integer(y, "edges"), True
+            if not (0 <= x < n and 0 <= y < n):
+                raise ValueError(f"edge ({x}, {y}) out of range for n={n}")
             if x == y:
                 raise ValueError(f"self-loop ({x}, {y}) is not allowed")
             out[x].append(y)
+        if converted:
+            edges = frozenset((x, y) for x, ys in enumerate(out) for y in ys)
+        object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "_out", tuple(tuple(sorted(v)) for v in out))
 
     def out_neighbors(self, x: int) -> tuple[int, ...]:
@@ -175,7 +182,7 @@ class Instance:
         n = self.topology.n
         alpha = tuple(_integer(a, "alpha") for a in self.alpha)
         beta = tuple(_integer(b, "beta") for b in self.beta)
-        reliability = tuple(float(r) for r in self.reliability)
+        reliability = tuple(_real(r, "lambda") for r in self.reliability)
         for name, vec in (("alpha", alpha), ("beta", beta), ("reliability", reliability)):
             if len(vec) != n:
                 raise ValueError(f"{name} must have length n={n}, got {len(vec)}")
@@ -233,12 +240,12 @@ def _real(value, name: str) -> float:
         raise ValueError(f"'{name}' is too large for a float") from None
 
 
-def _broadcast(value, n: int, name: str, parse) -> tuple:
+def _broadcast(value, n: int, name: str):  # one value per unit, for Instance to check
     if isinstance(value, (list, tuple)):
         if len(value) != n:
             raise ValueError(f"'{name}' must have {n} entries, got {len(value)}")
-        return tuple(parse(v, name) for v in value)
-    return (parse(value, name),) * n
+        return value
+    return [value] * n
 
 
 def _check_size(n: int, directed_edges: int) -> None:
@@ -295,21 +302,21 @@ def instance_from_dict(data: dict) -> Instance:
         if not isinstance(edges, list):
             raise ValueError("'edges' must be an array of [x, y] pairs")
         _check_size(n, len(edges))
-        pairs = set()
-        for item in edges:
-            if not (isinstance(item, (list, tuple)) and len(item) == 2):
-                raise ValueError(f"bad edge entry: {item!r}")
-            pairs.add((_integer(item[0], "edges"), _integer(item[1], "edges")))
-        topology = Topology(n, frozenset(pairs))
+        try:
+            pairs = frozenset([(x, y) for x, y in edges])
+        except (TypeError, ValueError):  # an entry that is not a pair, or unhashable
+            raise ValueError("'edges' must be an array of [x, y] pairs") from None
+        if len(pairs) < len(edges):  # a repeat can hide a bool: true == 1
+            pairs = frozenset((_integer(x, "edges"), _integer(y, "edges")) for x, y in edges)
+        topology = Topology(n, pairs)
 
     n = topology.n
     for key in ("alpha", "beta", "lambda"):
         if key not in data:
             raise ValueError(f"missing required key '{key}'")
-    alpha = _broadcast(data["alpha"], n, "alpha", _integer)
-    beta = _broadcast(data["beta"], n, "beta", _integer)
-    reliability = _broadcast(data["lambda"], n, "lambda", _real)
-    return Instance(topology, alpha, beta, reliability)
+    alpha = _broadcast(data["alpha"], n, "alpha")
+    beta = _broadcast(data["beta"], n, "beta")
+    return Instance(topology, alpha, beta, _broadcast(data["lambda"], n, "lambda"))
 
 
 def instance_to_dict(inst: Instance) -> dict:
@@ -330,9 +337,3 @@ def load_instance(path) -> Instance:
         return instance_from_dict(data)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
-
-
-def save_instance(inst: Instance, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(instance_to_dict(inst), fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -1,12 +1,15 @@
 import itertools
 import random
 import time
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from p2pstorage import feasibility
 from p2pstorage.feasibility import (
+    FeasibilityVerdict,
     SizeLimitExceeded,
     check_feasible_exhaustive,
     check_feasible_flow,
@@ -107,10 +110,10 @@ def scalar_exhaustive(inst, strict):
     return True, None
 
 
-def equivalence_instance(rng):
-    """n <= 14 with zero demands and capacities, isolated units (no edge in
-    or out), and one instance in eight scaled by 10**30 (object arrays)."""
-    n = min(rng.randint(1, 14), rng.randint(1, 14))  # small n more often: the loop is 2^n
+def equivalence_instance(rng, max_n=14):
+    """n <= max_n with zero demands and capacities, isolated units (no edge
+    in or out), and one instance in eight scaled by 10**30 (object arrays)."""
+    n = min(rng.randint(1, max_n), rng.randint(1, max_n))  # small n more often: the loop is 2^n
     isolated = {x for x in range(n) if rng.random() < 0.15}
     p = rng.uniform(0.1, 0.9)
     edges = frozenset(
@@ -301,6 +304,184 @@ def test_flow_verdicts_agree_with_exhaustive_and_witnesses_violate(inst):
     assert strict.feasible == check_strict_exhaustive(inst).feasible
     if not strict.feasible:
         assert witness_violates(inst, strict.witness, strict=True)
+
+
+class ListOfListsDinic:
+    """The max-flow the flat-arc network replaced: per node a list of
+    [to, cap, rev] edges, searched in insertion order."""
+
+    def __init__(self, size):
+        self.size = size
+        self.adj = [[] for _ in range(size)]
+
+    def add_edge(self, u, v, cap):
+        self.adj[u].append([v, cap, len(self.adj[v])])
+        self.adj[v].append([u, 0, len(self.adj[u]) - 1])
+
+    def _bfs(self, s, t):
+        self.level = [-1] * self.size
+        self.level[s] = 0
+        queue = deque([s])
+        while queue:
+            u = queue.popleft()
+            for edge in self.adj[u]:
+                if edge[1] > 0 and self.level[edge[0]] < 0:
+                    self.level[edge[0]] = self.level[u] + 1
+                    queue.append(edge[0])
+        return self.level[t] >= 0
+
+    def _augment(self, s, t):
+        adj, level, it = self.adj, self.level, self.it
+        u, path = s, []
+        while u != t:
+            edges, i, nxt = adj[u], it[u], level[u] + 1
+            end = len(edges)
+            while i < end:
+                edge = edges[i]
+                if edge[1] > 0 and level[edge[0]] == nxt:
+                    break
+                i += 1
+            it[u] = i
+            if i < end:
+                path.append(edge)
+                u = edge[0]
+            elif path:
+                edge = path.pop()
+                u = adj[edge[0]][edge[2]][0]
+                it[u] += 1
+            else:
+                return 0
+        flow = min([edge[1] for edge in path])
+        for edge in path:
+            edge[1] -= flow
+            adj[edge[0]][edge[2]][1] += flow
+        return flow
+
+    def max_flow(self, s, t):
+        total = 0
+        while self._bfs(s, t):
+            self.it = [0] * self.size
+            while flow := self._augment(s, t):
+                total += flow
+        self.value = total
+        return total
+
+    def residuals(self):
+        return [(u, v, cap) for u in range(self.size) for v, cap, _rev in self.adj[u]]
+
+    def reachable_from(self, s, reverse=False):
+        seen = {s}
+        queue = deque([s])
+        while queue:
+            u = queue.popleft()
+            for v, cap, rev in self.adj[u]:
+                residual = self.adj[v][rev][1] if reverse else cap
+                if residual > 0 and v not in seen:
+                    seen.add(v)
+                    queue.append(v)
+        return seen
+
+
+class FlatDinic(feasibility._Dinic):
+    def max_flow(self, s, t):
+        self.value = super().max_flow(s, t)
+        return self.value
+
+    def residuals(self):
+        return [(u, self.head[a], self.cap[a]) for u in range(self.size) for a in self.arcs[u]]
+
+
+def flow_outcome(inst, dinic, monkeypatch):
+    """The flow value, every arc's residual capacity, every node's residual
+    reach both ways, and the flow and strict verdicts, with ``dinic`` as
+    the network."""
+    with monkeypatch.context() as patch:
+        patch.setattr(feasibility, "_Dinic", dinic)
+        net, full = feasibility._max_flow(inst)
+        reach = [(net.reachable_from(u), net.reachable_from(u, reverse=True))
+                 for u in range(net.size)]
+        return (net.value, full, net.residuals(), reach,
+                check_feasible_flow(inst), check_strict(inst))
+
+
+def test_flat_network_equals_the_list_of_lists_network(monkeypatch):
+    rng = random.Random(1970)
+    outcomes, scaled = set(), 0
+    for _ in range(1000):
+        inst = equivalence_instance(rng, max_n=12)
+        scaled += inst.total_alpha >= 10**30
+        flat = flow_outcome(inst, FlatDinic, monkeypatch)
+        assert flat == flow_outcome(inst, ListOfListsDinic, monkeypatch)
+        outcomes.add((flat[4].feasible, flat[5].feasible))
+    assert outcomes == {(False, False), (True, False), (True, True)} and scaled > 50
+
+
+def unseeded_matching(inst):
+    """The matching oracle before its first-fit seed: Kuhn's search from
+    every atom in turn, then alternating reach from the atoms left
+    unmatched."""
+    n = inst.n
+    slot_start = [0] * (n + 1)
+    for y in range(n):
+        slot_start[y + 1] = slot_start[y] + inst.beta[y]
+    slot_owner = [-1] * slot_start[n]
+    atom_unit = [x for x in range(n) for _ in range(inst.alpha[x])]
+
+    def slots(atom):
+        return [s for y in inst.topology.out_neighbors(atom_unit[atom])
+                for s in range(slot_start[y], slot_start[y + 1])]
+
+    def augment(atom, visited):
+        path, tries, taken = [atom], [iter(slots(atom))], []
+        while path:
+            for slot in tries[-1]:
+                if not visited[slot]:
+                    break
+            else:
+                path.pop()
+                tries.pop()
+                if taken:
+                    taken.pop()
+                continue
+            visited[slot] = True
+            taken.append(slot)
+            owner = slot_owner[slot]
+            if owner < 0:
+                for a, s in zip(path, taken):
+                    slot_owner[s] = a
+                return True
+            path.append(owner)
+            tries.append(iter(slots(owner)))
+        return False
+
+    unmatched = [a for a in range(len(atom_unit)) if not augment(a, [False] * len(slot_owner))]
+    if not unmatched:
+        return FeasibilityVerdict(True)
+    reach, queue = set(unmatched), deque(unmatched)
+    while queue:
+        for slot in slots(queue.popleft()):
+            owner = slot_owner[slot]
+            if owner >= 0 and owner not in reach:
+                reach.add(owner)
+                queue.append(owner)
+    return FeasibilityVerdict(False, tuple(sorted({atom_unit[a] for a in reach})))
+
+
+def test_seeded_matching_equals_the_unseeded_search():
+    # The alternating reach from the unmatched atoms is the same for every
+    # maximum matching, so the first-fit seed changes no witness.
+    rng = random.Random(1931)
+    verdicts = {True: 0, False: 0}
+    for _ in range(1000):
+        inst = equivalence_instance(rng, max_n=12)
+        if inst.total_alpha + inst.total_beta >= 10**30:
+            with pytest.raises(SizeLimitExceeded):
+                check_feasible_matching(inst)
+            continue
+        verdict = check_feasible_matching(inst)
+        assert verdict == unseeded_matching(inst)
+        verdicts[verdict.feasible] += 1
+    assert min(verdicts.values()) > 100
 
 
 def test_atom_bipartite_structure():

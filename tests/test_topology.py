@@ -15,7 +15,6 @@ from p2pstorage.topology import (
     instance_to_dict,
     load_instance,
     neighborhood_of_set,
-    save_instance,
 )
 
 
@@ -66,6 +65,27 @@ def test_topology_rejects_self_loop():
 def test_topology_rejects_out_of_range():
     with pytest.raises(ValueError):
         Topology(2, frozenset({(0, 5)}))
+
+
+@pytest.mark.parametrize("edge", [(0.5, 1), (True, 2), (1, False), ("0", 1)],
+                         ids=["fraction", "bool-tail", "bool-head", "string"])
+def test_topology_rejects_non_integer_endpoints(edge):
+    # The instance file's integer rule: int() would read 0.5 as 0 and True as 1.
+    with pytest.raises(ValueError, match="must be an integer"):
+        Topology(3, frozenset({edge}))
+
+
+@pytest.mark.parametrize("n", [2.5, True, "3"], ids=["fraction", "bool", "string"])
+def test_topology_rejects_a_non_integer_unit_count(n):
+    with pytest.raises(ValueError, match="must be an integer"):
+        Topology(n, frozenset())
+
+
+def test_topology_reads_integral_float_endpoints_as_ints():
+    topo = Topology(3, frozenset({(0.0, 1), (2, 1.0)}))
+    assert topo.edges == {(0, 1), (2, 1)}
+    assert all(type(v) is int for edge in topo.edges for v in edge)
+    assert topo.to_dict() == {"n": 3, "edges": [[0, 1], [2, 1]]}
 
 
 def test_random_regular_d3_n4_is_complete():
@@ -194,6 +214,14 @@ def test_instance_rejects_bool_or_fractional_counts(alpha, beta):
         Instance(build_line(2), alpha, beta, (0.5, 0.5))
 
 
+@pytest.mark.parametrize("bad", ["0.5", True, None], ids=["string", "bool", "none"])
+def test_instance_rejects_non_number_reliability(bad):
+    # The rule of "lambda" in an instance file: float() would read '0.5'
+    # as 0.5 and True as 1.0.
+    with pytest.raises(ValueError, match="must be a number"):
+        Instance(build_line(3), (1, 1, 0), (1, 1, 1), (0.5, bad, 1))
+
+
 def test_instance_accepts_integral_float_counts():
     inst = Instance(build_line(2), (2.0, 1), (3, 1.0), (0.5, 0.5))
     assert inst.alpha == (2, 1) and inst.beta == (3, 1)
@@ -203,7 +231,7 @@ def test_instance_accepts_integral_float_counts():
 def test_instance_file_round_trip(tmp_path):
     inst = _example_instance()
     path = tmp_path / "inst.json"
-    save_instance(inst, path)
+    path.write_text(json.dumps(instance_to_dict(inst)))
     again = load_instance(path)
     assert again == inst
     assert again.fingerprint() == inst.fingerprint()
@@ -289,6 +317,27 @@ def test_instance_from_dict_accepts_integral_floats():
     assert inst.n == 2
     assert inst.alpha == (1, 2)
     assert inst.beta == (3, 3)
+
+
+def test_instance_from_dict_merges_repeated_edges():
+    doc = bad_instance_doc({"edges": [[0, 1], [0, 1], [0.0, 1]]})
+    topo = instance_from_dict(doc).topology
+    assert topo.edges == {(0, 1)}
+    assert topo.out_neighbors(0) == (1,) and topo.out_neighbors(1) == ()
+
+
+@pytest.mark.parametrize("edges", [[[0, 1], [False, 1]], [[1, 0], [True, 0], [0, 1]]],
+                         ids=["bool-after", "bool-amid"])
+def test_instance_from_dict_rejects_a_bool_hidden_by_a_repeat(edges):
+    # false == 0 and true == 1, so a set of the entries alone would drop it.
+    with pytest.raises(ValueError, match="must be an integer"):
+        instance_from_dict(bad_instance_doc({"edges": edges}))
+
+
+@pytest.mark.parametrize("edges", [[5], [[[0], 1]], ["01"]], ids=["number", "unhashable", "string"])
+def test_instance_from_dict_rejects_malformed_edge_entries(edges):
+    with pytest.raises(ValueError, match="edge"):
+        instance_from_dict(bad_instance_doc({"edges": edges}))
 
 
 def test_load_instance_bad_json(tmp_path):

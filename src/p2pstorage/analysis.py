@@ -236,10 +236,10 @@ def build_transition_matrix(
     variants induce the same kernel; self-moves and saturation contribute
     the diagonal.  For a block of states at a time, one set of array
     operations per (unit, source slot) scores the unit's choice at every
-    state with atoms in that slot, with the arithmetic of ``game``'s
-    ``_resource_term``, ``_unit_term``, ``_utilities`` and ``_gibbs_weights``
-    in order (math.exp, as np.exp may differ by an ulp; the norm a running
-    sum left to right, as ``game.gibbs_choice_distribution`` takes it), so
+    state with atoms in that slot, with the arithmetic of ``game._choice``
+    (``_resource_term`` plus ``_unit_term``) and ``_gibbs_weights`` in order
+    (math.exp, as np.exp may differ by an ulp; the norm a running sum left
+    to right, as ``game.gibbs_choice_distribution`` takes it), so
     each entry is the float a state-by-state loop gives; the diagonal adds
     up in (unit, source) order, as that loop would.  Needs a finite gamma > 0.
     """

@@ -26,10 +26,8 @@ from .game import (
     GameParams,
     Move,
     _check_gamma,
-    _gibbs_weights,
     _resource_term,
     _unit_term,
-    _utilities,
 )
 from .topology import Instance
 
@@ -137,8 +135,8 @@ def move_kind_probabilities(
 
 
 def _move_kind(a: int, placed: int, variant: str) -> tuple[float, float]:
-    # Kept out of __all__: the engine calls it every step, and span tracers
-    # wrap every exported name.
+    # Kept out of __all__: the engine calls it on every allocation, and span
+    # tracers wrap every exported name.
     if placed >= a:
         return (0.0, 1.0)
     if placed == 0 or variant == ALLOCATE_FIRST:
@@ -166,17 +164,21 @@ def _engine(config: SimConfig, state: AllocationState):
     yielding (t, x, drawn) for the unit x that woke, with drawn the applied
     (source, dest) or None for a blocked activation.
 
-    It keeps each resource's utility term at its load and one atom up (-inf
-    where the atom does not fit), and each unit's atom counts and unit terms
-    in rows aligned with its ascending out-neighbours.  A step adds terms
-    position by position and bisects running sums for the source pile and
-    the destination; a position that does not fit weighs 0.0, never drawn.
-    A transfer updates two positions per row and two resource terms.
+    It keeps each resource's utility term at its load and one atom up (-inf,
+    weight 0.0, where the atom does not fit), and each unit's ``_move_kind``
+    and rows of atom counts and unit terms, aligned with its ascending
+    out-neighbours.  A step bisects running sums for the source pile and the
+    destination and calls only ``state._shift`` and, when gamma anneals,
+    ``gamma_at``: the sums of ``game._choice`` and the terms of
+    ``_resource_term``, ``_unit_term`` and ``_gibbs_weights`` are written in
+    line, with the same float operations in the same order.  Those stay the
+    definitions; the reference stepper test and the pinned run digests hold
+    this loop to them bit for bit.
     """
     inst = config.instance
     if inst.total_alpha == 0 or config.horizon == 0:
         return
-    variant, alpha = config.variant, inst.alpha
+    variant, alpha, lam, beta = config.variant, inst.alpha, inst.reliability, inst.beta
     out = list(map(inst.topology.out_neighbors, range(inst.n)))  # each ascending
     placed, load = state.placed, state.load
     k_c, k_a = config.params.k_c, config.params.k_a
@@ -184,46 +186,50 @@ def _engine(config: SimConfig, state: AllocationState):
     enter = [_resource_term(inst, k_c, y, w + 1) for y, w in enumerate(load)]
     piles = [[row.get(y, 0) for y in ys] for ys, row in zip(out, state.counts)]
     bonus = [[_unit_term(k_a, c + 1) for c in pile] for pile in piles]
-    cum_alpha = list(accumulate(alpha))
-    total = cum_alpha[-1]
-    gamma_at = config.schedule.gamma_at
+    kinds = [_move_kind(a, p, variant) for a, p in zip(alpha, placed)]
+    cum_alpha, total = list(accumulate(alpha)), inst.total_alpha
+    gamma, gamma_at = config.schedule.gamma0, config.schedule.gamma_at
+    annealed, exp, inf = config.schedule.increment != 0.0, math.exp, math.inf
     rng = random.Random(config.seed)
     uniform = rng.random
     for t in range(config.horizon):
         x = bisect_right(cum_alpha, uniform() * total)
-        p_alloc, p_dist = _move_kind(alpha[x], placed[x], variant)
+        p_alloc, p_dist = kinds[x]
         ys, pile, row = out[x], piles[x], bonus[x]
-        utils = _utilities(ys, enter, row)
+        utils = [enter[y] + b for y, b in zip(ys, row)]
         source = slot = None
         if not (p_dist == 0 or (p_alloc > 0 and uniform() < p_alloc)):
             # The source pile, drawn in proportion to the atoms stored there;
             # running off the end (r == placed) keeps the last nonempty pile.
             cum = list(accumulate(pile))
             slot = bisect_right(cum, uniform() * placed[x], 0, bisect_left(cum, placed[x]))
-            source, back = ys[slot], _unit_term(k_a, pile[slot])
+            source, back = ys[slot], k_a * pile[slot]
             utils[slot] = stay[source] + back  # the atom put back
-        if not utils or (top := max(utils)) == -math.inf:  # a new atom fits nowhere
+        if not utils or (top := max(utils)) == -inf:  # a new atom fits nowhere
             yield t, x, None
             continue
-        gamma = gamma_at(t)
-        weights = _gibbs_weights(utils, gamma, top)
-        if gamma == math.inf:
-            ties = [i for i, w in enumerate(weights) if w]
+        if annealed:
+            gamma = gamma_at(t)
+        if gamma == inf:
+            ties = [i for i, u in enumerate(utils) if u == top]
             i = ties[rng.randrange(len(ties))] if len(ties) > 1 else ties[0]
         else:
-            cum = list(accumulate(weights))
+            cum = list(accumulate([exp(gamma * (u - top)) for u in utils]))
             i = bisect_right(cum, uniform() * cum[-1])
         dest = ys[i]
         if i != slot:
             # One atom more shifts dest's terms down by one, one fewer shifts
             # the source's up: its second term is its old first.
             state._shift(x, source, dest)
-            pile[i], row[i] = pile[i] + 1, _unit_term(k_a, pile[i] + 2)
-            stay[dest], enter[dest] = enter[dest], _resource_term(inst, k_c, dest, load[dest] + 1)
-            if source is not None:
+            pile[i], row[i] = pile[i] + 1, k_a * (pile[i] + 2)
+            w, b = load[dest] + 1, beta[dest]  # w > 0: dest holds an atom
+            stay[dest], enter[dest] = enter[dest], lam[dest] - k_c * w / b if w <= b else -inf
+            if source is None:
+                kinds[x] = _move_kind(alpha[x], placed[x], variant)
+            else:
                 pile[slot], row[slot] = pile[slot] - 1, back
-                enter[source] = stay[source]
-                stay[source] = _resource_term(inst, k_c, source, load[source])
+                enter[source], w, b = stay[source], load[source], beta[source]
+                stay[source] = lam[source] - k_c * w / b if 0 < w <= b else -inf
         yield t, x, (source, dest)
 
 

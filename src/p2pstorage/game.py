@@ -232,25 +232,19 @@ def _unit_term(k_a: float, c: int) -> float:
     return k_a * c
 
 
-def _utilities(out, enter, bonus: list[float]) -> list[float]:
-    """The utility of each out-neighbour y of a unit, one atom up, aligned
-    with ``out``: ``enter[y]`` plus the unit term in ``bonus``, -inf where
-    it does not fit.  The engine and ``_choice`` then set the source's."""
-    return [enter[y] + b for y, b in zip(out, bonus)]
-
-
 def _choice(
     inst: Instance, params: GameParams, state: AllocationState, x: int, source: int | None = None
 ) -> tuple[list[int], list[float]]:
     """The choice set of unit x and the utility of each choice: the
     out-neighbors of x with room for one atom of x once it has left
     ``source`` (None places a new atom; ``source`` itself stays a choice,
-    the self-move), each scored at the post-move state: the engine's row
-    for x, built from x's out-neighbours only, less its -inf entries."""
+    the self-move), each scored at the post-move state as its resource term
+    plus its unit term: the engine's row for x, built from x's out-neighbours
+    only, less its -inf entries."""
     out, load, row = inst.topology.out_neighbors(x), state.load, state.counts[x]
     k_c, k_a = params.k_c, params.k_a
-    enter = {y: _resource_term(inst, k_c, y, load[y] + 1) for y in out}
-    utils = _utilities(out, enter, [_unit_term(k_a, row.get(y, 0) + 1) for y in out])
+    utils = [_resource_term(inst, k_c, y, load[y] + 1) + _unit_term(k_a, row.get(y, 0) + 1)
+             for y in out]
     if source is not None:  # the atom back where it was
         w, c = load[source], row.get(source, 0)
         utils[out.index(source)] = _resource_term(inst, k_c, source, w) + _unit_term(k_a, c)

@@ -4,7 +4,8 @@ The reference below is the step rule written out directly, with no state
 kept between steps: every activation scores each out-neighbour from
 reliability, capacity, load and the unit's counts in one expression, sums
 the Gibbs weights with ``sum()`` and scans them linearly.  The engine's
-(t, x, drawn) stream must match it draw for draw and bit for bit.
+(t, x, drawn) stream must match it draw for draw and bit for bit, and its
+state must match the reference's after every step.
 """
 
 import math
@@ -63,8 +64,9 @@ def reference_draw(rng, cands, utils, gamma):
     return cands[-1]
 
 
-def reference_stream(config):
-    inst, state = config.instance, _initial_state(config)
+def reference_stream(config, state=None):
+    inst = config.instance
+    state = _initial_state(config) if state is None else state
     if inst.total_alpha == 0 or config.horizon == 0:
         return
     cum_alpha = list(accumulate(inst.alpha))
@@ -164,6 +166,12 @@ _PINNED = Instance(build_complete(3), (1, 1, 0), (0, 1, 1), (0.5, 0.8, 0.6))
                    initial_state=AllocationState.from_entries(_PINNED, [(0, 1, 1), (1, 2, 1)])))
 def test_engine_stream_matches_reference_stepper(config):
     assert engine_stream(config) == list(reference_stream(config))
+    # Step both on their own states again, and after every step compare the
+    # states: the same rows, columns and counts, and no zero count kept.
+    mine, ref = _initial_state(config), _initial_state(config)
+    for _ in zip(_engine(config, mine), reference_stream(config, ref)):
+        assert (mine.placed, mine.load, mine.counts) == (ref.placed, ref.load, ref.counts)
+        assert all(0 not in row.values() for row in mine.counts)
 
 
 def test_engine_never_draws_a_destination_of_probability_zero():

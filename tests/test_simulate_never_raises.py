@@ -41,11 +41,15 @@ _horizons = st.one_of(
               st.sampled_from("+-*/"), st.integers(0, 3)),
 )
 
+# Each branch builds a new dict per draw: the corruptions below edit the
+# drawn spec in place, and a shared dict (``st.just({...})``) would carry
+# every edit into later examples and make replays draw differently.
+_INFINITE = st.fixed_dictionaries({"kind": st.just("infinite")})
 _schedules = st.one_of(
     st.fixed_dictionaries({"kind": st.just("fixed"), "gamma0": st.floats(0.1, 5.0)}),
     st.fixed_dictionaries({"kind": st.just("annealed")}, optional={
         "gamma0": st.floats(0.1, 5.0), "increment": st.floats(0.0, 0.1)}),
-    st.just({"kind": "infinite"}),
+    _INFINITE,
 )
 
 
@@ -126,3 +130,13 @@ def test_simulate_exits_with_a_code_and_never_raises(tmp_path_factory, doc):
     if code == 1:
         lines = err.getvalue().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.data())
+def test_corrupted_specs_leave_later_infinite_schedules_fresh(data):
+    for _ in range(10):
+        doc = data.draw(spec_docs())
+        if isinstance(doc, dict) and isinstance(doc.get("schedule"), dict):
+            doc["schedule"]["mystery"] = 1  # the edit a corruption may make
+    assert data.draw(_INFINITE) == {"kind": "infinite"}

@@ -25,8 +25,9 @@ comparisons as indicative bands, not exact targets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
+from . import analysis, dynamics
 from .dynamics import ALLOCATE_FIRST, GammaSchedule, SimConfig, default_horizon, default_increment
 from .game import GameParams
 from .topology import Instance, build_complete, build_random_regular
@@ -37,6 +38,8 @@ __all__ = [
     "benchmark_instance",
     "make_configs",
     "preset_schedule",
+    "replicate",
+    "run_record",
     "table_presets",
 ]
 
@@ -196,18 +199,42 @@ def preset_schedule(inst: Instance, params: GameParams) -> GammaSchedule:
     return GammaSchedule(1.0, default_increment(inst))
 
 
+def replicate(config: SimConfig, replications: int) -> list[SimConfig]:
+    """The seeded replications of a config: replication r runs with
+    ``config.seed + r``, every other field unchanged."""
+    if replications < 1:
+        raise ValueError(f"replications must be positive, got {replications}")
+    return [replace(config, seed=config.seed + r) for r in range(replications)]
+
+
+def run_record(config: SimConfig) -> tuple[dynamics.RunResult, dict]:
+    """Run one config and score it: (result, record), the record holding
+    seed, completed and steps_to_completion, then the metrics row.  Rho is
+    computed only for a completed run."""
+    result = dynamics.run(config)
+    report = analysis.compute_metrics(config.instance, config.params, result)
+    if result.completed:
+        report.rho, report.rho_tag = analysis.compute_rho(
+            config.instance, config.params, result.final_state
+        )
+    record = {
+        "seed": config.seed,
+        "completed": int(result.completed),
+        "steps_to_completion": result.steps_to_completion,
+        **report.to_row(),
+    }
+    return result, record
+
+
 def make_configs(preset: PresetRun) -> list[SimConfig]:
     """Seeded replication configs for one preset column."""
     inst = preset.instance
-    schedule = preset_schedule(inst, preset.params)
-    return [
-        SimConfig(
-            instance=inst,
-            params=preset.params,
-            schedule=schedule,
-            horizon=default_horizon(inst),
-            seed=preset.seed + r,
-            variant=ALLOCATE_FIRST,
-        )
-        for r in range(preset.replications)
-    ]
+    base = SimConfig(
+        instance=inst,
+        params=preset.params,
+        schedule=preset_schedule(inst, preset.params),
+        horizon=default_horizon(inst),
+        seed=preset.seed,
+        variant=ALLOCATE_FIRST,
+    )
+    return replicate(base, preset.replications)

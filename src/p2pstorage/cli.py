@@ -43,11 +43,10 @@ _SPEC_KEYS = {
 
 
 def evaluate_horizon(expr, inst: Instance) -> int:
-    """Evaluate a horizon expression: an integer, or arithmetic over the
-    variables sum_alpha and n (e.g. "2*sum_alpha")."""
-    if type(expr) is int:  # not a bool
-        value = expr
-    elif isinstance(expr, str):
+    """Evaluate a horizon expression: an integer (an integral float reads as
+    its int), or arithmetic over the variables sum_alpha and n (e.g.
+    "2*sum_alpha")."""
+    if isinstance(expr, str):
         names = {"sum_alpha": inst.total_alpha, "n": inst.n}
 
         def ev(node):
@@ -81,7 +80,7 @@ def evaluate_horizon(expr, inst: Instance) -> int:
         except (SyntaxError, ZeroDivisionError, OverflowError, RecursionError) as exc:
             raise ValueError(f"bad horizon expression {expr!r}: {exc}") from exc
     else:
-        raise ValueError("horizon must be an integer or an expression string")
+        value = _integer(expr, "horizon")
     if isinstance(value, float) and not math.isfinite(value):
         raise ValueError(f"horizon must be finite, got {value}")
     if value != int(value) or value < 0:
@@ -161,38 +160,19 @@ def _out_dir(args) -> Path:
     return path
 
 
-def _run_one(config: SimConfig):
-    result = dynamics.run(config)
-    report = analysis.compute_metrics(config.instance, config.params, result)
-    if result.completed:
-        report.rho, report.rho_tag = analysis.compute_rho(
-            config.instance, config.params, result.final_state
-        )
-    return result, report
-
-
 def _run_rows(configs: list[SimConfig], workers: int):
     """Run and score the configs, through a process pool when workers > 1.
-    Returns the results and one row per run: run, seed, completed,
-    steps_to_completion, then the metrics."""
+    Returns the results and one row per run: run, then the record of
+    ``benchmarks.run_record``."""
     if workers < 1:
         raise ValueError(f"--workers must be at least 1, got {workers}")
     workers = min(workers, len(configs), os.cpu_count() or 1)  # never more processes than runs
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_run_one, configs))
+            outcomes = list(pool.map(benchmarks.run_record, configs))
     else:
-        outcomes = [_run_one(config) for config in configs]
-    rows = [
-        {
-            "run": r,
-            "seed": config.seed,
-            "completed": int(result.completed),
-            "steps_to_completion": result.steps_to_completion,
-            **report.to_row(),
-        }
-        for r, (config, (result, report)) in enumerate(zip(configs, outcomes))
-    ]
+        outcomes = [benchmarks.run_record(config) for config in configs]
+    rows = [{"run": r, **record} for r, (_, record) in enumerate(outcomes)]
     return [result for result, _ in outcomes], rows
 
 
@@ -254,20 +234,16 @@ def cmd_simulate(args) -> int:
         increment = dynamics.default_increment(inst)
     schedule = GammaSchedule(gamma0 if args.gamma0 is None else args.gamma0, increment)
     horizon = evaluate_horizon(spec["horizon"], inst)
-    if spec["replications"] < 1:
-        raise ValueError(f"replications must be positive, got {spec['replications']}")
-    configs = [
-        SimConfig(
-            instance=inst,
-            params=spec["params"],
-            schedule=schedule,
-            horizon=horizon,
-            seed=spec["seed"] + r,
-            variant=spec["variant"],
-            record_trace=args.trace,
-        )
-        for r in range(spec["replications"])
-    ]
+    base = SimConfig(
+        instance=inst,
+        params=spec["params"],
+        schedule=schedule,
+        horizon=horizon,
+        seed=spec["seed"],
+        variant=spec["variant"],
+        record_trace=args.trace,
+    )
+    configs = benchmarks.replicate(base, spec["replications"])
 
     verdict = feasibility.check_feasible_flow(inst)
     if not verdict.feasible:
@@ -312,18 +288,8 @@ def cmd_simulate(args) -> int:
 def _verify_absorption(inst: Instance, params: GameParams, trials: int, seed: int) -> dict:
     # Pure best-response probe: fraction of runs stuck short of completion.
     horizon = 20 * max(inst.total_alpha, 1)
-    stuck = 0
-    for r in range(trials):
-        config = SimConfig(
-            instance=inst,
-            params=params,
-            schedule=GammaSchedule.infinite(),
-            horizon=horizon,
-            seed=seed + r,
-        )
-        result = dynamics.run(config)
-        if not result.completed:
-            stuck += 1
+    base = SimConfig(inst, params, GammaSchedule.infinite(), horizon=horizon, seed=seed)
+    stuck = sum(not dynamics.run(c).completed for c in benchmarks.replicate(base, trials))
     return {"trials": trials, "incomplete": stuck, "fraction": stuck / trials}
 
 

@@ -29,7 +29,7 @@ from .game import (
     _resource_term,
     _unit_term,
 )
-from .topology import Instance
+from .topology import Instance, _integer
 
 __all__ = [
     "ALLOCATE_FIRST",
@@ -40,7 +40,6 @@ __all__ = [
     "SimConfig",
     "default_horizon",
     "default_increment",
-    "move_kind_probabilities",
     "run",
     "state_stream",
 ]
@@ -107,6 +106,9 @@ class SimConfig:
     initial_state: AllocationState | None = None
 
     def __post_init__(self) -> None:
+        # Read as instance files read integers: a None seed would draw OS entropy.
+        object.__setattr__(self, "horizon", _integer(self.horizon, "horizon"))
+        object.__setattr__(self, "seed", _integer(self.seed, "seed"))
         if self.horizon < 0:
             raise ValueError("horizon must be nonnegative")
         if self.variant not in VARIANTS:
@@ -122,19 +124,9 @@ class RunResult:
     trace: list[tuple[int, Move]] | None = None
 
 
-def move_kind_probabilities(
-    inst: Instance, state: AllocationState, x: int, variant: str
-) -> tuple[float, float]:
-    """(P_allocate, P_distribute) for an activated unit: the move-kind
-    rule the engine draws from."""
-    if inst.alpha[x] <= 0:
-        raise ValueError(f"unit {x} has no demand")
-    if variant not in VARIANTS:
-        raise ValueError(f"variant must be one of {VARIANTS}")
-    return _move_kind(inst.alpha[x], state.placed[x], variant)
-
-
 def _move_kind(a: int, placed: int, variant: str) -> tuple[float, float]:
+    """(P_allocate, P_distribute) for an activated unit of demand a with
+    ``placed`` atoms placed: the move-kind rule the engine draws from."""
     # Kept out of __all__: the engine calls it on every allocation, and span
     # tracers wrap every exported name.
     if placed >= a:

@@ -24,10 +24,19 @@ def test_every_exported_name_resolves(name):
 
 # The engine calls these every step.  Span tracers (perfbench/spans.py)
 # wrap every name in __all__, so exporting one would record a span per step.
-PER_STEP_KERNELS = {
-    "_choice", "_gibbs_weights", "_move_kind", "_draw", "_sample", "_candidates", "_resource_term",
-    "_unit_term", "_utilities",
-}
+PER_STEP_KERNELS = {"_choice", "_gibbs_weights", "_move_kind", "_resource_term", "_unit_term"}
+
+
+def test_per_step_kernels_are_defined():
+    # A renamed or deleted kernel must leave the list, or the check below
+    # would pass for a name that no longer exists.
+    defined = {
+        name
+        for module in ("p2pstorage.game", "p2pstorage.dynamics")
+        for name, value in vars(importlib.import_module(module)).items()
+        if callable(value) and getattr(value, "__module__", None) == module
+    }
+    assert PER_STEP_KERNELS - defined == set()
 
 
 @pytest.mark.parametrize("name", MODULES)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from p2pstorage import analysis, benchmarks
@@ -55,6 +57,23 @@ def test_make_configs_seeds_are_consecutive():
     configs = benchmarks.make_configs(preset)
     assert len(configs) == preset.replications
     assert [c.seed for c in configs] == list(range(preset.seed, preset.seed + 25))
+
+
+def test_replicate_takes_consecutive_seeds_and_keeps_every_other_field():
+    base = benchmarks.make_configs(benchmarks.table_presets(1)[0])[0]
+    configs = benchmarks.replicate(base, 4)
+    assert [c.seed for c in configs] == [base.seed + r for r in range(4)]
+    for config in configs:
+        for field in dataclasses.fields(config):
+            if field.name != "seed":
+                assert getattr(config, field.name) is getattr(base, field.name), field.name
+
+
+@pytest.mark.parametrize("replications", [0, -1])
+def test_replicate_rejects_nonpositive_replications(replications):
+    base = benchmarks.make_configs(benchmarks.table_presets(1)[0])[0]
+    with pytest.raises(ValueError, match=f"replications must be positive, got {replications}"):
+        benchmarks.replicate(base, replications)
 
 
 def test_table3_moves_per_atom_band():

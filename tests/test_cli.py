@@ -9,10 +9,10 @@ from pathlib import Path
 import pytest
 
 import p2pstorage
-from p2pstorage import feasibility
+from p2pstorage import benchmarks, feasibility
 from p2pstorage.cli import evaluate_horizon, load_experiment_spec, main
 from p2pstorage.feasibility import check_strict
-from p2pstorage.topology import Instance, build_complete
+from p2pstorage.topology import Instance, build_complete, instance_to_dict
 
 
 def write_instance(tmp_path, name, doc):
@@ -62,6 +62,7 @@ def test_horizon_expression_sum_alpha():
     assert evaluate_horizon("2*sum_alpha", inst) == 18
     assert evaluate_horizon("sum_alpha + n", inst) == 12
     assert evaluate_horizon(100, inst) == 100
+    assert evaluate_horizon(40.0, inst) == 40
 
 
 def test_horizon_expression_rejects_bad_input():
@@ -72,6 +73,8 @@ def test_horizon_expression_rejects_bad_input():
         evaluate_horizon("__import__('os')", inst)
     with pytest.raises(ValueError):
         evaluate_horizon("alpha", inst)
+    with pytest.raises(ValueError):
+        evaluate_horizon(True, inst)
 
 
 def test_horizon_expression_too_deep_is_a_value_error():
@@ -767,6 +770,33 @@ def test_reproduce_smoke_table_one(tmp_path, capsys):
     assert cells["lambda_mean"]["reference"] == pytest.approx(0.6667)
     assert cells["lambda_mean"]["simulated"] == pytest.approx(0.6667, abs=0.01)
     assert payload["columns"]["k_a=0"]["completed_runs"] == 2
+
+
+def test_simulate_and_reproduce_share_one_pipeline(tmp_path, capsys):
+    # simulate on a spec equal to table 3's column scores the same runs as
+    # reproduce 3: every simulated cell is the summary's aggregate mean.
+    [preset] = benchmarks.table_presets(3)
+    spec = {
+        "instance": instance_to_dict(preset.instance),
+        "params": {"k_c": preset.params.k_c, "k_a": preset.params.k_a},
+        "schedule": {"kind": "fixed", "gamma0": benchmarks.AGGREGATED_GAMMA},
+        "variant": "allocate-first",
+        "horizon": "2*sum_alpha",
+        "replications": 2,
+        "seed": 3000,
+    }
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    assert main(["simulate", str(spec_path), "--out", str(tmp_path / "sim"),
+                 "--workers", "1"]) == 0
+    assert main(["reproduce", "3", "--replications", "2", "--workers", "1",
+                 "--out", str(tmp_path / "rep")]) == 0
+    capsys.readouterr()
+    aggregate = json.loads((tmp_path / "sim" / "summary.json").read_text())["aggregate"]
+    column = json.loads((tmp_path / "rep" / "table3.json").read_text())["columns"]["mixed alpha"]
+    assert column["replications"] == 2
+    for metric, cell in column["cells"].items():
+        assert cell["simulated"] == aggregate[metric]["mean"], metric
 
 
 def test_reproduce_rejects_workers_below_one(tmp_path, capsys):

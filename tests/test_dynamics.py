@@ -17,9 +17,9 @@ from p2pstorage.dynamics import (
     VARIANTS,
     GammaSchedule,
     SimConfig,
+    _move_kind,
     default_horizon,
     default_increment,
-    move_kind_probabilities,
     run,
     state_stream,
 )
@@ -76,20 +76,20 @@ def test_activation_proportional_to_demand():
 def test_move_kind_proportional():
     inst = make(build_complete(2), (10, 10), (20, 20), (1.0, 1.0))
     state = AllocationState.from_entries(inst, [(0, 1, 4)])
-    assert move_kind_probabilities(inst, state, 0, PROPORTIONAL) == (0.6, 0.4)
+    assert _move_kind(inst.alpha[0], state.placed[0], PROPORTIONAL) == (0.6, 0.4)
 
 
 def test_move_kind_allocate_first():
     inst = make(build_complete(2), (10, 10), (20, 20), (1.0, 1.0))
     state = AllocationState.from_entries(inst, [(0, 1, 4)])
-    assert move_kind_probabilities(inst, state, 0, ALLOCATE_FIRST) == (1.0, 0.0)
+    assert _move_kind(inst.alpha[0], state.placed[0], ALLOCATE_FIRST) == (1.0, 0.0)
 
 
 def test_move_kind_forced_distribution_when_full():
     inst = make(build_complete(2), (4, 4), (20, 20), (1.0, 1.0))
     state = AllocationState.from_entries(inst, [(0, 1, 4)])
     for variant in (PROPORTIONAL, ALLOCATE_FIRST):
-        assert move_kind_probabilities(inst, state, 0, variant) == (0.0, 1.0)
+        assert _move_kind(inst.alpha[0], state.placed[0], variant) == (0.0, 1.0)
 
 
 # ------------------------------------------------------------ single moves
@@ -299,6 +299,29 @@ def test_run_zero_demand_trivially_complete():
     assert result.completed
     assert result.steps_to_completion == 0
     assert result.moves_per_unit == [0, 0, 0]
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("horizon", 10.5), ("horizon", True), ("horizon", None), ("horizon", "abc"),
+     ("seed", 1.5), ("seed", True), ("seed", None), ("seed", "abc")],
+)
+def test_config_refuses_non_integer_horizon_and_seed(field, value):
+    # A None seed would seed from OS entropy: the run could not be reproduced.
+    inst = make(build_complete(2), (1, 1), (2, 2), (1.0, 1.0))
+    kwargs = {"horizon": 10, "seed": 0, field: value}
+    with pytest.raises(ValueError, match=f"'{field}' must be an integer"):
+        SimConfig(inst, GameParams(1.0, 0.0), GammaSchedule.fixed(1.0), **kwargs)
+
+
+def test_config_reads_integral_floats_as_ints():
+    inst = make(build_complete(2), (1, 1), (2, 2), (1.0, 1.0))
+    schedule = GammaSchedule.fixed(1.0)
+    config = SimConfig(inst, GameParams(1.0, 0.0), schedule, horizon=10.0, seed=3.0)
+    assert (config.horizon, config.seed) == (10, 3)
+    assert type(config.horizon) is int and type(config.seed) is int
+    same = SimConfig(inst, GameParams(1.0, 0.0), schedule, horizon=10, seed=3)
+    assert run(config).final_state.key() == run(same).final_state.key()
 
 
 def test_run_counts_only_transfers():

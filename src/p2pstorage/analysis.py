@@ -263,7 +263,7 @@ def build_transition_matrix(
                 fits = w <= cap[out]
                 utils = lam[out] - params.k_c * w / divisor[out] + params.k_a * (own[at] + extra)
                 top = np.where(fits, utils, -np.inf).max(axis=1)
-                exponents = gamma * (utils - top[:, None])
+                exponents = _times_gamma(gamma, utils - top[:, None])
                 values, inverse = np.unique(exponents[fits], return_inverse=True)
                 weights = np.zeros(utils.shape)
                 weights[fits] = np.array([math.exp(v) for v in values.tolist()])[inverse]
@@ -287,6 +287,13 @@ def build_transition_matrix(
     indptr = np.concatenate(sizes).cumsum()
     oracle.kernel = Kernel(indptr, np.concatenate(indices), np.concatenate(data))
     return oracle
+
+
+def _times_gamma(gamma: float, values: np.ndarray) -> np.ndarray:
+    # Refused short of the float range, so the sums and gaps taken later cannot overflow.
+    if gamma * float(np.abs(values).max(initial=0.0)) > np.finfo(float).max / 4:
+        raise ValueError(f"gamma {gamma} is too large: gamma times the potential overflows a float")
+    return gamma * values
 
 
 def _kernel(oracle: StateSpaceOracle) -> Kernel:
@@ -314,9 +321,7 @@ def _over_states(oracle: StateSpaceOracle, quantity) -> np.ndarray:
     return np.concatenate(values)
 
 
-def stationary_exact(
-    oracle: StateSpaceOracle, params: GameParams, gamma: float
-) -> np.ndarray:
+def stationary_exact(oracle: StateSpaceOracle, params: GameParams, gamma: float) -> np.ndarray:
     """Closed-form stationary law: combinatorial weight times exp(gamma *
     potential), normalized in log space.
 
@@ -329,7 +334,8 @@ def stationary_exact(
         raise ValueError("the instance has no full allocation state: it is infeasible")
     logs = _over_states(
         oracle,
-        lambda s: game.log_multinomial_weight(inst, s) + gamma * game.potential(inst, params, s),
+        lambda s: game.log_multinomial_weight(inst, s)
+        + _times_gamma(gamma, game.potential(inst, params, s)),
     )
     logs -= logs.max()
     weights = np.exp(logs)
@@ -411,26 +417,14 @@ def empirical_distribution(
     if burn_in < 0:
         raise ValueError(f"burn_in must be nonnegative, got {burn_in}")
     inst = oracle.inst
-    remaining = inst.total_alpha
-    if remaining == 0:
+    if inst.total_alpha == 0:
         raise ValueError("no unit has demand: the dynamics takes no step to sample")
     mu = stationary_exact(oracle, params, gamma)
-    cap = 50 * remaining
-    config = dynamics.SimConfig(
-        instance=inst,
-        params=params,
-        schedule=dynamics.GammaSchedule.fixed(gamma),
-        horizon=cap + burn_in + steps,
-        seed=seed,
-    )
-    state = AllocationState.zeros(inst)
-    stream = dynamics._engine(config, state)
-    for _t, _x, drawn in islice(stream, cap):
-        if drawn is not None and drawn[0] is None:
-            remaining -= 1
-            if remaining == 0:
-                break
-    else:
+    cap = 50 * inst.total_alpha
+    schedule = dynamics.GammaSchedule.fixed(gamma)
+    config = dynamics.SimConfig(inst, params, schedule, horizon=cap + burn_in + steps, seed=seed)
+    completed, state, stream = dynamics.place_all(config, cap)
+    if not completed:
         raise ValueError(f"the dynamics did not place every atom within {cap} steps")
     next(islice(stream, burn_in, burn_in), None)  # discard burn_in steps
     # Per step the sampler moves the cheapest running code, a place value

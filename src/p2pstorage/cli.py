@@ -194,16 +194,9 @@ def _write_trace(path: Path, config: SimConfig, trace) -> None:
         writer.writerow(["step", "unit", "kind", "source", "destination", "gamma"])
         for t, move in trace:
             gamma = config.schedule.gamma_at(t)
-            writer.writerow(
-                [
-                    t,
-                    move.unit,
-                    move.kind,
-                    "" if move.source is None else move.source,
-                    move.dest,
-                    "inf" if math.isinf(gamma) else f"{gamma:.10g}",
-                ]
-            )
+            gamma = "inf" if math.isinf(gamma) else f"{gamma:.10g}"
+            source = "" if move.source is None else move.source
+            writer.writerow([t, move.unit, move.kind, source, move.dest, gamma])
 
 
 def cmd_check(args) -> int:
@@ -286,10 +279,11 @@ def cmd_simulate(args) -> int:
 
 
 def _verify_absorption(inst: Instance, params: GameParams, trials: int, seed: int) -> dict:
-    # Pure best-response probe: fraction of runs stuck short of completion.
+    # Pure best-response probe: fraction of runs stuck short of completion,
+    # each run stopped once it completes.
     horizon = 20 * max(inst.total_alpha, 1)
     base = SimConfig(inst, params, GammaSchedule.infinite(), horizon=horizon, seed=seed)
-    stuck = sum(not dynamics.run(c).completed for c in benchmarks.replicate(base, trials))
+    stuck = sum(not dynamics.place_all(c, horizon)[0] for c in benchmarks.replicate(base, trials))
     return {"trials": trials, "incomplete": stuck, "fraction": stuck / trials}
 
 
@@ -309,13 +303,8 @@ def cmd_verify(args) -> int:
     if math.isinf(gamma):
         probe = _verify_absorption(inst, params, trials=200, seed=args.seed)
         report["best_response_absorption"] = probe
-        checks.append(
-            (
-                "best-response probe",
-                True,
-                f"{probe['incomplete']}/{probe['trials']} runs absorbed short of completion",
-            )
-        )
+        note = f"{probe['incomplete']}/{probe['trials']} runs absorbed short of completion"
+        checks.append(("best-response probe", True, note))
     else:
         seconds = report["seconds"] = {}
 
@@ -345,14 +334,9 @@ def cmd_verify(args) -> int:
             report["support_connected"] = connected
             checks.append(("ergodicity (support connected)", connected, ""))
         else:
-            checks.append(
-                (
-                    "ergodicity",
-                    True,
-                    "skipped: strict covering condition fails, "
-                    "connectivity of the full state space is not guaranteed",
-                )
-            )
+            note = "skipped: strict covering condition fails, "
+            note += "connectivity of the full state space is not guaranteed"
+            checks.append(("ergodicity", True, note))
         if args.empirical_steps > 0:
             emp = timed(
                 "empirical",

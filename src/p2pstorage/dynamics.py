@@ -17,7 +17,8 @@ import math
 import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, islice
+from operator import add, itemgetter
 
 from .game import (
     ALLOCATION,
@@ -40,6 +41,7 @@ __all__ = [
     "SimConfig",
     "default_horizon",
     "default_increment",
+    "place_all",
     "run",
     "state_stream",
 ]
@@ -157,15 +159,17 @@ def _engine(config: SimConfig, state: AllocationState):
     (source, dest) or None for a blocked activation.
 
     It keeps each resource's utility term at its load and one atom up (-inf,
-    weight 0.0, where the atom does not fit), and each unit's ``_move_kind``
-    and rows of atom counts and unit terms, aligned with its ascending
-    out-neighbours.  A step bisects running sums for the source pile and the
-    destination and calls only ``state._shift`` and, when gamma anneals,
-    ``gamma_at``: the sums of ``game._choice`` and the terms of
-    ``_resource_term``, ``_unit_term`` and ``_gibbs_weights`` are written in
-    line, with the same float operations in the same order.  Those stay the
-    definitions; the reference stepper test and the pinned run digests hold
-    this loop to them bit for bit.
+    weight 0.0, where the atom does not fit), and each unit's ``_move_kind``,
+    rows of atom counts and unit terms aligned with its ascending
+    out-neighbours, an ``itemgetter`` that reads its out-neighbours' terms
+    in C, and the running sums of its counts, cleared when the unit
+    transfers and rebuilt at its next relocation.  A step bisects running
+    sums for the source pile and the destination and calls only
+    ``state._shift`` and, when gamma anneals, ``gamma_at``: the sums of
+    ``game._choice`` and the terms of ``_resource_term``, ``_unit_term`` and
+    ``_gibbs_weights`` are written in line, with the same float operations
+    in the same order.  Those stay the definitions; the reference stepper
+    test and the pinned run digests hold this loop to them bit for bit.
     """
     inst = config.instance
     if inst.total_alpha == 0 or config.horizon == 0:
@@ -179,6 +183,12 @@ def _engine(config: SimConfig, state: AllocationState):
     piles = [[row.get(y, 0) for y in ys] for ys, row in zip(out, state.counts)]
     bonus = [[_unit_term(k_a, c + 1) for c in pile] for pile in piles]
     kinds = [_move_kind(a, p, variant) for a, p in zip(alpha, placed)]
+    # An itemgetter of one index reads a float, not a row: short rows read a slice.
+    terms = [
+        itemgetter(*ys) if len(ys) > 1 else itemgetter(slice(ys[0], ys[0] + 1) if ys else slice(0))
+        for ys in out
+    ]
+    sums, ends = [None] * inst.n, [0] * inst.n  # each unit's pile sums, last nonempty pile
     cum_alpha, total = list(accumulate(alpha)), inst.total_alpha
     gamma, gamma_at = config.schedule.gamma0, config.schedule.gamma_at
     annealed, exp, inf = config.schedule.increment != 0.0, math.exp, math.inf
@@ -188,13 +198,15 @@ def _engine(config: SimConfig, state: AllocationState):
         x = bisect_right(cum_alpha, uniform() * total)
         p_alloc, p_dist = kinds[x]
         ys, pile, row = out[x], piles[x], bonus[x]
-        utils = [enter[y] + b for y, b in zip(ys, row)]
+        utils = list(map(add, terms[x](enter), row))
         source = slot = None
         if not (p_dist == 0 or (p_alloc > 0 and uniform() < p_alloc)):
             # The source pile, drawn in proportion to the atoms stored there;
             # running off the end (r == placed) keeps the last nonempty pile.
-            cum = list(accumulate(pile))
-            slot = bisect_right(cum, uniform() * placed[x], 0, bisect_left(cum, placed[x]))
+            if (cum := sums[x]) is None:
+                cum = sums[x] = list(accumulate(pile))
+                ends[x] = bisect_left(cum, placed[x])
+            slot = bisect_right(cum, uniform() * placed[x], 0, ends[x])
             source, back = ys[slot], k_a * pile[slot]
             utils[slot] = stay[source] + back  # the atom put back
         if not utils or (top := max(utils)) == -inf:  # a new atom fits nowhere
@@ -213,6 +225,7 @@ def _engine(config: SimConfig, state: AllocationState):
             # One atom more shifts dest's terms down by one, one fewer shifts
             # the source's up: its second term is its old first.
             state._shift(x, source, dest)
+            sums[x] = None
             pile[i], row[i] = pile[i] + 1, k_a * (pile[i] + 2)
             w, b = load[dest] + 1, beta[dest]  # w > 0: dest holds an atom
             stay[dest], enter[dest] = enter[dest], lam[dest] - k_c * w / b if w <= b else -inf
@@ -263,3 +276,19 @@ def state_stream(config: SimConfig):
     state = _initial_state(config)
     for t, x, drawn in _engine(config, state):
         yield t, state, _as_move(x, drawn)
+
+
+def place_all(config: SimConfig, cap: int):
+    """Start config's run and step it until every atom is placed or ``cap``
+    steps have gone by: (completed, state, stream), the stream going on with
+    the same run.  No atom is ever unplaced, so the rest of a run is not
+    needed to know whether it completes."""
+    state = _initial_state(config)
+    stream = _engine(config, state)
+    remaining = config.instance.total_alpha - state.total_placed()
+    for _t, _x, drawn in islice(stream, cap if remaining else 0):
+        if drawn is not None and drawn[0] is None:
+            remaining -= 1
+            if remaining == 0:
+                break
+    return remaining == 0, state, stream

@@ -9,10 +9,12 @@ from pathlib import Path
 import pytest
 
 import p2pstorage
-from p2pstorage import benchmarks, feasibility
+from p2pstorage import benchmarks, cli, dynamics, feasibility
 from p2pstorage.cli import evaluate_horizon, load_experiment_spec, main
+from p2pstorage.dynamics import GammaSchedule, SimConfig
 from p2pstorage.feasibility import check_strict
-from p2pstorage.topology import Instance, build_complete, instance_to_dict
+from p2pstorage.game import GameParams
+from p2pstorage.topology import Instance, Topology, build_complete, build_line, instance_to_dict
 
 
 def write_instance(tmp_path, name, doc):
@@ -731,6 +733,58 @@ def test_verify_rejects_bad_empirical_flags(tmp_path, capsys, flags):
     captured = capsys.readouterr()
     assert captured.err.startswith("error:")
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("k_c", ["0", "1"])
+@pytest.mark.parametrize("empirical", [[], ["--empirical-steps", "10"]], ids=["exact", "empirical"])
+def test_verify_refuses_a_gamma_that_overflows(tmp_path, capsys, k_c, empirical):
+    # gamma * potential overflows a float: one error line naming the gamma,
+    # no numpy warning (the suite turns warnings into errors) and no NaN.
+    doc = {"generator": {"kind": "complete", "n": 3}, "alpha": 1, "beta": 2, "lambda": 1.0}
+    path = write_instance(tmp_path, "eight.json", doc)
+    assert main(["verify", str(path), "--gamma", "1e308", "--k-c", k_c] + empirical) == 1
+    captured = capsys.readouterr()
+    assert_one_error_line(captured)
+    assert "1e+308" in captured.err
+    assert "NaN" not in captured.out
+
+
+def test_verify_refuses_a_gamma_whose_kernel_exponents_overflow(tmp_path, capsys):
+    # A utility gap of 4 already overflows in the kernel at gamma 1e308.
+    doc = {"generator": {"kind": "complete", "n": 3}, "alpha": 1, "beta": 2,
+           "lambda": [1.0, 5.0, 1.0]}
+    path = write_instance(tmp_path, "gap.json", doc)
+    assert main(["verify", str(path), "--gamma", "1e308"]) == 1
+    assert_one_error_line(capsys.readouterr())
+    assert main(["verify", str(path), "--gamma", "1e305"]) == 0  # large, and in range
+    capsys.readouterr()
+
+
+def probe_instances():
+    return {
+        # the line-4 trap: greedy units block the reliable middle resource
+        "line4": Instance(build_line(4), (1,) * 4, (1,) * 4, (1.0, 3.0, 1.0, 1.0)),
+        # unit 2 has demand and no out-neighbour: no run can complete
+        "stranded": Instance(Topology(3, {(0, 1), (1, 0)}), (1, 1, 1), (2, 2, 2), (1.0, 2.0, 1.0)),
+        "no-demand": Instance(build_line(3), (0,) * 3, (1,) * 3, (1.0,) * 3),
+    }
+
+
+@pytest.mark.parametrize("name", ["line4", "stranded", "no-demand"])
+def test_best_response_probe_counts_the_runs_that_run_to_the_horizon(name):
+    # The probe stops each run once it completes; it must count exactly the
+    # runs that dynamics.run, stepping to the horizon, leaves incomplete.
+    inst, params = probe_instances()[name], GameParams(1.0, 0.0)
+    horizon = 20 * max(inst.total_alpha, 1)
+    seen = {}
+    for seed in [1, 1009, 7, *range(100, 117)]:
+        base = SimConfig(inst, params, GammaSchedule.infinite(), horizon=horizon, seed=seed)
+        stuck = sum(not dynamics.run(c).completed for c in benchmarks.replicate(base, 200))
+        probe = cli._verify_absorption(inst, params, trials=200, seed=seed)
+        assert probe == {"trials": 200, "incomplete": stuck, "fraction": stuck / 200}
+        seen[seed] = stuck
+    expected = {"line4": (92, 101, 93), "stranded": (200,) * 3, "no-demand": (0,) * 3}[name]
+    assert (seen[1], seen[1009], seen[7]) == expected
 
 
 @pytest.mark.parametrize("gamma", ["inf", "2.5"])

@@ -1,7 +1,9 @@
 import dataclasses
+import gc
 import hashlib
 import math
 import random
+import sys
 from collections import Counter
 
 import pytest
@@ -17,9 +19,12 @@ from p2pstorage.dynamics import (
     VARIANTS,
     GammaSchedule,
     SimConfig,
+    _engine,
+    _initial_state,
     _move_kind,
     default_horizon,
     default_increment,
+    place_all,
     run,
     state_stream,
 )
@@ -458,6 +463,79 @@ def test_state_stream_and_run_share_one_loop(config):
     assert result.moves_per_unit == moves
     assert result.steps_to_completion == completed_at
     assert result.completed == (completed_at is not None)
+
+
+def test_place_all_stops_at_completion_and_the_stream_goes_on():
+    inst = make(build_complete(4), (2,) * 4, (3,) * 4, (0.5, 0.8, 0.5, 0.8))
+    config = SimConfig(inst, GameParams(1.0, 0.45), GammaSchedule.fixed(1.0),
+                       horizon=300, seed=4, record_trace=True)
+    result = run(config)
+    completed, state, stream = place_all(config, 300)
+    assert completed
+    assert state.total_placed() == inst.total_alpha
+    rest = [(t, x, drawn) for t, x, drawn in stream if drawn is not None]
+    assert rest[0][0] >= result.steps_to_completion
+    assert [(t, (m.source, m.dest)) for t, m in result.trace][-len(rest):] == [
+        (t, drawn) for t, _x, drawn in rest
+    ]
+    assert state.key() == result.final_state.key()
+    assert not place_all(config, result.steps_to_completion - 1)[0]
+
+
+def step_calls(config):
+    """The Python functions the engine calls from its own frame, after its
+    first step has built the per-run tables: (step, name) pairs, and the
+    (t, x, drawn) items of those steps."""
+    stream = _engine(config, _initial_state(config))
+    next(stream)
+    engine, calls, items = stream.gi_code, [], []
+
+    def profile(frame, event, _arg):
+        if event == "call" and frame.f_back is not None and frame.f_back.f_code is engine:
+            calls.append((len(items), frame.f_code.co_name))
+
+    gc_was_enabled = gc.isenabled()
+    gc.disable()  # a collection would run other code's gc.callbacks in the engine's frame
+    sys.setprofile(profile)
+    try:
+        for item in stream:
+            items.append(item)
+    finally:
+        sys.setprofile(None)
+        if gc_was_enabled:
+            gc.enable()
+    return calls, items
+
+
+@pytest.mark.parametrize(
+    "schedule",
+    [GammaSchedule.fixed(1.0), GammaSchedule(0.5, 0.01), GammaSchedule.infinite()],
+    ids=["fixed", "annealed", "infinite"],
+)
+def test_engine_step_calls_no_python_function_but_its_own(schedule):
+    # Units 0-49 have 49 out-neighbours, 50 one, 51 two and 52 none: every
+    # row is read in C, with no Python frame but these.
+    edges = {(x, y) for x in range(50) for y in range(50) if x != y} | {(50, 0), (51, 0), (51, 1)}
+    lam = [round(0.3 + 0.01 * y, 2) for y in range(53)]
+    inst = make(Topology(53, edges), (2,) * 50 + (8,) * 3, (6,) * 50 + (1,) * 3, lam)
+    config = SimConfig(inst, GameParams(1.0, 0.45), schedule, horizon=4000, seed=3)
+    calls, items = step_calls(config)
+    allocations = {k for k, (_t, _x, drawn) in enumerate(items) if drawn and drawn[0] is None}
+    transfers = [k for k, (_t, _x, drawn) in enumerate(items) if drawn and drawn[0] != drawn[1]]
+    moved = [k for k, (_t, _x, drawn) in enumerate(items) if drawn]
+    by_name = {}
+    for k, name in calls:
+        by_name.setdefault(name, []).append(k)
+    assert by_name.pop("_shift", []) == transfers
+    assert by_name.pop("_move_kind", []) == sorted(allocations)
+    assert by_name.pop("gamma_at", []) == (moved if schedule.increment else [])
+    # A tie at infinite gamma is broken by rng.randrange, as the reference does.
+    ties = by_name.pop("randrange", [])
+    assert not ties or schedule.gamma0 == math.inf
+    assert set(by_name) <= {"<listcomp>"}
+    relocations = {x for _t, x, drawn in items if drawn and drawn[0] is not None}
+    assert {0, 50, 51} <= relocations  # rows of 49, 1 and 2 out-neighbours relocate
+    assert any(x == 52 and drawn is None for _t, x, drawn in items)  # the empty row blocks
 
 
 # ------------------------------------------------- pinned trajectories

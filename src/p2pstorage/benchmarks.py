@@ -25,6 +25,7 @@ comparisons as indicative bands, not exact targets.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 from . import analysis, dynamics
@@ -35,11 +36,13 @@ from .topology import Instance, build_complete, build_random_regular
 __all__ = [
     "REFERENCE",
     "PresetRun",
+    "aggregate",
     "benchmark_instance",
     "make_configs",
     "preset_schedule",
     "replicate",
     "run_record",
+    "score_column",
     "table_presets",
 ]
 
@@ -50,7 +53,7 @@ _REGULAR_DEGREE = 10
 _GRAPH_SEED = 93
 AGGREGATED_GAMMA = 1.1  # bounded noise level for the k_a > 0 presets
 
-# Rows: metric name -> column label -> reference value.
+# Per table: the column labels, and per metric one value per column, in order.
 REFERENCE: dict[int, dict] = {
     1: {
         "columns": ["k_a=0", "k_a=0.25", "k_a=0.45"],
@@ -238,3 +241,33 @@ def make_configs(preset: PresetRun) -> list[SimConfig]:
         variant=ALLOCATE_FIRST,
     )
     return replicate(base, preset.replications)
+
+
+def aggregate(rows: list[dict]) -> dict:
+    """Mean and population standard deviation of each key that some row
+    holds a number for."""
+    out = {}
+    for k in rows[0] if rows else ():
+        values = [r[k] for r in rows if isinstance(r[k], (int, float))]
+        if values:
+            mean = sum(values) / len(values)
+            var = sum((v - mean) ** 2 for v in values) / len(values)
+            out[k] = {"mean": mean, "std": math.sqrt(var)}
+    return out
+
+
+def score_column(table: int, column: str, records: list[dict]) -> dict:
+    """One column of a reproduced table from its run records: the run and
+    completed-run counts, and per reference metric the reference value, the
+    records' mean (None when none holds a number) and mean minus reference."""
+    ref = REFERENCE.get(table)
+    if ref is None or column not in ref["columns"]:
+        raise ValueError(f"table {table} has no column {column!r}")
+    i, means = ref["columns"].index(column), aggregate(records)
+    cells = {}
+    for metric, values in ref["metrics"].items():
+        ours = means.get(metric, {}).get("mean")
+        cells[metric] = {"reference": values[i], "simulated": ours,
+                         "deviation": None if ours is None else ours - values[i]}
+    completed = sum(r["completed"] for r in records)
+    return {"replications": len(records), "completed_runs": completed, "cells": cells}

@@ -18,6 +18,7 @@ import csv
 import functools
 import json
 import math
+import operator
 import os
 import sys
 import time
@@ -27,7 +28,7 @@ from pathlib import Path
 from . import analysis, benchmarks, dynamics, feasibility
 from .dynamics import GammaSchedule, SimConfig
 from .game import GameParams
-from .topology import Instance, _integer, _real, instance_from_dict, load_instance
+from .topology import Instance, _integer, instance_from_dict, load_instance
 
 OUT_DIR_ENV = "P2PSTORAGE_OUT"
 
@@ -41,6 +42,10 @@ _SPEC_KEYS = {
     "seed",
 }
 
+# The binary operators a horizon expression may use.
+_BINARY_OPS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+               ast.FloorDiv: operator.floordiv, ast.Div: operator.truediv}
+
 
 def evaluate_horizon(expr, inst: Instance) -> int:
     """Evaluate a horizon expression: an integer (an integral float reads as
@@ -52,25 +57,14 @@ def evaluate_horizon(expr, inst: Instance) -> int:
         def ev(node):
             if isinstance(node, ast.Expression):
                 return ev(node.body)
-            if isinstance(node, ast.Constant) and isinstance(node.value, (int, float)):
+            if isinstance(node, ast.Constant) and type(node.value) in (int, float):
                 return node.value
             if isinstance(node, ast.Name):
                 if node.id in names:
                     return names[node.id]
                 raise ValueError(f"unknown name {node.id!r} in horizon expression")
-            if isinstance(node, ast.BinOp) and isinstance(
-                node.op, (ast.Add, ast.Sub, ast.Mult, ast.FloorDiv, ast.Div)
-            ):
-                left, right = ev(node.left), ev(node.right)
-                if isinstance(node.op, ast.Add):
-                    return left + right
-                if isinstance(node.op, ast.Sub):
-                    return left - right
-                if isinstance(node.op, ast.Mult):
-                    return left * right
-                if isinstance(node.op, ast.FloorDiv):
-                    return left // right
-                return left / right
+            if isinstance(node, ast.BinOp) and type(node.op) in _BINARY_OPS:
+                return _BINARY_OPS[type(node.op)](ev(node.left), ev(node.right))
             if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
                 return -ev(node.operand)
             raise ValueError("unsupported construct in horizon expression")
@@ -105,12 +99,9 @@ def _schedule_from_dict(data: dict) -> tuple[float, float | None]:
         raise ValueError(f"schedule kind {kind!r} does not take {sorted(unknown)}")
     if kind == "infinite":
         return math.inf, 0.0
-    gamma0 = _real(data.get("gamma0", 1.0), "gamma0")
     increment = 0.0 if kind == "fixed" else data.get("increment")
-    if increment is not None:
-        increment = _real(increment, "increment")
-    GammaSchedule(gamma0, increment or 0.0)  # checks the values
-    return gamma0, increment
+    schedule = GammaSchedule(data.get("gamma0", 1.0), 0.0 if increment is None else increment)
+    return schedule.gamma0, None if increment is None else schedule.increment
 
 
 def load_experiment_spec(path) -> dict:
@@ -136,13 +127,9 @@ def load_experiment_spec(path) -> dict:
     unknown = set(params_src) - {"k_c", "k_a"}
     if unknown:
         raise ValueError(f"unknown params keys: {sorted(unknown)}")
-    params = GameParams(
-        k_c=_real(params_src.get("k_c", 1.0), "k_c"),
-        k_a=_real(params_src.get("k_a", 0.0), "k_a"),
-    )
     return {
         "instance": inst,
-        "params": params,
+        "params": GameParams(params_src.get("k_c", 1.0), params_src.get("k_a", 0.0)),
         "schedule": _schedule_from_dict(data.get("schedule", {"kind": "annealed"})),
         "variant": data.get("variant", dynamics.ALLOCATE_FIRST),
         "horizon": data.get("horizon", "2*sum_alpha"),
@@ -176,16 +163,9 @@ def _run_rows(configs: list[SimConfig], workers: int):
     return [result for result, _ in outcomes], rows
 
 
-def _aggregate(rows: list[dict]) -> dict:
-    out = {}
-    for k in rows[0]:
-        values = [r[k] for r in rows if isinstance(r[k], (int, float))]
-        if not values:
-            continue
-        mean = sum(values) / len(values)
-        var = sum((v - mean) ** 2 for v in values) / len(values)
-        out[k] = {"mean": mean, "std": math.sqrt(var)}
-    return out
+def _write_json(path: Path, data) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 def _write_trace(path: Path, config: SimConfig, trace) -> None:
@@ -268,11 +248,9 @@ def cmd_simulate(args) -> int:
             "increment": schedule.increment,
         },
         "completed_runs": sum(r["completed"] for r in rows),
-        "aggregate": _aggregate(rows),
+        "aggregate": benchmarks.aggregate(rows),
     }
-    with open(out_dir / "summary.json", "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out_dir / "summary.json", summary)
     print(json.dumps(summary["aggregate"], indent=2, sort_keys=True))
     print(f"wrote {out_dir / 'runs.csv'} and {out_dir / 'summary.json'}")
     return 0
@@ -358,40 +336,24 @@ def cmd_verify(args) -> int:
     return 0 if not failed else 2
 
 
+def _column_text(table: int, column: str, entry: dict) -> str:
+    lines = [f"table {table}  [{column}]  ({entry['replications']} runs)",
+             f"  {'metric':<12} {'reference':>12} {'simulated':>12} {'deviation':>12}"]
+    for metric, cell in entry["cells"].items():
+        sim = "-" if cell["simulated"] is None else f"{cell['simulated']:12.4f}"
+        dev = "-" if cell["deviation"] is None else f"{cell['deviation']:+12.4f}"
+        lines.append(f"  {metric:<12} {cell['reference']:12.4f} {sim:>12} {dev:>12}")
+    return "\n".join(lines)
+
+
 def cmd_reproduce(args) -> int:
-    table = args.table
-    presets = benchmarks.table_presets(table, args.replications, args.seed)
-    reference = benchmarks.REFERENCE[table]
-    comparison: dict = {"table": table, "columns": {}}
-    for preset in presets:
+    columns: dict = {}
+    for preset in benchmarks.table_presets(args.table, args.replications, args.seed):
         _, rows = _run_rows(benchmarks.make_configs(preset), args.workers)
-        agg = _aggregate(rows)
-        col_index = reference["columns"].index(preset.column)
-        cells = {}
-        for metric, ref_values in reference["metrics"].items():
-            ref = ref_values[col_index]
-            ours = agg.get(metric, {}).get("mean")
-            cells[metric] = {
-                "reference": ref,
-                "simulated": ours,
-                "deviation": None if ours is None else ours - ref,
-            }
-        comparison["columns"][preset.column] = {
-            "replications": preset.replications,
-            "completed_runs": sum(r["completed"] for r in rows),
-            "cells": cells,
-        }
-        print(f"table {table}  [{preset.column}]  ({preset.replications} runs)")
-        print(f"  {'metric':<12} {'reference':>12} {'simulated':>12} {'deviation':>12}")
-        for metric, cell in cells.items():
-            sim = "-" if cell["simulated"] is None else f"{cell['simulated']:12.4f}"
-            dev = "-" if cell["deviation"] is None else f"{cell['deviation']:+12.4f}"
-            print(f"  {metric:<12} {cell['reference']:12.4f} {sim:>12} {dev:>12}")
-    out_dir = _out_dir(args)
-    out_path = out_dir / f"table{table}.json"
-    with open(out_path, "w", encoding="utf-8") as fh:
-        json.dump(comparison, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        columns[preset.column] = benchmarks.score_column(args.table, preset.column, rows)
+        print(_column_text(args.table, preset.column, columns[preset.column]))
+    out_path = _out_dir(args) / f"table{args.table}.json"
+    _write_json(out_path, {"table": args.table, "columns": columns})
     print(f"wrote {out_path}")
     return 0
 

@@ -30,7 +30,7 @@ from .game import (
     _resource_term,
     _unit_term,
 )
-from .topology import Instance, _integer
+from .topology import Instance, _integer, _real
 
 __all__ = [
     "ALLOCATE_FIRST",
@@ -64,11 +64,14 @@ class GammaSchedule:
     increment: float = 0.0
 
     def __post_init__(self) -> None:
-        _check_gamma(self.gamma0, finite=False, name="gamma0")
-        if not (math.isfinite(self.increment) and self.increment >= 0):
-            raise ValueError(f"increment must be finite and nonnegative, got {self.increment}")
-        if self.gamma0 == math.inf and self.increment != 0.0:
+        gamma0, increment = _real(self.gamma0, "gamma0"), _real(self.increment, "increment")
+        _check_gamma(gamma0, finite=False, name="gamma0")
+        if not (math.isfinite(increment) and increment >= 0):
+            raise ValueError(f"increment must be finite and nonnegative, got {increment}")
+        if gamma0 == math.inf and increment != 0.0:
             raise ValueError("an infinite gamma0 takes increment 0, as nothing can add to it")
+        object.__setattr__(self, "gamma0", gamma0)
+        object.__setattr__(self, "increment", increment)
 
     @classmethod
     def fixed(cls, gamma0: float) -> "GammaSchedule":

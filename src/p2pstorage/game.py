@@ -17,7 +17,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .topology import Instance
+from .topology import Instance, _real
 
 __all__ = [
     "ALLOCATION",
@@ -69,9 +69,10 @@ class GameParams:
 
     def __post_init__(self) -> None:
         for name in ("k_c", "k_a"):
-            value = getattr(self, name)
+            value = _real(getattr(self, name), name)
             if not (math.isfinite(value) and value >= 0):
                 raise ValueError(f"{name} must be finite and nonnegative, got {value}")
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)

@@ -76,6 +76,48 @@ def test_replicate_rejects_nonpositive_replications(replications):
         benchmarks.replicate(base, replications)
 
 
+def _record(completed, **metrics):
+    return {"seed": 0, "completed": completed, "steps_to_completion": None, **metrics}
+
+
+def test_score_column_means_the_records_against_the_reference():
+    records = [
+        _record(1, d_out=6.0, rho=0.5),
+        _record(0, d_out=8.0, rho=None),
+        _record(1, d_out=10.0, rho=0.7),
+    ]
+    entry = benchmarks.score_column(1, "k_a=0.25", records)
+    assert entry["replications"] == 3
+    assert entry["completed_runs"] == 2
+    assert entry["cells"]["d_out"] == {"reference": 9.542, "simulated": 8.0, "deviation": 8.0 - 9.542}
+    assert entry["cells"]["rho"]["simulated"] == pytest.approx(0.6)
+    assert entry["cells"]["rho"]["deviation"] == entry["cells"]["rho"]["simulated"] - 0.6812
+    # a reference metric no record holds scores as absent
+    assert entry["cells"]["nu_moves"] == {"reference": 1.3068, "simulated": None, "deviation": None}
+    assert list(entry["cells"]) == list(benchmarks.REFERENCE[1]["metrics"])
+
+
+def test_score_column_without_a_rho_scores_none():
+    records = [_record(0, d_out=5.0, rho=None) for _ in range(2)]
+    entry = benchmarks.score_column(2, "k_a=0", records)
+    assert entry["completed_runs"] == 0
+    assert entry["cells"]["rho"] == {"reference": 0.9784, "simulated": None, "deviation": None}
+
+
+@pytest.mark.parametrize("table, column", [(3, "k_a=0"), (1, "n=50"), (5, "k_a=0")])
+def test_score_column_rejects_an_unknown_column(table, column):
+    with pytest.raises(ValueError, match="has no column"):
+        benchmarks.score_column(table, column, [_record(1, d_out=1.0)])
+
+
+def test_aggregate_is_the_population_mean_and_std():
+    agg = benchmarks.aggregate([_record(1, d_out=2.0, rho=None), _record(0, d_out=4.0, rho=None)])
+    assert agg["d_out"] == {"mean": 3.0, "std": 1.0}
+    assert agg["completed"] == {"mean": 0.5, "std": 0.5}
+    assert "rho" not in agg and "steps_to_completion" not in agg
+    assert benchmarks.aggregate([]) == {}
+
+
 def test_table3_moves_per_atom_band():
     # full preset: mean moves per atom lands within 0.15 of the published
     # 1.1552 (single-run reference, stochastic band)

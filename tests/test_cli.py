@@ -77,6 +77,8 @@ def test_horizon_expression_rejects_bad_input():
         evaluate_horizon("alpha", inst)
     with pytest.raises(ValueError):
         evaluate_horizon(True, inst)
+    with pytest.raises(ValueError):
+        evaluate_horizon("True*n", inst)
 
 
 def test_horizon_expression_too_deep_is_a_value_error():

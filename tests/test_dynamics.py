@@ -191,7 +191,7 @@ def test_gamma_schedule_explicit_increment():
     assert sched.gamma_at(10) == pytest.approx(7.0)
 
 
-@pytest.mark.parametrize("increment", [math.nan, math.inf, -math.inf, -0.1])
+@pytest.mark.parametrize("increment", [math.nan, math.inf, -math.inf, -0.1, "0.5", True])
 def test_gamma_schedule_rejects_nonfinite_or_negative_increment(increment):
     with pytest.raises(ValueError):
         GammaSchedule(1.0, increment)
@@ -199,7 +199,7 @@ def test_gamma_schedule_rejects_nonfinite_or_negative_increment(increment):
 
 @pytest.mark.parametrize("make_schedule", [GammaSchedule.fixed, lambda g: GammaSchedule(g, 0.5)],
                          ids=["fixed", "annealed"])
-@pytest.mark.parametrize("gamma0", [math.nan, 0.0, -1.0])
+@pytest.mark.parametrize("gamma0", [math.nan, 0.0, -1.0, "0.5", True])
 def test_gamma_schedule_rejects_nonpositive_gamma0(make_schedule, gamma0):
     with pytest.raises(ValueError):
         make_schedule(gamma0)

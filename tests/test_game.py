@@ -56,7 +56,7 @@ def partially_fill(rng, inst, state, tries=12):
 
 
 @pytest.mark.parametrize("field", ["k_c", "k_a"])
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -0.5])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -0.5, "0.5", True])
 def test_params_reject_nonfinite_or_negative_weights(field, value):
     kwargs = {"k_c": 1.0, "k_a": 0.0, field: value}
     with pytest.raises(ValueError):

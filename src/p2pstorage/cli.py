@@ -23,12 +23,15 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 from . import analysis, benchmarks, dynamics, feasibility
 from .dynamics import GammaSchedule, SimConfig
 from .game import GameParams
-from .topology import Instance, _integer, instance_from_dict, load_instance
+from .topology import (
+    Instance, _integer, _mapping, _read_json, instance_from_dict, load_instance,
+)
 
 OUT_DIR_ENV = "P2PSTORAGE_OUT"
 
@@ -86,63 +89,60 @@ def evaluate_horizon(expr, inst: Instance) -> int:
 _SCHEDULE_KEYS = {"fixed": {"gamma0"}, "annealed": {"gamma0", "increment"}, "infinite": set()}
 
 
-def _schedule_from_dict(data: dict) -> tuple[float, float | None]:
-    """(gamma0, increment) of a spec's schedule; increment None stands for
-    the instance's default rate, resolved by cmd_simulate unless overridden."""
-    if not isinstance(data, dict):
-        raise ValueError("'schedule' must be a mapping")
-    kind = data.get("kind", "annealed")
-    if not isinstance(kind, str) or kind not in _SCHEDULE_KEYS:
-        raise ValueError(f"unknown schedule kind {kind!r}")
-    unknown = set(data) - _SCHEDULE_KEYS[kind] - {"kind"}
-    if unknown:
-        raise ValueError(f"schedule kind {kind!r} does not take {sorted(unknown)}")
-    if kind == "infinite":
-        return math.inf, 0.0
-    increment = 0.0 if kind == "fixed" else data.get("increment")
-    schedule = GammaSchedule(data.get("gamma0", 1.0), 0.0 if increment is None else increment)
-    return schedule.gamma0, None if increment is None else schedule.increment
-
-
-def load_experiment_spec(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict):
-        raise ValueError("experiment spec must be a mapping")
-    unknown = set(data) - _SPEC_KEYS
-    if unknown:
-        raise ValueError(f"unknown spec keys: {sorted(unknown)}")
+def load_experiment_spec(path, overrides=None) -> tuple[SimConfig, int]:
+    """The base config and replications of an experiment spec (see README).
+    The spec's own values are checked first; then each of ``overrides``'
+    seed, replications, variant, horizon, gamma0 and gamma_increment that
+    is not None replaces the spec's value.  An annealed spec that gives no
+    increment, and no override that does, runs at ``default_increment``."""
+    data = _mapping(_read_json(path), "spec", _SPEC_KEYS)
     inst_src = data.get("instance")
-    if not isinstance(inst_src, dict):
-        raise ValueError("'instance' must be a mapping (inline or {'path': ...})")
-    if set(inst_src) == {"path"}:
+    if isinstance(inst_src, dict) and set(inst_src) == {"path"}:
         if not isinstance(inst_src["path"], str):
             raise ValueError("instance 'path' must be a string")
         inst = load_instance(Path(path).parent / inst_src["path"])
     else:
         inst = instance_from_dict(inst_src)
-    params_src = data.get("params", {})
-    if not isinstance(params_src, dict):
-        raise ValueError("'params' must be a mapping")
-    unknown = set(params_src) - {"k_c", "k_a"}
+    weights = _mapping(data.get("params", {}), "params", {"k_c", "k_a"})
+    params = GameParams(weights.get("k_c", 1.0), weights.get("k_a", 0.0))
+    sched = data.get("schedule", {})
+    if not isinstance(sched, dict):
+        raise ValueError("schedule must be a mapping")
+    kind = sched.get("kind", "annealed")
+    if not isinstance(kind, str) or kind not in _SCHEDULE_KEYS:
+        raise ValueError(f"unknown schedule kind {kind!r}")
+    unknown = set(sched) - _SCHEDULE_KEYS[kind] - {"kind"}
     if unknown:
-        raise ValueError(f"unknown params keys: {sorted(unknown)}")
-    return {
-        "instance": inst,
-        "params": GameParams(params_src.get("k_c", 1.0), params_src.get("k_a", 0.0)),
-        "schedule": _schedule_from_dict(data.get("schedule", {"kind": "annealed"})),
-        "variant": data.get("variant", dynamics.ALLOCATE_FIRST),
-        "horizon": data.get("horizon", "2*sum_alpha"),
-        "replications": _integer(data.get("replications", 1), "replications"),
-        "seed": _integer(data.get("seed", 0), "seed"),
-    }
+        raise ValueError(f"schedule kind {kind!r} does not take {sorted(unknown)}")
+    gamma0 = math.inf if kind == "infinite" else sched.get("gamma0", 1.0)
+    increment = sched.get("increment")  # absent or null: the default rate
+    schedule = GammaSchedule(gamma0, 0.0 if increment is None else increment)
+    replications = _integer(data.get("replications", 1), "replications")
+    seed = _integer(data.get("seed", 0), "seed")
+
+    flags = {k: v for k, v in (overrides or {}).items() if v is not None}
+    gamma = {"gamma0": flags["gamma0"]} if "gamma0" in flags else {}
+    if "gamma_increment" in flags:
+        gamma["increment"] = flags["gamma_increment"]
+    elif kind == "annealed" and increment is None:
+        gamma["increment"] = dynamics.default_increment(inst)
+    base = SimConfig(
+        instance=inst,
+        params=params,
+        schedule=replace(schedule, **gamma),
+        horizon=evaluate_horizon(flags.get("horizon", data.get("horizon", "2*sum_alpha")), inst),
+        seed=flags.get("seed", seed),
+        variant=flags.get("variant", data.get("variant", dynamics.ALLOCATE_FIRST)),
+    )
+    return base, flags.get("replications", replications)
 
 
 def _out_dir(args) -> Path:
-    if args.out:
-        path = Path(args.out)
-    else:
-        path = Path(os.environ.get(OUT_DIR_ENV, "results"))
+    """Checks --workers, then makes the output directory: both before any
+    run, so that a bad flag or an unwritable --out costs no computation."""
+    if args.workers < 1:
+        raise ValueError(f"--workers must be at least 1, got {args.workers}")
+    path = Path(args.out or os.environ.get(OUT_DIR_ENV, "results"))
     path.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -151,8 +151,6 @@ def _run_rows(configs: list[SimConfig], workers: int):
     """Run and score the configs, through a process pool when workers > 1.
     Returns the results and one row per run: run, then the record of
     ``benchmarks.run_record``."""
-    if workers < 1:
-        raise ValueError(f"--workers must be at least 1, got {workers}")
     workers = min(workers, len(configs), os.cpu_count() or 1)  # never more processes than runs
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -195,30 +193,12 @@ def cmd_check(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    spec = load_experiment_spec(args.spec)
-    for key in ("seed", "replications", "variant", "horizon"):
-        if getattr(args, key) is not None:
-            spec[key] = getattr(args, key)
-    inst: Instance = spec["instance"]
-    gamma0, increment = spec["schedule"]
-    if args.gamma_increment is not None:
-        increment = args.gamma_increment
-    elif increment is None:
-        increment = dynamics.default_increment(inst)
-    schedule = GammaSchedule(gamma0 if args.gamma0 is None else args.gamma0, increment)
-    horizon = evaluate_horizon(spec["horizon"], inst)
-    base = SimConfig(
-        instance=inst,
-        params=spec["params"],
-        schedule=schedule,
-        horizon=horizon,
-        seed=spec["seed"],
-        variant=spec["variant"],
-        record_trace=args.trace,
-    )
-    configs = benchmarks.replicate(base, spec["replications"])
+    base, replications = load_experiment_spec(args.spec, vars(args))
+    base = replace(base, record_trace=args.trace)
+    configs = benchmarks.replicate(base, replications)
+    out_dir = _out_dir(args)
 
-    verdict = feasibility.check_feasible_flow(inst)
+    verdict = feasibility.check_feasible_flow(base.instance)
     if not verdict.feasible:
         print(
             "warning: instance is infeasible; completion is impossible "
@@ -227,7 +207,6 @@ def cmd_simulate(args) -> int:
         )
 
     results, rows = _run_rows(configs, args.workers)
-    out_dir = _out_dir(args)
     if args.trace:
         for r, result in enumerate(results):
             _write_trace(out_dir / f"trace_{r}.csv", configs[r], result.trace)
@@ -236,13 +215,14 @@ def cmd_simulate(args) -> int:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
         writer.writeheader()
         writer.writerows(rows)
+    schedule = base.schedule
     summary = {
-        "instance_fingerprint": inst.fingerprint(),
-        "replications": spec["replications"],
-        "seed_base": spec["seed"],
-        "variant": spec["variant"],
-        "horizon": horizon,
-        "params": {"k_c": spec["params"].k_c, "k_a": spec["params"].k_a},
+        "instance_fingerprint": base.instance.fingerprint(),
+        "replications": replications,
+        "seed_base": base.seed,
+        "variant": base.variant,
+        "horizon": base.horizon,
+        "params": {"k_c": base.params.k_c, "k_a": base.params.k_a},
         "schedule": {
             "gamma0": "inf" if math.isinf(schedule.gamma0) else schedule.gamma0,
             "increment": schedule.increment,
@@ -347,12 +327,13 @@ def _column_text(table: int, column: str, entry: dict) -> str:
 
 
 def cmd_reproduce(args) -> int:
+    presets = benchmarks.table_presets(args.table, args.replications, args.seed)
+    out_path = _out_dir(args) / f"table{args.table}.json"
     columns: dict = {}
-    for preset in benchmarks.table_presets(args.table, args.replications, args.seed):
+    for preset in presets:
         _, rows = _run_rows(benchmarks.make_configs(preset), args.workers)
         columns[preset.column] = benchmarks.score_column(args.table, preset.column, rows)
         print(_column_text(args.table, preset.column, columns[preset.column]))
-    out_path = _out_dir(args) / f"table{args.table}.json"
     _write_json(out_path, {"table": args.table, "columns": columns})
     print(f"wrote {out_path}")
     return 0

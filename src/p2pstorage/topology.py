@@ -256,23 +256,34 @@ def _check_size(n: int, directed_edges: int) -> None:
         )
 
 
+def _read_json(path):
+    """The JSON document in a file.  A ValueError when it does not parse,
+    or nests deeper than the parser's recursion limit."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except (json.JSONDecodeError, RecursionError) as exc:
+            raise ValueError(f"{path}: not valid JSON ({exc})") from exc
+
+
+def _mapping(data, name: str, keys) -> dict:
+    """``data`` itself, checked to be a mapping with no key outside ``keys``."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{name} must be a mapping")
+    unknown = set(data) - keys
+    if unknown:
+        raise ValueError(f"unknown {name} keys: {sorted(unknown)}")
+    return data
+
+
 def instance_from_dict(data: dict) -> Instance:
     """Parse the instance file schema (see README).  Rejects unknown keys."""
-    if not isinstance(data, dict):
-        raise ValueError("instance document must be a mapping")
-    unknown = set(data) - _INSTANCE_KEYS
-    if unknown:
-        raise ValueError(f"unknown instance keys: {sorted(unknown)}")
+    _mapping(data, "instance", _INSTANCE_KEYS)
     if ("generator" in data) == ("edges" in data):
         raise ValueError("exactly one of 'edges' or 'generator' is required")
 
     if "generator" in data:
-        gen = data["generator"]
-        if not isinstance(gen, dict):
-            raise ValueError("'generator' must be a mapping")
-        bad = set(gen) - _GENERATOR_KEYS
-        if bad:
-            raise ValueError(f"unknown generator keys: {sorted(bad)}")
+        gen = _mapping(data["generator"], "generator", _GENERATOR_KEYS)
         kind = gen.get("kind")
         gn = _integer(gen.get("n"), "generator n")
         if kind == "complete":
@@ -328,11 +339,7 @@ def instance_to_dict(inst: Instance) -> dict:
 
 
 def load_instance(path) -> Instance:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: not valid JSON ({exc})") from exc
+    data = _read_json(path)
     try:
         return instance_from_dict(data)
     except ValueError as exc:

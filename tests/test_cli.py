@@ -208,6 +208,29 @@ def test_check_rejects_oversized_instance_before_building_it(tmp_path, capsys, d
     assert "above the limit 1000000" in captured.err
 
 
+# Nesting deeper than the JSON parser's recursion limit.
+_DEEP_JSON = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize("command", ["check", "verify", "simulate"])
+def test_over_deep_json_exits_one(tmp_path, capsys, command):
+    path = tmp_path / "deep.json"
+    path.write_text(_DEEP_JSON)
+    flags = ["--out", str(tmp_path / "o"), "--workers", "1"] if command == "simulate" else []
+    assert main([command, str(path)] + flags) == 1
+    assert_one_error_line(capsys.readouterr())
+
+
+def test_simulate_spec_naming_over_deep_instance_exits_one(tmp_path, capsys):
+    (tmp_path / "deep.json").write_text(_DEEP_JSON)
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec_doc({"path": "deep.json"})))
+    code = main(["simulate", str(spec_path), "--out", str(tmp_path / "o"), "--workers", "1"])
+    assert code == 1
+    assert_one_error_line(capsys.readouterr())
+    assert not (tmp_path / "o").exists()
+
+
 def test_check_benchmark_scale_instance(tmp_path, capsys):
     doc = {
         "generator": {"kind": "complete", "n": 50},
@@ -482,7 +505,18 @@ def test_simulate_summary_records_schedule_in_force(tmp_path, schedule, in_force
     assert summary["schedule"] == in_force
 
 
-def test_simulate_unwritable_out_exits_one(tmp_path, capsys):
+def _count_runs(monkeypatch) -> list:
+    """The configs ``benchmarks.run_record`` is called with from now on."""
+    calls = []
+    run_record = benchmarks.run_record
+    monkeypatch.setattr(benchmarks, "run_record",
+                        lambda config: calls.append(config) or run_record(config))
+    return calls
+
+
+def test_simulate_unwritable_out_exits_one(tmp_path, capsys, monkeypatch):
+    # The output directory is made before the runs: none of them is wasted.
+    calls = _count_runs(monkeypatch)
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps(spec_doc(feasible_doc(), replications=1)))
     blocker = tmp_path / "blocker"
@@ -490,6 +524,7 @@ def test_simulate_unwritable_out_exits_one(tmp_path, capsys):
     code = main(["simulate", str(spec_path), "--out", str(blocker / "o"), "--workers", "1"])
     assert code == 1
     assert_one_error_line(capsys.readouterr())
+    assert calls == []
 
 
 def test_simulate_uses_env_output_dir(tmp_path, monkeypatch):
@@ -517,7 +552,7 @@ def test_load_experiment_spec_instance_by_path(tmp_path):
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps(spec))
     loaded = load_experiment_spec(spec_path)
-    assert loaded["instance"].n == 4
+    assert loaded[0].instance.n == 4
 
 
 # ------------------------------------------------------------------ verify
@@ -853,6 +888,17 @@ def test_simulate_and_reproduce_share_one_pipeline(tmp_path, capsys):
     assert column["replications"] == 2
     for metric, cell in column["cells"].items():
         assert cell["simulated"] == aggregate[metric]["mean"], metric
+
+
+def test_reproduce_unwritable_out_exits_before_any_run(tmp_path, capsys, monkeypatch):
+    calls = _count_runs(monkeypatch)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a file, not a directory")
+    code = main(["reproduce", "3", "--replications", "4", "--out", str(blocker / "o"),
+                 "--workers", "1"])
+    assert code == 1
+    assert_one_error_line(capsys.readouterr())
+    assert calls == []
 
 
 def test_reproduce_rejects_workers_below_one(tmp_path, capsys):

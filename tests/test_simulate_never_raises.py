@@ -4,6 +4,7 @@
 import contextlib
 import io
 import json
+import math
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -116,16 +117,37 @@ def spec_docs(draw):
     return draw(_junk) if draw(st.integers(0, 29)) == 29 else doc
 
 
+# The override flags, each drawn from values its argparse type accepts, so
+# that every refusal comes from the program's own checks.
+_GAMMAS = st.one_of(st.sampled_from([0.0, -1.0, math.inf, -math.inf, math.nan]), st.floats())
+_FLAGS = {
+    "--seed": st.integers(-10**6, 10**6),
+    "--replications": st.integers(-1, 2),
+    "--variant": st.sampled_from(VARIANTS),
+    "--horizon": st.one_of(_horizons, st.sampled_from(_BAD_EXPRESSIONS)),
+    "--gamma0": _GAMMAS,
+    "--gamma-increment": _GAMMAS,
+}
+
+
+@st.composite
+def override_flags(draw):
+    """A subset of the override flags, as ``--flag=value`` arguments (the
+    one form argparse takes for a value that starts with a minus sign)."""
+    flags = draw(st.lists(st.sampled_from(sorted(_FLAGS)), unique=True))
+    return [f"{flag}={draw(_FLAGS[flag])}" for flag in flags]
+
+
 @settings(max_examples=150, deadline=None)
-@given(doc=spec_docs())
-def test_simulate_exits_with_a_code_and_never_raises(tmp_path_factory, doc):
+@given(doc=spec_docs(), flags=override_flags())
+def test_simulate_exits_with_a_code_and_never_raises(tmp_path_factory, doc, flags):
     base = tmp_path_factory.getbasetemp()
     path = base / "simulate_never_raises.json"
     path.write_text(json.dumps(doc))
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = main(["simulate", str(path), "--out", str(base / "simulate_out"),
-                     "--workers", "1"])
+                     "--workers", "1"] + flags)
     assert code in (0, 1)
     if code == 1:
         lines = err.getvalue().splitlines()

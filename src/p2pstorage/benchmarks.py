@@ -1,13 +1,8 @@
 """Benchmark presets and their published reference values.
 
-Four standard experiment families, all with capacity 50 per unit, two
-equal reliability classes (0.5 / 0.8), congestion weight 1, and a horizon
-of two steps per atom:
-
-  table 1 - complete graph, n=50, demand 45, aggregation 0 / 0.25 / 0.45
-  table 2 - random 10-regular graph, same demands and columns
-  table 3 - random 10-regular graph, demands cycling 35/40/45/50/55
-  table 4 - random 10-regular graph, aggregation 0.45, n = 50/100/1000
+Every table runs capacity 50 per unit, two equal reliability classes
+(0.5 / 0.8), congestion weight 1, and a horizon of two steps per atom;
+``_LAYOUT`` gives the rest, one row per ``REFERENCE`` column.
 
 Schedules: congestion-only presets (k_a = 0) anneal the Gibbs parameter
 from 1 at ``dynamics.default_increment`` per step to the cold regime,
@@ -39,7 +34,6 @@ __all__ = [
     "aggregate",
     "benchmark_instance",
     "make_configs",
-    "preset_schedule",
     "replicate",
     "run_record",
     "score_column",
@@ -119,6 +113,15 @@ REFERENCE: dict[int, dict] = {
     },
 }
 
+# Per table: the graph kind and the demand pattern, then per REFERENCE
+# column, in order, (units, k_a, default replications).
+_LAYOUT: dict[int, tuple[str, tuple[int, ...], list[tuple[int, float, int]]]] = {
+    1: ("complete", (45,), [(50, 0.0, 25), (50, 0.25, 25), (50, 0.45, 25)]),
+    2: ("regular", (45,), [(50, 0.0, 25), (50, 0.25, 25), (50, 0.45, 25)]),
+    3: ("regular", (35, 40, 45, 50, 55), [(50, 0.45, 25)]),
+    4: ("regular", (45,), [(50, 0.45, 25), (100, 0.45, 10), (1000, 0.45, 1)]),
+}
+
 
 @dataclass(frozen=True)
 class PresetRun:
@@ -130,11 +133,6 @@ class PresetRun:
     params: GameParams
     replications: int
     seed: int
-
-
-def _reliability_split(n: int) -> tuple[float, ...]:
-    half = n // 2
-    return tuple([_RELIABILITY_LOW] * half + [_RELIABILITY_HIGH] * (n - half))
 
 
 def benchmark_instance(
@@ -151,8 +149,9 @@ def benchmark_instance(
     else:
         raise ValueError(f"unknown topology kind {topology_kind!r}")
     alpha = tuple(alpha_pattern[x % len(alpha_pattern)] for x in range(n))
-    beta = tuple([_CAPACITY] * n)
-    return Instance(topo, alpha, beta, _reliability_split(n))
+    half = n // 2
+    lam = (_RELIABILITY_LOW,) * half + (_RELIABILITY_HIGH,) * (n - half)
+    return Instance(topo, alpha, (_CAPACITY,) * n, lam)
 
 
 def table_presets(table: int, replications: int | None = None, seed: int | None = None):
@@ -160,46 +159,16 @@ def table_presets(table: int, replications: int | None = None, seed: int | None 
     each column's default."""
     if replications is not None and replications < 1:
         raise ValueError(f"replications must be positive, got {replications}")
-    base_seed = 1000 * table if seed is None else seed
-    if table in (1, 2):
-        inst = benchmark_instance(50, "complete" if table == 1 else "regular")
-        runs = [
-            PresetRun(
-                table, label, inst, GameParams(k_c=1.0, k_a=ka), replications or 25, base_seed
-            )
-            for label, ka in [("k_a=0", 0.0), ("k_a=0.25", 0.25), ("k_a=0.45", 0.45)]
-        ]
-    elif table == 3:
-        inst = benchmark_instance(50, "regular", alpha_pattern=(35, 40, 45, 50, 55))
-        runs = [
-            PresetRun(
-                3, "mixed alpha", inst, GameParams(k_c=1.0, k_a=0.45), replications or 25, base_seed
-            )
-        ]
-    elif table == 4:
-        sizes = [(50, 25), (100, 10), (1000, 1)]
-        runs = [
-            PresetRun(
-                4,
-                f"n={n}",
-                benchmark_instance(n, "regular"),
-                GameParams(k_c=1.0, k_a=0.45),
-                replications or default_reps,
-                base_seed,
-            )
-            for n, default_reps in sizes
-        ]
-    else:
+    if table not in _LAYOUT:
         raise ValueError("table must be 1, 2, 3, or 4")
-    return runs
-
-
-def preset_schedule(inst: Instance, params: GameParams) -> GammaSchedule:
-    """Annealed from 1 at the instance's default rate for congestion-only
-    presets, bounded for aggregation."""
-    if params.k_a > 0:
-        return GammaSchedule.fixed(AGGREGATED_GAMMA)
-    return GammaSchedule(1.0, default_increment(inst))
+    kind, alpha_pattern, rows = _LAYOUT[table]
+    base_seed = 1000 * table if seed is None else seed
+    instances = {n: benchmark_instance(n, kind, alpha_pattern) for n in {n for n, _, _ in rows}}
+    return [
+        PresetRun(table, column, instances[n], GameParams(k_c=1.0, k_a=k_a),
+                  replications or default_reps, base_seed)
+        for column, (n, k_a, default_reps) in zip(REFERENCE[table]["columns"], rows, strict=True)
+    ]
 
 
 def replicate(config: SimConfig, replications: int) -> list[SimConfig]:
@@ -230,12 +199,18 @@ def run_record(config: SimConfig) -> tuple[dynamics.RunResult, dict]:
 
 
 def make_configs(preset: PresetRun) -> list[SimConfig]:
-    """Seeded replication configs for one preset column."""
+    """Seeded replication configs for one preset column: an aggregation
+    preset (k_a > 0) runs at the fixed ``AGGREGATED_GAMMA``, a
+    congestion-only one anneals from 1 at the instance's default rate."""
     inst = preset.instance
+    if preset.params.k_a > 0:
+        schedule = GammaSchedule.fixed(AGGREGATED_GAMMA)
+    else:
+        schedule = GammaSchedule(1.0, default_increment(inst))
     base = SimConfig(
         instance=inst,
         params=preset.params,
-        schedule=preset_schedule(inst, preset.params),
+        schedule=schedule,
         horizon=default_horizon(inst),
         seed=preset.seed,
         variant=ALLOCATE_FIRST,

@@ -116,6 +116,9 @@ class SimConfig:
         object.__setattr__(self, "seed", _integer(self.seed, "seed"))
         if self.horizon < 0:
             raise ValueError("horizon must be nonnegative")
+        # random.Random seeds by |seed|, so seeds -r and r would draw one stream.
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}")
 

@@ -130,7 +130,10 @@ def _try_pairing(n: int, d: int, rng: random.Random) -> set[tuple[int, int]] | N
     return edges
 
 
-def build_random_regular(n: int, d: int, seed: int, max_retries: int = 100) -> Topology:
+_PAIRING_ATTEMPTS = 100  # stub pairings tried before build_random_regular gives up
+
+
+def build_random_regular(n: int, d: int, seed: int) -> Topology:
     """Random d-regular graph stored as symmetric directed edge pairs.
 
     Deterministic for a fixed seed.  Requires n*d even and d < n.
@@ -142,7 +145,7 @@ def build_random_regular(n: int, d: int, seed: int, max_retries: int = 100) -> T
     if (n * d) % 2 != 0:
         raise ValueError(f"n*d must be even, got n={n}, d={d}")
     rng = random.Random(seed)
-    for _ in range(max_retries):
+    for _ in range(_PAIRING_ATTEMPTS):
         pairs = _try_pairing(n, d, rng)
         if pairs is None:
             continue
@@ -152,7 +155,7 @@ def build_random_regular(n: int, d: int, seed: int, max_retries: int = 100) -> T
             edges.add((y, x))
         return Topology(n, frozenset(edges))
     raise GenerationFailed(
-        f"no simple {d}-regular graph on {n} nodes found in {max_retries} attempts"
+        f"no simple {d}-regular graph on {n} nodes found in {_PAIRING_ATTEMPTS} attempts"
     )
 
 

@@ -3,7 +3,7 @@ import dataclasses
 import pytest
 
 from p2pstorage import analysis, benchmarks
-from p2pstorage.dynamics import GammaSchedule, run
+from p2pstorage.dynamics import ALLOCATE_FIRST, GammaSchedule, run
 
 
 def test_reference_tables_are_rectangular():
@@ -17,6 +17,40 @@ def test_presets_cover_reference_columns():
     for table in (1, 2, 3, 4):
         presets = benchmarks.table_presets(table)
         assert [p.column for p in presets] == benchmarks.REFERENCE[table]["columns"]
+
+
+# Per (table, column): the instance fingerprint, (k_c, k_a), the default
+# replications, the seed base, and the first config's (gamma0, increment)
+# and horizon.
+PINNED_PRESETS = {
+    (1, "k_a=0"): ("4e3e771038a6cc07", (1.0, 0.0), 25, 1000, (1.0, 0.0125), 4500),
+    (1, "k_a=0.25"): ("4e3e771038a6cc07", (1.0, 0.25), 25, 1000, (1.1, 0.0), 4500),
+    (1, "k_a=0.45"): ("4e3e771038a6cc07", (1.0, 0.45), 25, 1000, (1.1, 0.0), 4500),
+    (2, "k_a=0"): ("d45d6e9ffca4f0cc", (1.0, 0.0), 25, 2000, (1.0, 0.0125), 4500),
+    (2, "k_a=0.25"): ("d45d6e9ffca4f0cc", (1.0, 0.25), 25, 2000, (1.1, 0.0), 4500),
+    (2, "k_a=0.45"): ("d45d6e9ffca4f0cc", (1.0, 0.45), 25, 2000, (1.1, 0.0), 4500),
+    (3, "mixed alpha"): ("aa4aa58d2554ef62", (1.0, 0.45), 25, 3000, (1.1, 0.0), 4500),
+    (4, "n=50"): ("d45d6e9ffca4f0cc", (1.0, 0.45), 25, 4000, (1.1, 0.0), 4500),
+    (4, "n=100"): ("7af7a0125257b81b", (1.0, 0.45), 10, 4000, (1.1, 0.0), 9000),
+    (4, "n=1000"): ("a4992a05501ca93f", (1.0, 0.45), 1, 4000, (1.1, 0.0), 90000),
+}
+
+
+def test_presets_are_pinned():
+    seen = {}
+    for table in (1, 2, 3, 4):
+        for preset in benchmarks.table_presets(table):
+            config = benchmarks.make_configs(preset)[0]
+            assert config.variant == ALLOCATE_FIRST
+            seen[preset.table, preset.column] = (
+                preset.instance.fingerprint(),
+                (preset.params.k_c, preset.params.k_a),
+                preset.replications,
+                preset.seed,
+                (config.schedule.gamma0, config.schedule.increment),
+                config.horizon,
+            )
+    assert seen == PINNED_PRESETS
 
 
 def test_table3_demand_pattern_cycles():
@@ -40,8 +74,8 @@ def test_reliability_split_is_half_and_half():
 def test_preset_schedule_selection():
     cold = benchmarks.table_presets(1)[0]  # k_a = 0
     warm = benchmarks.table_presets(1)[2]  # k_a = 0.45
-    assert benchmarks.preset_schedule(cold.instance, cold.params) == GammaSchedule(1.0, 1 / 80)
-    assert benchmarks.preset_schedule(warm.instance, warm.params) == GammaSchedule.fixed(
+    assert benchmarks.make_configs(cold)[0].schedule == GammaSchedule(1.0, 1 / 80)
+    assert benchmarks.make_configs(warm)[0].schedule == GammaSchedule.fixed(
         benchmarks.AGGREGATED_GAMMA
     )
 

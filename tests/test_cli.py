@@ -910,6 +910,30 @@ def test_reproduce_rejects_workers_below_one(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("case", ["spec-seed", "simulate-flag", "reproduce", "verify-probe"])
+def test_negative_seed_exits_one_before_any_run(tmp_path, capsys, monkeypatch, case):
+    # random.Random seeds by |seed|: seed base -1 would run seeds -1, 0 and 1,
+    # the first and the last alike.
+    runs = _count_runs(monkeypatch)
+    place_all = dynamics.place_all
+    monkeypatch.setattr(dynamics, "place_all", lambda *a: runs.append(a) or place_all(*a))
+    inst_path = write_instance(tmp_path, "inst.json", feasible_doc())
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec_doc(feasible_doc(), seed=-1 if case == "spec-seed" else 7)))
+    out = ["--out", str(tmp_path / "o"), "--workers", "1"]
+    argv = {
+        "spec-seed": ["simulate", str(spec_path), *out],
+        "simulate-flag": ["simulate", str(spec_path), "--seed", "-1", *out],
+        "reproduce": ["reproduce", "3", "--replications", "1", "--seed", "-1", *out],
+        "verify-probe": ["verify", str(inst_path), "--gamma", "inf", "--seed", "-1"],
+    }[case]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert_one_error_line(captured)
+    assert "seed must be nonnegative, got -1" in captured.err
+    assert runs == []
+
+
 # ------------------------------------------------------------------- usage
 
 

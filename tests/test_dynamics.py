@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from p2pstorage import feasibility, game
 from p2pstorage.analysis import build_transition_matrix, enumerate_states
-from p2pstorage.benchmarks import benchmark_instance, preset_schedule
+from p2pstorage.benchmarks import benchmark_instance
 from p2pstorage.dynamics import (
     ALLOCATE_FIRST,
     PROPORTIONAL,
@@ -594,8 +594,8 @@ def _pinned_configs():
             table1, GameParams(1.0, 0.45), GammaSchedule.fixed(1.1),
             horizon=default_horizon(table1), seed=15, variant=ALLOCATE_FIRST, record_trace=True),
         "table1-complete-annealed-allocate-first-ka0": SimConfig(
-            table1, ka0, preset_schedule(table1, ka0), horizon=default_horizon(table1),
-            seed=16, variant=ALLOCATE_FIRST, record_trace=True),
+            table1, ka0, GammaSchedule(1.0, default_increment(table1)),
+            horizon=default_horizon(table1), seed=16, variant=ALLOCATE_FIRST, record_trace=True),
         "complete-proportional-partial-piles": SimConfig(
             piles, GameParams(1.0, 0.25), GammaSchedule.fixed(2.0), horizon=400,
             seed=17, variant=PROPORTIONAL, record_trace=True, initial_state=spread),

@@ -411,7 +411,6 @@ def empirical_distribution(
     steps; it then discards the next ``burn_in`` steps and counts the state
     after each of the ``steps`` steps that follow.
     """
-    _check_gamma(gamma, finite=True)
     if steps < 1:
         raise ValueError(f"steps must be positive, got {steps}")
     if burn_in < 0:
@@ -491,11 +490,7 @@ def greedy_utility_bound(inst: Instance, params: GameParams) -> float:
         for s in range(1, b + 1):
             marginals.append(inst.reliability[y] - params.k_c * (2 * s - 1) / b)
     marginals.sort(reverse=True)
-    if len(marginals) < total:
-        # Not enough capacity anywhere; bound with what exists.
-        bound = sum(marginals)
-    else:
-        bound = sum(marginals[:total])
+    bound = sum(marginals[:total])  # every slot, when capacity falls short of demand
     if params.k_a:
         for x in range(inst.n):
             a = inst.alpha[x]

@@ -156,9 +156,7 @@ def benchmark_instance(
 
 def table_presets(table: int, replications: int | None = None, seed: int | None = None):
     """The preset runs of one benchmark table; ``replications`` None keeps
-    each column's default."""
-    if replications is not None and replications < 1:
-        raise ValueError(f"replications must be positive, got {replications}")
+    each column's default; ``replicate`` checks a given count."""
     if table not in _LAYOUT:
         raise ValueError("table must be 1, 2, 3, or 4")
     kind, alpha_pattern, rows = _LAYOUT[table]
@@ -166,7 +164,7 @@ def table_presets(table: int, replications: int | None = None, seed: int | None 
     instances = {n: benchmark_instance(n, kind, alpha_pattern) for n in {n for n, _, _ in rows}}
     return [
         PresetRun(table, column, instances[n], GameParams(k_c=1.0, k_a=k_a),
-                  replications or default_reps, base_seed)
+                  default_reps if replications is None else replications, base_seed)
         for column, (n, k_a, default_reps) in zip(REFERENCE[table]["columns"], rows, strict=True)
     ]
 

@@ -50,39 +50,33 @@ _BINARY_OPS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.
                ast.FloorDiv: operator.floordiv, ast.Div: operator.truediv}
 
 
-def evaluate_horizon(expr, inst: Instance) -> int:
-    """Evaluate a horizon expression: an integer (an integral float reads as
-    its int), or arithmetic over the variables sum_alpha and n (e.g.
-    "2*sum_alpha")."""
-    if isinstance(expr, str):
-        names = {"sum_alpha": inst.total_alpha, "n": inst.n}
+def evaluate_horizon(expr, inst: Instance):
+    """The value of a horizon: ``expr`` itself unless it is a string of
+    arithmetic over the variables sum_alpha and n (e.g. "2*sum_alpha").
+    ``SimConfig`` checks that the value is a nonnegative integer."""
+    if not isinstance(expr, str):
+        return expr
+    names = {"sum_alpha": inst.total_alpha, "n": inst.n}
 
-        def ev(node):
-            if isinstance(node, ast.Expression):
-                return ev(node.body)
-            if isinstance(node, ast.Constant) and type(node.value) in (int, float):
-                return node.value
-            if isinstance(node, ast.Name):
-                if node.id in names:
-                    return names[node.id]
-                raise ValueError(f"unknown name {node.id!r} in horizon expression")
-            if isinstance(node, ast.BinOp) and type(node.op) in _BINARY_OPS:
-                return _BINARY_OPS[type(node.op)](ev(node.left), ev(node.right))
-            if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
-                return -ev(node.operand)
-            raise ValueError("unsupported construct in horizon expression")
+    def ev(node):
+        if isinstance(node, ast.Expression):
+            return ev(node.body)
+        if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+            return node.value
+        if isinstance(node, ast.Name):
+            if node.id in names:
+                return names[node.id]
+            raise ValueError(f"unknown name {node.id!r} in horizon expression")
+        if isinstance(node, ast.BinOp) and type(node.op) in _BINARY_OPS:
+            return _BINARY_OPS[type(node.op)](ev(node.left), ev(node.right))
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+            return -ev(node.operand)
+        raise ValueError("unsupported construct in horizon expression")
 
-        try:
-            value = ev(ast.parse(expr, mode="eval"))
-        except (SyntaxError, ZeroDivisionError, OverflowError, RecursionError) as exc:
-            raise ValueError(f"bad horizon expression {expr!r}: {exc}") from exc
-    else:
-        value = _integer(expr, "horizon")
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ValueError(f"horizon must be finite, got {value}")
-    if value != int(value) or value < 0:
-        raise ValueError(f"horizon must evaluate to a nonnegative integer, got {value}")
-    return int(value)
+    try:
+        return ev(ast.parse(expr, mode="eval"))
+    except (SyntaxError, ZeroDivisionError, OverflowError, RecursionError) as exc:
+        raise ValueError(f"bad horizon expression {expr!r}: {exc}") from exc
 
 
 # The keys each schedule kind takes besides "kind".
@@ -328,10 +322,12 @@ def _column_text(table: int, column: str, entry: dict) -> str:
 
 def cmd_reproduce(args) -> int:
     presets = benchmarks.table_presets(args.table, args.replications, args.seed)
+    # Every config first: a count or seed they refuse leaves no output directory.
+    configs = [benchmarks.make_configs(preset) for preset in presets]
     out_path = _out_dir(args) / f"table{args.table}.json"
     columns: dict = {}
-    for preset in presets:
-        _, rows = _run_rows(benchmarks.make_configs(preset), args.workers)
+    for preset, preset_configs in zip(presets, configs):
+        _, rows = _run_rows(preset_configs, args.workers)
         columns[preset.column] = benchmarks.score_column(args.table, preset.column, rows)
         print(_column_text(args.table, preset.column, columns[preset.column]))
     _write_json(out_path, {"table": args.table, "columns": columns})

@@ -113,9 +113,9 @@ class SimConfig:
     def __post_init__(self) -> None:
         # Read as instance files read integers: a None seed would draw OS entropy.
         object.__setattr__(self, "horizon", _integer(self.horizon, "horizon"))
-        object.__setattr__(self, "seed", _integer(self.seed, "seed"))
         if self.horizon < 0:
-            raise ValueError("horizon must be nonnegative")
+            raise ValueError(f"horizon must be nonnegative, got {self.horizon}")
+        object.__setattr__(self, "seed", _integer(self.seed, "seed"))
         # random.Random seeds by |seed|, so seeds -r and r would draw one stream.
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")

@@ -36,9 +36,11 @@ class GenerationFailed(RuntimeError):
 class Topology:
     """Directed graph on units 0..n-1; an edge (x, y) lets x store atoms in y.
 
-    Endpoints follow the instance file's integer rule (an int or integral
-    float, never a bool); self-loops are rejected.  This is the one place an
-    edge is validated, in the pass that builds the adjacency.  Instances are
+    Needs n >= 1.  Endpoints follow the instance file's integer rule (an int
+    or integral float, never a bool); self-loops are rejected.  This is the
+    one place the unit count and an edge are validated, in the pass that
+    builds the adjacency; ``edges`` may be any collection of pairs, read as
+    given, so in a list a repeat cannot hide ``true == 1``.  Instances are
     immutable and safe to share between concurrent runs.
     """
 
@@ -50,10 +52,9 @@ class Topology:
         if n < 1:
             raise ValueError(f"need at least one unit, got n={n}")
         object.__setattr__(self, "n", n)
-        edges = self.edges if isinstance(self.edges, frozenset) else frozenset(self.edges)
         out: list[list[int]] = [[] for _ in range(n)]
         converted = False  # an integral float was read as its int
-        for x, y in edges:
+        for x, y in self.edges:
             if type(x) is not int or type(y) is not int:
                 x, y, converted = _integer(x, "edges"), _integer(y, "edges"), True
             if not (0 <= x < n and 0 <= y < n):
@@ -63,6 +64,10 @@ class Topology:
             out[x].append(y)
         if converted:
             edges = frozenset((x, y) for x, ys in enumerate(out) for y in ys)
+        else:
+            edges = frozenset(self.edges)  # a frozenset comes back as it is
+        if len(edges) < sum(map(len, out)):  # a repeated edge
+            out = [set(ys) for ys in out]
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "_out", tuple(tuple(sorted(v)) for v in out))
 
@@ -76,8 +81,6 @@ class Topology:
 
 def build_complete(n: int) -> Topology:
     """Complete directed graph: every ordered pair (x, y), x != y."""
-    if n < 1:
-        raise ValueError(f"complete graph needs n >= 1, got {n}")
     edges = frozenset((x, y) for x in range(n) for y in range(n) if x != y)
     return Topology(n, edges)
 
@@ -138,8 +141,6 @@ def build_random_regular(n: int, d: int, seed: int) -> Topology:
 
     Deterministic for a fixed seed.  Requires n*d even and d < n.
     """
-    if n < 1:
-        raise ValueError(f"need at least one unit, got n={n}")
     if d < 0 or d >= n:
         raise ValueError(f"degree must satisfy 0 <= d < n, got d={d}, n={n}")
     if (n * d) % 2 != 0:
@@ -183,12 +184,14 @@ class Instance:
 
     def __post_init__(self) -> None:
         n = self.topology.n
+        # Lengths first: an over-long vector is refused before any entry is read.
+        for name, vec in (("alpha", self.alpha), ("beta", self.beta), ("lambda", self.reliability)):
+            if len(vec) != n:
+                raise ValueError(f"'{name}' must have n={n} entries, got {len(vec)}")
         alpha = tuple(_integer(a, "alpha") for a in self.alpha)
         beta = tuple(_integer(b, "beta") for b in self.beta)
         reliability = tuple(_real(r, "lambda") for r in self.reliability)
         for name, vec in (("alpha", alpha), ("beta", beta), ("reliability", reliability)):
-            if len(vec) != n:
-                raise ValueError(f"{name} must have length n={n}, got {len(vec)}")
             if any(v < 0 for v in vec):
                 raise ValueError(f"{name} entries must be nonnegative")
         if not all(math.isfinite(r) for r in reliability):
@@ -241,14 +244,6 @@ def _real(value, name: str) -> float:
         return float(value)
     except OverflowError:  # an integer beyond the float range
         raise ValueError(f"'{name}' is too large for a float") from None
-
-
-def _broadcast(value, n: int, name: str):  # one value per unit, for Instance to check
-    if isinstance(value, (list, tuple)):
-        if len(value) != n:
-            raise ValueError(f"'{name}' must have {n} entries, got {len(value)}")
-        return value
-    return [value] * n
 
 
 def _check_size(n: int, directed_edges: int) -> None:
@@ -317,20 +312,18 @@ def instance_from_dict(data: dict) -> Instance:
             raise ValueError("'edges' must be an array of [x, y] pairs")
         _check_size(n, len(edges))
         try:
-            pairs = frozenset([(x, y) for x, y in edges])
-        except (TypeError, ValueError):  # an entry that is not a pair, or unhashable
+            pairs = [(x, y) for x, y in edges]
+        except (TypeError, ValueError):  # an entry that is not a pair
             raise ValueError("'edges' must be an array of [x, y] pairs") from None
-        if len(pairs) < len(edges):  # a repeat can hide a bool: true == 1
-            pairs = frozenset((_integer(x, "edges"), _integer(y, "edges")) for x, y in edges)
         topology = Topology(n, pairs)
 
-    n = topology.n
     for key in ("alpha", "beta", "lambda"):
         if key not in data:
             raise ValueError(f"missing required key '{key}'")
-    alpha = _broadcast(data["alpha"], n, "alpha")
-    beta = _broadcast(data["beta"], n, "beta")
-    return Instance(topology, alpha, beta, _broadcast(data["lambda"], n, "lambda"))
+    # A scalar stands for one value per unit; Instance checks every vector.
+    vectors = [v if isinstance(v, (list, tuple)) else [v] * topology.n
+               for v in (data["alpha"], data["beta"], data["lambda"])]
+    return Instance(topology, *vectors)
 
 
 def instance_to_dict(inst: Instance) -> dict:

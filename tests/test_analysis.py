@@ -139,6 +139,13 @@ def test_kernel_symmetric_instance_uniform_stationary():
     assert stationarity_residual(oracle, mu) <= 1e-12
 
 
+def test_kernel_walks_need_the_kernel_built():
+    oracle = enumerate_states(eight_state_instance())
+    mu = np.full(len(oracle), 1.0 / len(oracle))
+    with pytest.raises(ValueError, match="build the transition matrix first"):
+        stationarity_residual(oracle, mu)
+
+
 def test_kernel_entry_matches_hand_formula():
     # one-step probability of a specific relocation: wake the unit, pick
     # the source pile, then the Gibbs factor at the post-move state
@@ -483,6 +490,13 @@ def test_greedy_bound_matches_enumeration_without_weights():
     oracle = enumerate_states(inst)
     best, _ = max_global_utility_bruteforce(oracle, params)
     assert greedy_utility_bound(inst, params) == pytest.approx(best)
+
+
+def test_greedy_bound_with_capacity_below_demand_sums_every_marginal():
+    # Demand 6 against 3 slots: every slot's marginal gain is taken.
+    inst = make(build_complete(2), (3, 3), (1, 2), (0.5, 0.8))
+    marginals = [0.5 - 1 / 1, 0.8 - 1 / 2, 0.8 - 3 / 2]
+    assert greedy_utility_bound(inst, GameParams(1.0, 0.0)) == pytest.approx(sum(marginals))
 
 
 def test_greedy_bound_dominates_enumeration():

@@ -82,8 +82,14 @@ def test_preset_schedule_selection():
 
 @pytest.mark.parametrize("replications", [0, -2])
 def test_presets_reject_nonpositive_replications(replications):
+    # The one check is replicate's, reached when the preset's configs are made.
     with pytest.raises(ValueError, match="replications must be positive"):
-        benchmarks.table_presets(1, replications=replications)
+        benchmarks.make_configs(benchmarks.table_presets(1, replications=replications)[0])
+
+
+def test_presets_reject_an_unknown_table():
+    with pytest.raises(ValueError, match="table must be 1, 2, 3, or 4"):
+        benchmarks.table_presets(5)
 
 
 def test_make_configs_seeds_are_consecutive():

@@ -67,18 +67,30 @@ def test_horizon_expression_sum_alpha():
     assert evaluate_horizon(40.0, inst) == 40
 
 
-def test_horizon_expression_rejects_bad_input():
+def test_horizon_expression_with_unary_minus():
+    inst = Instance(build_complete(3), (2, 3, 4), (9, 9, 9), (1.0,) * 3)
+    assert evaluate_horizon("-n + 3*n", inst) == 6
+    assert evaluate_horizon("-(-sum_alpha)", inst) == 9
+
+
+def test_horizon_expression_rejects_bad_input(tmp_path, capsys, monkeypatch):
     inst = Instance(build_complete(2), (1, 1), (2, 2), (1.0, 1.0))
-    with pytest.raises(ValueError):
-        evaluate_horizon("sum_alpha - 100", inst)
     with pytest.raises(ValueError):
         evaluate_horizon("__import__('os')", inst)
     with pytest.raises(ValueError):
         evaluate_horizon("alpha", inst)
     with pytest.raises(ValueError):
-        evaluate_horizon(True, inst)
-    with pytest.raises(ValueError):
         evaluate_horizon("True*n", inst)
+    # What an expression evaluates to is SimConfig's to check, before any run.
+    runs = _count_runs(monkeypatch)
+    for horizon in ("sum_alpha - 100", True):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec_doc(feasible_doc(), horizon=horizon)))
+        code = main(["simulate", str(spec_path), "--out", str(tmp_path / "o"), "--workers", "1"])
+        assert code == 1
+        assert_one_error_line(capsys.readouterr())
+    assert runs == []
+    assert not (tmp_path / "o").exists()
 
 
 def test_horizon_expression_too_deep_is_a_value_error():
@@ -527,6 +539,17 @@ def test_simulate_unwritable_out_exits_one(tmp_path, capsys, monkeypatch):
     assert calls == []
 
 
+def test_simulate_rejects_a_schedule_that_is_not_a_mapping(tmp_path, capsys):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec_doc(feasible_doc(), schedule=3)))
+    code = main(["simulate", str(spec_path), "--out", str(tmp_path / "o"), "--workers", "1"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert_one_error_line(captured)
+    assert "schedule must be a mapping" in captured.err
+    assert not (tmp_path / "o").exists()
+
+
 def test_simulate_uses_env_output_dir(tmp_path, monkeypatch):
     spec = spec_doc(feasible_doc(), replications=1)
     spec_path = tmp_path / "spec.json"
@@ -743,6 +766,16 @@ def test_verify_prints_no_python_warnings(tmp_path):
     assert "1 of 2 states never visited" in proc.stdout
 
 
+def test_verify_notes_states_the_sampler_never_visited(tmp_path, capsys):
+    # 5 sampled steps can reach at most 5 of the eight states.
+    doc = {"generator": {"kind": "complete", "n": 3}, "alpha": 1, "beta": 2, "lambda": 1.0}
+    path = write_instance(tmp_path, "desk.json", doc)
+    assert main(["verify", str(path), "--empirical-steps", "5", "--empirical-tol", "1"]) == 0
+    out = capsys.readouterr().out
+    line = next(line for line in out.splitlines() if "empirical occupancy" in line)
+    assert line.startswith("PASS") and "of 8 states never visited" in line
+
+
 @pytest.mark.parametrize("gamma", ["abc", "nan", "-1", "0"])
 def test_verify_rejects_bad_gamma(tmp_path, capsys, gamma):
     path = write_instance(tmp_path, "desk.json", feasible_doc())
@@ -932,6 +965,46 @@ def test_negative_seed_exits_one_before_any_run(tmp_path, capsys, monkeypatch, c
     assert_one_error_line(captured)
     assert "seed must be nonnegative, got -1" in captured.err
     assert runs == []
+    assert not (tmp_path / "o").exists()
+
+
+_BAD_INPUT_PER_RULE = {
+    "negative-horizon": ("spec", {"horizon": "n - 100"}, "horizon must be nonnegative, got -96"),
+    "fractional-horizon": ("spec", {"horizon": "n / 3"}, "'horizon' must be an integer, got 1.3"),
+    "simulate-zero-replications": ("spec", {"replications": 0},
+                                   "replications must be positive, got 0"),
+    "reproduce-zero-replications": (["--replications", "0"], None,
+                                    "replications must be positive, got 0"),
+    "short-lambda": ("spec", {"instance": dict(feasible_doc(), **{"lambda": [0.5] * 3})},
+                     "'lambda' must have n=4 entries, got 3"),
+    "zero-generator-n": ("spec", {"instance": dict(feasible_doc(), generator={
+        "kind": "complete", "n": 0})}, "need at least one unit, got n=0"),
+    "bool-hidden-by-repeated-edge": ("spec", {"instance": {
+        "n": 2, "edges": [[0, 1], [1, 0], [True, 0]], "alpha": 1, "beta": 1, "lambda": 0.5}},
+        "'edges' must be an integer, got True"),
+    "reproduce-negative-seed": (["--replications", "1", "--seed", "-1"], None,
+                                "seed must be nonnegative, got -1"),
+}
+
+
+@pytest.mark.parametrize("case", _BAD_INPUT_PER_RULE)
+def test_each_input_rule_refuses_before_any_run(tmp_path, capsys, monkeypatch, case):
+    # One bad input per rule, each refused by the one check of its rule.
+    command, overrides, message = _BAD_INPUT_PER_RULE[case]
+    runs = _count_runs(monkeypatch)
+    out = ["--out", str(tmp_path / "o"), "--workers", "1"]
+    if command == "spec":
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec_doc(feasible_doc(), **overrides)))
+        argv = ["simulate", str(spec_path), *out]
+    else:
+        argv = ["reproduce", "3", *command, *out]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert_one_error_line(captured)
+    assert message in captured.err
+    assert runs == []
+    assert not (tmp_path / "o").exists()
 
 
 # ------------------------------------------------------------------- usage

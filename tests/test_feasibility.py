@@ -57,6 +57,12 @@ def test_flow_complete_overloaded():
     assert witness_violates(inst, verdict.witness)
 
 
+def test_an_empty_witness_violates_nothing():
+    inst = make(build_complete(3), (2, 1, 1), (1, 1, 1))
+    assert not witness_violates(inst, ())
+    assert not witness_violates(inst, (), strict=True)
+
+
 def test_flow_line_unit_demands():
     # oracle: all 15 nonempty subsets satisfy the covering inequality
     inst = make(build_line(4), (1, 1, 1, 1), (1, 1, 1, 1))

@@ -275,6 +275,27 @@ def test_instance_from_dict_random_regular():
     assert all(len(inst.topology.out_neighbors(x)) == 4 for x in range(10))
 
 
+@pytest.mark.parametrize("missing", ["d", "seed"])
+def test_instance_from_dict_random_regular_needs_d_and_seed(missing):
+    generator = {"kind": "random_regular", "n": 10, "d": 4, "seed": 7}
+    del generator[missing]
+    doc = {"generator": generator, "alpha": 1, "beta": 2, "lambda": 1.0}
+    with pytest.raises(ValueError, match="random_regular generator needs 'd' and 'seed'"):
+        instance_from_dict(doc)
+
+
+def test_instance_from_dict_rejects_n_disagreeing_with_the_generator():
+    doc = {"n": 5, "generator": {"kind": "complete", "n": 4}, "alpha": 1, "beta": 1, "lambda": 1.0}
+    with pytest.raises(ValueError, match="'n' disagrees with generator 'n'"):
+        instance_from_dict(doc)
+
+
+def test_instance_from_dict_edge_list_needs_n():
+    doc = {"edges": [[0, 1], [1, 0]], "alpha": 1, "beta": 1, "lambda": 1.0}
+    with pytest.raises(ValueError, match="'n' is required with an explicit edge list"):
+        instance_from_dict(doc)
+
+
 BAD_INSTANCE_VALUES = {
     "bool-n": {"n": True, "edges": []},
     "fractional-n": {"n": 2.5},

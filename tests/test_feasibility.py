@@ -18,6 +18,7 @@ from p2pstorage.feasibility import (
     check_strict_exhaustive,
     witness_violates,
 )
+from p2pstorage.game import AllocationState
 from p2pstorage.topology import (
     Instance,
     Topology,
@@ -61,6 +62,22 @@ def test_an_empty_witness_violates_nothing():
     inst = make(build_complete(3), (2, 1, 1), (1, 1, 1))
     assert not witness_violates(inst, ())
     assert not witness_violates(inst, (), strict=True)
+
+
+def test_a_witness_is_read_as_a_set_of_units():
+    # {0} holds 2 atoms against 2 slots; a repeated entry adds no demand.
+    inst = make(build_complete(3), (2, 1, 1), (1, 1, 1))
+    assert not witness_violates(inst, (0,))
+    assert not witness_violates(inst, (0, 0))
+    assert witness_violates(inst, (2, 0, 1, 0))
+
+
+@pytest.mark.parametrize("entry", [-3, 3, 5, True, False, 0.0, "0", None])
+def test_a_witness_entry_that_is_not_a_unit_is_refused(entry):
+    inst = make(build_complete(3), (2, 1, 1), (1, 1, 1))
+    for witness in ((entry,), (1, entry)):
+        with pytest.raises(ValueError, match="not a unit"):
+            witness_violates(inst, witness)
 
 
 def test_flow_line_unit_demands():
@@ -313,8 +330,8 @@ def test_flow_verdicts_agree_with_exhaustive_and_witnesses_violate(inst):
 
 
 class ListOfListsDinic:
-    """The max-flow the flat-arc network replaced: per node a list of
-    [to, cap, rev] edges, searched in insertion order."""
+    """The reference max-flow: a generic Dinic network with per node a
+    list of [to, cap, rev] edges, searched in insertion order."""
 
     def __init__(self, size):
         self.size = size
@@ -369,11 +386,7 @@ class ListOfListsDinic:
             self.it = [0] * self.size
             while flow := self._augment(s, t):
                 total += flow
-        self.value = total
         return total
-
-    def residuals(self):
-        return [(u, v, cap) for u in range(self.size) for v, cap, _rev in self.adj[u]]
 
     def reachable_from(self, s, reverse=False):
         seen = {s}
@@ -388,38 +401,93 @@ class ListOfListsDinic:
         return seen
 
 
-class FlatDinic(feasibility._Dinic):
-    def max_flow(self, s, t):
-        self.value = super().max_flow(s, t)
-        return self.value
+def reference_outcome(inst):
+    """The shipped total and the flow and strict verdicts, read from the
+    aggregated network: node 0 is the source, 1 + x unit x, 1 + n + y
+    resource y and 2n + 1 the sink; source -> unit x (capacity alpha_x)
+    -> resource y for every edge (x, y) (capacity above the total demand)
+    -> sink (capacity beta_y)."""
+    n, total = inst.n, inst.total_alpha
+    net = ListOfListsDinic(2 * n + 2)
+    for x, demand in enumerate(inst.alpha):
+        if demand > 0:
+            net.add_edge(0, 1 + x, demand)
+        for y in inst.topology.out_neighbors(x):
+            net.add_edge(1 + x, 1 + n + y, total + 1)
+    for y, capacity in enumerate(inst.beta):
+        if capacity > 0:
+            net.add_edge(1 + n + y, 2 * n + 1, capacity)
+    shipped = net.max_flow(0, 2 * n + 1)
 
-    def residuals(self):
-        return [(u, self.head[a], self.cap[a]) for u in range(self.size) for a in self.arcs[u]]
+    def units(nodes):
+        return tuple(x for x in range(n) if 1 + x in nodes)
+
+    if shipped < total:
+        witness = units(net.reachable_from(0))
+        return shipped, FeasibilityVerdict(False, witness), FeasibilityVerdict(False, witness)
+    reaches_sink = net.reachable_from(2 * n + 1, reverse=True)
+    for x in range(n):
+        if 1 + x not in reaches_sink:
+            strict = FeasibilityVerdict(False, units(net.reachable_from(1 + x)))
+            return shipped, FeasibilityVerdict(True), strict
+    return shipped, FeasibilityVerdict(True), FeasibilityVerdict(True)
 
 
-def flow_outcome(inst, dinic, monkeypatch):
-    """The flow value, every arc's residual capacity, every node's residual
-    reach both ways, and the flow and strict verdicts, with ``dinic`` as
-    the network."""
-    with monkeypatch.context() as patch:
-        patch.setattr(feasibility, "_Dinic", dinic)
-        net, full = feasibility._max_flow(inst)
-        reach = [(net.reachable_from(u), net.reachable_from(u, reverse=True))
-                 for u in range(net.size)]
-        return (net.value, full, net.residuals(), reach,
-                check_feasible_flow(inst), check_strict(inst))
+def allocation_from_flow(inst, flow):
+    """The solver's per-unit flow rows as an allocation state, with its row
+    and column sums taken from the solver's unshipped demand and spare
+    capacity."""
+    placed = [a - left for a, left in zip(inst.alpha, flow.left)]
+    load = [b - spare for b, spare in zip(inst.beta, flow.spare)]
+    return AllocationState(inst.n, [dict(row) for row in flow.flow], placed, load)
 
 
-def test_flat_network_equals_the_list_of_lists_network(monkeypatch):
+def test_flow_equals_the_reference_network():
+    # Every witness is a residual reach set that all maximum flows share,
+    # so the solver must match the reference network's verdicts exactly;
+    # a full flow is an allocation certificate.
     rng = random.Random(1970)
-    outcomes, scaled = set(), 0
+    outcomes, scaled, certified = set(), 0, 0
     for _ in range(1000):
         inst = equivalence_instance(rng, max_n=12)
         scaled += inst.total_alpha >= 10**30
-        flat = flow_outcome(inst, FlatDinic, monkeypatch)
-        assert flat == flow_outcome(inst, ListOfListsDinic, monkeypatch)
-        outcomes.add((flat[4].feasible, flat[5].feasible))
+        flow = feasibility._max_flow(inst)
+        outcome = (inst.total_alpha - sum(flow.left), check_feasible_flow(inst), check_strict(inst))
+        assert outcome == reference_outcome(inst)
+        assert flow.full == outcome[1].feasible
+        if flow.full:
+            state = allocation_from_flow(inst, flow)
+            state.validate(inst)
+            assert state.is_full(inst)
+            certified += 1
+        outcomes.add((outcome[1].feasible, outcome[2].feasible))
     assert outcomes == {(False, False), (True, False), (True, True)} and scaled > 50
+    assert certified > 100
+
+
+def table4_instance(n, seed, tight):
+    """check-scale's n = 300 shapes: a 10-regular instance with capacity 50
+    and demands 35..44; ``tight`` makes unit n - 1 store only into one
+    resource and need all of it, so {n - 1} is the only tight set."""
+    rng = random.Random(seed)
+    m = n - 1 if tight else n  # units of the regular part
+    edges = build_random_regular(m, 10, seed=seed).edges
+    alpha = tuple(rng.randint(35, 44) for _ in range(m))
+    if tight:
+        edges |= {(m, rng.randrange(m))}
+        alpha += (50,)
+    return make(Topology(n, edges), alpha, (50,) * n)
+
+
+@pytest.mark.parametrize("tight", [False, True])
+def test_full_flow_is_an_allocation_certificate_at_scale(tight):
+    inst = table4_instance(300, 24, tight)
+    flow = feasibility._max_flow(inst)
+    assert flow.full
+    state = allocation_from_flow(inst, flow)
+    state.validate(inst)
+    assert state.is_full(inst)
+    assert check_strict(inst) == (FeasibilityVerdict(False, (299,)) if tight else FeasibilityVerdict(True))
 
 
 def unseeded_matching(inst):

@@ -203,7 +203,7 @@ def enumerate_states(inst: Instance) -> StateSpaceOracle:
         raise StateSpaceTooLarge(
             f"state space estimate {estimate} exceeds the limit {STATE_SPACE_LIMIT}"
         )
-    if estimate == 0:  # a unit with demand and no out-neighbour
+    if estimate == 0:  # a unit stores nowhere; the units after it went unestimated
         empty = np.zeros((0, inst.n), np.int64)
         return StateSpaceOracle(inst, [], [], empty[:, 0], empty)
     total = 0

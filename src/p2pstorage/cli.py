@@ -113,6 +113,7 @@ def load_experiment_spec(path, overrides=None) -> tuple[SimConfig, int]:
     schedule = GammaSchedule(gamma0, 0.0 if increment is None else increment)
     replications = _integer(data.get("replications", 1), "replications")
     seed = _integer(data.get("seed", 0), "seed")
+    horizon = data.get("horizon", dynamics.default_horizon(inst))
 
     flags = {k: v for k, v in (overrides or {}).items() if v is not None}
     gamma = {"gamma0": flags["gamma0"]} if "gamma0" in flags else {}
@@ -124,7 +125,7 @@ def load_experiment_spec(path, overrides=None) -> tuple[SimConfig, int]:
         instance=inst,
         params=params,
         schedule=replace(schedule, **gamma),
-        horizon=evaluate_horizon(flags.get("horizon", data.get("horizon", "2*sum_alpha")), inst),
+        horizon=evaluate_horizon(flags.get("horizon", horizon), inst),
         seed=flags.get("seed", seed),
         variant=flags.get("variant", data.get("variant", dynamics.ALLOCATE_FIRST)),
     )

@@ -91,6 +91,18 @@ def test_no_full_state_is_a_typed_error():
         empirical_distribution(oracle, params, 1.0, steps=10)
 
 
+def test_unit_with_demand_and_no_out_neighbour_has_no_state():
+    # Unit 0 stores nowhere: the enumeration itself yields no state, and
+    # the kernel and the stationary law treat that as any infeasible case.
+    inst = make(Topology(3, frozenset({(1, 2), (2, 1)})), (1, 1, 1), (2, 2, 2), (1.0,) * 3)
+    oracle = enumerate_states(inst)
+    assert len(oracle) == 0
+    params = GameParams(1.0, 0.0)
+    assert build_transition_matrix(oracle, params, 1.0).kernel.indptr.tolist() == [0]
+    with pytest.raises(ValueError, match="no full allocation state"):
+        stationary_exact(oracle, params, 1.0)
+
+
 def test_enumerate_guard():
     inst = make(build_complete(12), (10,) * 12, (20,) * 12, (1.0,) * 12)
     with pytest.raises(StateSpaceTooLarge):

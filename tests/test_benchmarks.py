@@ -71,6 +71,11 @@ def test_reliability_split_is_half_and_half():
     assert inst.reliability.count(0.8) == 25
 
 
+def test_benchmark_instance_refuses_an_unknown_topology_kind():
+    with pytest.raises(ValueError, match="unknown topology kind 'ring'"):
+        benchmarks.benchmark_instance(10, "ring")
+
+
 def test_preset_schedule_selection():
     cold = benchmarks.table_presets(1)[0]  # k_a = 0
     warm = benchmarks.table_presets(1)[2]  # k_a = 0.45

@@ -14,7 +14,14 @@ from p2pstorage.cli import evaluate_horizon, load_experiment_spec, main
 from p2pstorage.dynamics import GammaSchedule, SimConfig
 from p2pstorage.feasibility import check_strict
 from p2pstorage.game import GameParams
-from p2pstorage.topology import Instance, Topology, build_complete, build_line, instance_to_dict
+from p2pstorage.topology import (
+    Instance,
+    Topology,
+    build_complete,
+    build_line,
+    instance_from_dict,
+    instance_to_dict,
+)
 
 
 def write_instance(tmp_path, name, doc):
@@ -39,6 +46,17 @@ def infeasible_doc():
         "alpha": [2, 1, 1],
         "beta": [1, 1, 1],
         "lambda": 1.0,
+    }
+
+
+def line4_doc():
+    # Criterion 7's four-unit chain with a dominant middle resource.
+    return {
+        "n": 4,
+        "edges": [[0, 1], [1, 0], [1, 2], [2, 1], [2, 3], [3, 2]],
+        "alpha": 1,
+        "beta": 1,
+        "lambda": [1.0, 3.0, 1.0, 1.0],
     }
 
 
@@ -137,13 +155,13 @@ def tight_doc():
     ids=["strict", "tight", "infeasible"],
 )
 def test_check_solves_one_flow(tmp_path, capsys, monkeypatch, doc, code, strict):
-    solve, calls = feasibility._max_flow, []
+    solve, calls = feasibility._Transport, []
 
     def counted(inst):
         calls.append(inst)
         return solve(inst)
 
-    monkeypatch.setattr(feasibility, "_max_flow", counted)
+    monkeypatch.setattr(feasibility, "_Transport", counted)
     path = write_instance(tmp_path, "inst.json", doc)
     assert main(["check", str(path)]) == code
     assert len(calls) == 1
@@ -185,6 +203,17 @@ def assert_one_error_line(captured):
     assert captured.err.startswith("error:")
     assert captured.err.count("\n") == 1
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("edges", [[[0, 1, 2]], [5], [[0]]], ids=["triple", "number", "single"])
+def test_check_edge_entry_not_a_pair_exits_one(tmp_path, capsys, edges):
+    doc = {"n": 3, "edges": edges, "alpha": 1, "beta": 1, "lambda": 1.0}
+    with pytest.raises(ValueError, match=r"'edges' must be an array of \[x, y\] pairs"):
+        instance_from_dict(doc)
+    assert main(["check", str(write_instance(tmp_path, "inst.json", doc))]) == 1
+    captured = capsys.readouterr()
+    assert_one_error_line(captured)
+    assert "[x, y] pairs" in captured.err
 
 
 def test_check_generator_giving_up_exits_one(tmp_path, capsys):
@@ -550,6 +579,32 @@ def test_simulate_rejects_a_schedule_that_is_not_a_mapping(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("kind", ["cosine", 3])
+def test_simulate_rejects_an_unknown_schedule_kind(tmp_path, kind):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec_doc(feasible_doc(), schedule={"kind": kind})))
+    with pytest.raises(ValueError, match="unknown schedule kind"):
+        load_experiment_spec(spec_path)
+
+
+def test_simulate_default_horizon_is_two_moves_per_atom(tmp_path, capsys):
+    # A spec without a horizon runs exactly as one that writes 2*sum_alpha.
+    outputs = []
+    for name, horizon in (("default", None), ("written", "2*sum_alpha")):
+        spec = spec_doc(feasible_doc(), horizon=horizon)
+        if horizon is None:
+            del spec["horizon"]
+        spec_path = tmp_path / f"{name}.json"
+        spec_path.write_text(json.dumps(spec))
+        base, _ = load_experiment_spec(spec_path)
+        assert base.horizon == 2 * base.instance.total_alpha
+        out = tmp_path / name
+        assert main(["simulate", str(spec_path), "--out", str(out), "--workers", "1"]) == 0
+        outputs.append(((out / "runs.csv").read_bytes(), (out / "summary.json").read_bytes()))
+    capsys.readouterr()
+    assert outputs[0] == outputs[1]
+
+
 def test_simulate_uses_env_output_dir(tmp_path, monkeypatch):
     spec = spec_doc(feasible_doc(), replications=1)
     spec_path = tmp_path / "spec.json"
@@ -651,14 +706,7 @@ def test_verify_skips_ergodicity_without_strictness(tmp_path, capsys):
 def test_verify_best_response_absorption(tmp_path, capsys):
     # four-user chain with a dominant middle resource: pure best response
     # gets absorbed short of completion in some runs
-    doc = {
-        "n": 4,
-        "edges": [[0, 1], [1, 0], [1, 2], [2, 1], [2, 3], [3, 2]],
-        "alpha": 1,
-        "beta": 1,
-        "lambda": [1.0, 3.0, 1.0, 1.0],
-    }
-    path = write_instance(tmp_path, "chain.json", doc)
+    path = write_instance(tmp_path, "chain.json", line4_doc())
     code = main(["verify", str(path), "--gamma", "inf"])
     out = capsys.readouterr().out
     assert code == 0
@@ -684,6 +732,17 @@ def test_verify_failed_property_exits_two(tmp_path, capsys):
     assert "FAIL  empirical occupancy" in out
 
 
+def test_verify_empirical_chain_that_does_not_fill_exits_one(tmp_path, capsys):
+    # On the line-4 trap at gamma 20, seed 0's chain does not place every
+    # atom within the sampler's start-up budget, 50 * total demand steps.
+    path = write_instance(tmp_path, "chain.json", line4_doc())
+    code = main(["verify", str(path), "--gamma", "20", "--empirical-steps", "10", "--seed", "0"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert_one_error_line(captured)
+    assert "did not place every atom within 200 steps" in captured.err
+
+
 def test_verify_rejects_oversized_state_space(tmp_path, capsys):
     doc = {
         "generator": {"kind": "complete", "n": 12},
@@ -707,6 +766,24 @@ def test_verify_without_full_state_exits_one(tmp_path, capsys):
     out = capsys.readouterr().out
     probe = json.loads(out[out.index("{"):])["best_response_absorption"]
     assert probe["incomplete"] == probe["trials"]
+
+
+def test_verify_unit_with_no_out_neighbour_exits_one_before_enumerating(tmp_path, capsys):
+    # Unit 0 stores nowhere, so no state exists; units 1..20 split their
+    # atoms about 3.5e15 ways each, which the enumeration must never build.
+    units = range(1, 21)
+    doc = {
+        "n": 21,
+        "edges": [[x, y] for x in units for y in units if x != y],
+        "alpha": [1] + [40] * 20,
+        "beta": [1] + [80] * 20,
+        "lambda": 1.0,
+    }
+    path = write_instance(tmp_path, "stranded.json", doc)
+    assert main(["verify", str(path), "--gamma", "1.0"]) == 1
+    captured = capsys.readouterr()
+    assert_one_error_line(captured)
+    assert "no full allocation state" in captured.err
 
 
 def test_verify_long_directed_ring_exits_zero(tmp_path, capsys):

@@ -451,10 +451,13 @@ def test_flow_equals_the_reference_network():
     for _ in range(1000):
         inst = equivalence_instance(rng, max_n=12)
         scaled += inst.total_alpha >= 10**30
-        flow = feasibility._max_flow(inst)
+        flow = feasibility._Transport(inst)
         outcome = (inst.total_alpha - sum(flow.left), check_feasible_flow(inst), check_strict(inst))
         assert outcome == reference_outcome(inst)
         assert flow.full == outcome[1].feasible
+        if not outcome[2].feasible:  # a witness search meets no spare capacity
+            start = [x for x, need in enumerate(flow.left) if need] or outcome[2].witness[:1]
+            assert flow._search(start, [False] * inst.n)[0] == -1
         if flow.full:
             state = allocation_from_flow(inst, flow)
             state.validate(inst)
@@ -482,7 +485,7 @@ def table4_instance(n, seed, tight):
 @pytest.mark.parametrize("tight", [False, True])
 def test_full_flow_is_an_allocation_certificate_at_scale(tight):
     inst = table4_instance(300, 24, tight)
-    flow = feasibility._max_flow(inst)
+    flow = feasibility._Transport(inst)
     assert flow.full
     state = allocation_from_flow(inst, flow)
     state.validate(inst)

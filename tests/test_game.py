@@ -63,6 +63,13 @@ def test_params_reject_nonfinite_or_negative_weights(field, value):
         GameParams(**kwargs)
 
 
+def test_state_from_entries_skips_zero_counts():
+    inst = make(build_complete(3), (2, 1, 0), (3, 3, 3), (1.0, 1.0, 1.0))
+    state = AllocationState.from_entries(inst, [(0, 1, 2), (0, 2, 0), (1, 0, 0), (1, 2, 1)])
+    assert state.counts == [{1: 2}, {2: 1}, {}]
+    assert (state.placed, state.load) == ([2, 1, 0], [0, 2, 1])
+
+
 # ---------------------------------------------------------------- utility
 
 

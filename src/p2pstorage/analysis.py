@@ -501,33 +501,22 @@ def greedy_utility_bound(inst: Instance, params: GameParams) -> float:
 
 
 def compute_rho(
-    inst: Instance,
-    params: GameParams,
-    state: AllocationState,
-    oracle: StateSpaceOracle | None = None,
+    inst: Instance, params: GameParams, state: AllocationState
 ) -> tuple[float | None, str]:
-    """Global-utility ratio of a final state against the best achievable.
-
-    With an oracle the maximum is exact; otherwise the greedy upper bound
-    stands in and the ratio is tagged "surrogate" (it may exceed 1 when
-    utilities are negative, and is conservative when positive).
-    """
+    """Global-utility ratio of a state to the greedy upper bound on the best
+    achievable, tagged "surrogate".  It may exceed 1 when utilities are
+    negative; it is None when the bound is 0 and the utility is not."""
     value = game.global_utility(inst, params, state)
-    if oracle is not None:
-        best, _ = max_global_utility_bruteforce(oracle, params)
-        tag = "exact"
-    else:
-        best = greedy_utility_bound(inst, params)
-        tag = "surrogate"
+    best = greedy_utility_bound(inst, params)
     if best == 0.0:
-        return (1.0, tag) if value == 0.0 else (None, tag)
-    return value / best, tag
+        return (1.0 if value == 0.0 else None), "surrogate"
+    return value / best, "surrogate"
 
 
 @dataclass(eq=False)
 class MetricsReport:
-    """Run summary indices; class-resolved entries follow the reliability
-    classes of classes_by_reliability, least reliable first."""
+    """Run summary indices, class-resolved ones least reliable class first
+    (classes_by_reliability); rho and rho_tag are None for an incomplete run."""
 
     nu_moves: float
     lambda_mean: float
@@ -536,8 +525,8 @@ class MetricsReport:
     congestion_var: tuple[float, ...]
     d_out: float
     d_in: tuple[float, ...]
-    rho: float | None = None
-    rho_tag: str | None = None
+    rho: float | None
+    rho_tag: str | None
 
     def to_row(self) -> dict:
         row: dict[str, float | str | None] = {
@@ -568,7 +557,7 @@ def compute_metrics(
     result: dynamics.RunResult,
 ) -> MetricsReport:
     """All run indices from the final state and per-unit move counters,
-    for a completed run or not.
+    for a completed run or not; rho is scored only for a completed run.
 
     Units with zero demand are excluded from per-unit averages.  Class
     congestion is the fill fraction of the class's total capacity.
@@ -610,6 +599,7 @@ def compute_metrics(
 
     support_edges = sum(len(row) for row in state.counts)
     d_out = support_edges / inst.n
+    rho, rho_tag = compute_rho(inst, params, state) if result.completed else (None, None)
 
     return MetricsReport(
         nu_moves=nu,
@@ -619,4 +609,6 @@ def compute_metrics(
         congestion_var=tuple(c_var),
         d_out=d_out,
         d_in=tuple(d_in),
+        rho=rho,
+        rho_tag=rho_tag,
     )

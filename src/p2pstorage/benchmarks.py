@@ -179,14 +179,9 @@ def replicate(config: SimConfig, replications: int) -> list[SimConfig]:
 
 def run_record(config: SimConfig) -> tuple[dynamics.RunResult, dict]:
     """Run one config and score it: (result, record), the record holding
-    seed, completed and steps_to_completion, then the metrics row.  Rho is
-    computed only for a completed run."""
+    seed, completed and steps_to_completion, then ``compute_metrics``'s row."""
     result = dynamics.run(config)
     report = analysis.compute_metrics(config.instance, config.params, result)
-    if result.completed:
-        report.rho, report.rho_tag = analysis.compute_rho(
-            config.instance, config.params, result.final_state
-        )
     record = {
         "seed": config.seed,
         "completed": int(result.completed),

@@ -536,15 +536,6 @@ def test_greedy_bound_dominates_enumeration():
         assert greedy_utility_bound(inst, params) >= best - 1e-9
 
 
-def test_rho_single_state_space():
-    inst = make(build_complete(2), (1, 1), (1, 1), (1.0, 1.0))
-    oracle = enumerate_states(inst)
-    state = state_from_key(inst, oracle.states[0])
-    rho, tag = compute_rho(inst, GameParams(1.0, 0.0), state, oracle)
-    assert rho == pytest.approx(1.0)
-    assert tag == "exact"
-
-
 def test_rho_surrogate_tagging():
     inst = make(build_complete(2), (1, 1), (1, 1), (1.0, 1.0))
     state = AllocationState.from_entries(inst, [(0, 1, 1), (1, 0, 1)])
@@ -590,11 +581,12 @@ def test_metrics_class_capacity_identity():
     )
 
 
-def test_metrics_partial_requires_opt_in():
+def test_metrics_on_an_incomplete_run():
     inst = make(build_complete(2), (1, 1), (1, 1), (1.0, 1.0))
     result = RunResult(AllocationState.zeros(inst), False, None, [0, 0], None)
     report = compute_metrics(inst, GameParams(1.0, 0.0), result)
     assert report.d_out == 0.0
+    assert report.rho is None and report.rho_tag is None
 
 
 def test_metrics_nu_at_least_one_on_completed_runs():

@@ -22,8 +22,12 @@ def test_every_exported_name_resolves(name):
     assert missing == []
 
 
-# The engine calls these every step.  Span tracers (perfbench/spans.py)
-# wrap every name in __all__, so exporting one would record a span per step.
+# Helpers the scoring code calls per candidate, unit or allocation.  The
+# engine calls _resource_term and _unit_term only at the start of a run and
+# _move_kind once per allocation; it writes _choice and _gibbs_weights in
+# line, and game's Nash and Gibbs functions call those two per unit.  Span
+# tracers (perfbench/spans.py) wrap every name in __all__, so exporting one
+# would record a span per call.
 PER_STEP_KERNELS = {"_choice", "_gibbs_weights", "_move_kind", "_resource_term", "_unit_term"}
 
 

@@ -3,7 +3,9 @@ import dataclasses
 import pytest
 
 from p2pstorage import analysis, benchmarks
-from p2pstorage.dynamics import ALLOCATE_FIRST, GammaSchedule, run
+from p2pstorage.dynamics import ALLOCATE_FIRST, GammaSchedule, SimConfig, run
+from p2pstorage.game import GameParams
+from p2pstorage.topology import instance_from_dict
 
 
 def test_reference_tables_are_rectangular():
@@ -147,6 +149,26 @@ def test_score_column_without_a_rho_scores_none():
     entry = benchmarks.score_column(2, "k_a=0", records)
     assert entry["completed_runs"] == 0
     assert entry["cells"]["rho"] == {"reference": 0.9784, "simulated": None, "deviation": None}
+
+
+def _run_record(alpha, beta):
+    inst = instance_from_dict({"generator": {"kind": "complete", "n": 3},
+                               "alpha": alpha, "beta": beta, "lambda": 1.0})
+    config = SimConfig(inst, GameParams(1.0, 0.45), GammaSchedule.fixed(1.0), horizon=30, seed=1)
+    return config, *benchmarks.run_record(config)
+
+
+def test_run_record_scores_rho_of_the_final_state():
+    config, result, record = _run_record(1, 2)
+    assert record["completed"] == 1
+    rho, tag = analysis.compute_rho(config.instance, config.params, result.final_state)
+    assert (record["rho"], record["rho_tag"]) == (rho, tag) and rho is not None
+
+
+def test_run_record_on_an_infeasible_instance_has_no_rho():
+    _config, _result, record = _run_record([2, 1, 1], 1)
+    assert record["completed"] == 0
+    assert record["rho"] is None and record["rho_tag"] is None
 
 
 @pytest.mark.parametrize("table, column", [(3, "k_a=0"), (1, "n=50"), (5, "k_a=0")])

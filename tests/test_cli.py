@@ -205,6 +205,24 @@ def assert_one_error_line(captured):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"generator": {"kind": "ring", "n": 3}, "alpha": 1, "beta": 1, "lambda": 1.0},
+         "unknown generator kind: 'ring'"),
+        ({"generator": {"kind": "complete", "n": 3}, "alpha": 1, "lambda": 1.0},
+         "missing required key 'beta'"),
+    ],
+    ids=["unknown-generator-kind", "missing-beta"],
+)
+def test_check_names_the_instance_error(tmp_path, capsys, doc, message):
+    path = write_instance(tmp_path, "bad.json", doc)
+    assert main(["check", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert_one_error_line(captured)
+    assert captured.err == f"error: {path}: {message}\n"
+
+
 @pytest.mark.parametrize("edges", [[[0, 1, 2]], [5], [[0]]], ids=["triple", "number", "single"])
 def test_check_edge_entry_not_a_pair_exits_one(tmp_path, capsys, edges):
     doc = {"n": 3, "edges": edges, "alpha": 1, "beta": 1, "lambda": 1.0}

@@ -34,6 +34,7 @@ __all__ = [
     "StateSpaceOracle",
     "StateSpaceTooLarge",
     "build_transition_matrix",
+    "check_kernel_size",
     "classes_by_reliability",
     "compute_metrics",
     "compute_rho",
@@ -44,18 +45,23 @@ __all__ = [
     "is_support_connected",
     "max_global_utility_bruteforce",
     "max_potential_bruteforce",
+    "sample_chain",
     "state_from_key",
     "stationarity_residual",
     "stationary_exact",
+    "tally_frequencies",
     "total_variation",
 ]
 
 STATE_SPACE_LIMIT = 1_000_000
+# About 2 GB of peak RSS in `verify`: the K7 baseline (alpha 1, beta 7;
+# 279,936 states, 10,077,696 kernel entries) peaks at 407 MB, ~40 bytes an entry.
+KERNEL_ENTRY_LIMIT = 50_000_000
 _BLOCK = 1 << 11  # states per block of array work: bounds the temporaries, and so the peak RSS
 
 
 class StateSpaceTooLarge(ValueError):
-    """Estimated number of full states exceeds the enumeration guard."""
+    """Estimated number of full states or kernel entries exceeds its guard."""
 
 
 class _Splits:
@@ -186,6 +192,33 @@ def _estimate_states(inst: Instance) -> int:
         if not 0 < estimate <= STATE_SPACE_LIMIT:
             return estimate
     return estimate
+
+
+def check_kernel_size(inst: Instance) -> int | None:
+    """Bound the one-step kernel's entries before any state is enumerated;
+    refuse a bound above KERNEL_ENTRY_LIMIT with StateSpaceTooLarge.
+
+    The kernel holds an entry per state and one per move of an atom to
+    another slot.  Over every combination of the units' splits, capacities
+    ignored, that is P + sum_x (P / S_x) (d_x - 1) d_x C(a_x + d_x - 2,
+    a_x - 1), with S_x unit x's split count, P their product, and d_x
+    C(...) the occupied slots summed over x's splits: exact when no
+    capacity binds.  None for an instance the state guard refuses or that
+    has no state, which ``enumerate_states`` reports.
+    """
+    states = _estimate_states(inst)
+    if not 0 < states <= STATE_SPACE_LIMIT:
+        return None
+    entries = states
+    for x, a in enumerate(inst.alpha):
+        d = len(inst.topology.out_neighbors(x))
+        if a:
+            entries += states // math.comb(a + d - 1, a) * (d - 1) * d * math.comb(a + d - 2, a - 1)
+    if entries > KERNEL_ENTRY_LIMIT:
+        raise StateSpaceTooLarge(
+            f"kernel estimate of {entries} entries exceeds the limit {KERNEL_ENTRY_LIMIT}"
+        )
+    return entries
 
 
 def enumerate_states(inst: Instance) -> StateSpaceOracle:
@@ -396,6 +429,71 @@ class EmpiricalResult:
     steps: int
 
 
+def _edge_weights(inst: Instance) -> tuple[list[dict[int, int]], int]:
+    # The running state code's place value of each edge x -> y (base
+    # alpha_x + 1, unit 0's edges the least significant), and its radix.
+    weights, radix = [], 1
+    for x, a in enumerate(inst.alpha):
+        out = inst.topology.out_neighbors(x)
+        weights.append({y: radix * (a + 1) ** k for k, y in enumerate(out)})
+        radix *= (a + 1) ** len(out)
+    return weights, radix
+
+
+def sample_chain(
+    inst: Instance,
+    params: GameParams,
+    gamma: float,
+    steps: int,
+    burn_in: int = 0,
+    seed: int = 0,
+) -> dict[int, int]:
+    """The engine half of ``empirical_distribution``: one run of the real
+    dynamics engine at fixed gamma, tallied as {state code: visits}.
+
+    The run starts empty and must place every atom within 50 * total demand
+    steps; it then discards the next ``burn_in`` steps and counts the state
+    after each of the ``steps`` steps that follow.  Per step it moves the
+    cheapest running code, a place value per edge, and tallies it in a
+    dict; ``tally_frequencies`` turns the codes into states.  A function of
+    plain values, so a process pool can run chains side by side.
+    """
+    if steps < 1:
+        raise ValueError(f"steps must be positive, got {steps}")
+    if burn_in < 0:
+        raise ValueError(f"burn_in must be nonnegative, got {burn_in}")
+    if inst.total_alpha == 0:
+        raise ValueError("no unit has demand: the dynamics takes no step to sample")
+    cap = 50 * inst.total_alpha
+    schedule = dynamics.GammaSchedule.fixed(gamma)
+    config = dynamics.SimConfig(inst, params, schedule, horizon=cap + burn_in + steps, seed=seed)
+    completed, state, stream = dynamics.place_all(config, cap)
+    if not completed:
+        raise ValueError(f"the dynamics did not place every atom within {cap} steps")
+    next(islice(stream, burn_in, burn_in), None)  # discard burn_in steps
+    weights, _ = _edge_weights(inst)
+    code = sum(c * weights[x][y] for x, y, c in state.key())
+    tally: dict[int, int] = {}
+    for _t, x, (source, dest) in islice(stream, steps):  # relocations only
+        code += weights[x][dest] - weights[x][source]
+        tally[code] = tally.get(code, 0) + 1
+    return tally
+
+
+def tally_frequencies(oracle: StateSpaceOracle, tally: dict[int, int]) -> np.ndarray:
+    """The oracle half of ``empirical_distribution``: the share of a
+    ``sample_chain`` tally in each of the oracle's states, zeros included.
+    The codes turn into slot counts, split codes and positions at once."""
+    weights, radix = _edge_weights(oracle.inst)
+    seen, split_code = np.array(list(tally), dtype=np.int64 if radix < 2**63 else object), 0
+    for wx, a, sp, stride in zip(weights, oracle.inst.alpha, oracle.splits, oracle.strides):
+        digits = np.array([seen // w % (a + 1) for w in wx.values()], dtype=np.int64)
+        split_code = split_code + sp.rank(digits.reshape(len(wx), len(seen)).T) * stride
+    counts = np.zeros(len(oracle))
+    counts[oracle.position[split_code]] = list(tally.values())
+    return counts / sum(tally.values())
+
+
 def empirical_distribution(
     oracle: StateSpaceOracle,
     params: GameParams,
@@ -404,48 +502,12 @@ def empirical_distribution(
     burn_in: int = 0,
     seed: int = 0,
 ) -> EmpiricalResult:
-    """Long-run occupancy of the real dynamics engine at fixed gamma,
-    compared to the closed-form stationary law by total variation.
-
-    The run starts empty and must place every atom within 50 * total demand
-    steps; it then discards the next ``burn_in`` steps and counts the state
-    after each of the ``steps`` steps that follow.
-    """
-    if steps < 1:
-        raise ValueError(f"steps must be positive, got {steps}")
-    if burn_in < 0:
-        raise ValueError(f"burn_in must be nonnegative, got {burn_in}")
-    inst = oracle.inst
-    if inst.total_alpha == 0:
-        raise ValueError("no unit has demand: the dynamics takes no step to sample")
+    """Long-run occupancy of one chain of the real dynamics engine at fixed
+    gamma (``sample_chain``), compared to the closed-form stationary law by
+    total variation."""
     mu = stationary_exact(oracle, params, gamma)
-    cap = 50 * inst.total_alpha
-    schedule = dynamics.GammaSchedule.fixed(gamma)
-    config = dynamics.SimConfig(inst, params, schedule, horizon=cap + burn_in + steps, seed=seed)
-    completed, state, stream = dynamics.place_all(config, cap)
-    if not completed:
-        raise ValueError(f"the dynamics did not place every atom within {cap} steps")
-    next(islice(stream, burn_in, burn_in), None)  # discard burn_in steps
-    # Per step the sampler moves the cheapest running code, a place value
-    # per edge (base alpha_x + 1), and tallies it in a dict; the codes it
-    # saw turn into slot counts, split codes and positions once at the end.
-    weights, radix = [], 1
-    for x, a in enumerate(inst.alpha):
-        out = inst.topology.out_neighbors(x)
-        weights.append({y: radix * (a + 1) ** k for k, y in enumerate(out)})
-        radix *= (a + 1) ** len(out)
-    code = sum(c * weights[x][y] for x, y, c in state.key())
-    tally: dict[int, int] = {}
-    for _t, x, (source, dest) in islice(stream, steps):  # relocations only
-        code += weights[x][dest] - weights[x][source]
-        tally[code] = tally.get(code, 0) + 1
-    seen, split_code = np.array(list(tally), dtype=np.int64 if radix < 2**63 else object), 0
-    for wx, a, sp, stride in zip(weights, inst.alpha, oracle.splits, oracle.strides):
-        digits = np.array([seen // w % (a + 1) for w in wx.values()], dtype=np.int64)
-        split_code = split_code + sp.rank(digits.reshape(len(wx), len(seen)).T) * stride
-    counts = np.zeros(len(oracle))
-    counts[oracle.position[split_code]] = list(tally.values())
-    freqs = counts / steps
+    tally = sample_chain(oracle.inst, params, gamma, steps, burn_in, seed)
+    freqs = tally_frequencies(oracle, tally)
     return EmpiricalResult(freqs, mu, total_variation(freqs, mu), steps)
 
 

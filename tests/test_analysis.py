@@ -1,5 +1,7 @@
 import math
+import multiprocessing
 import random
+from concurrent.futures import ProcessPoolExecutor
 from itertools import combinations_with_replacement, islice
 
 import numpy as np
@@ -379,6 +381,29 @@ def test_kernel_rows_equal_the_rows_built_state_by_state(oracle, params, gamma):
 
 
 @settings(max_examples=60, deadline=None)
+@given(small_oracles())
+def test_kernel_size_bound_covers_the_kernel(oracle):
+    # The bound counts moves over every split combination, capacities
+    # ignored: never below the kernel's entries, and equal to them once no
+    # capacity binds.
+    inst = oracle.inst
+    params = GameParams(1.0, 0.0)
+    bound = analysis.check_kernel_size(inst)
+    assert bound >= len(build_transition_matrix(oracle, params, 1.0).kernel.data)
+    roomy = make(inst.topology, inst.alpha, (max(inst.total_alpha, 1),) * inst.n, inst.reliability)
+    assert bound == len(build_transition_matrix(enumerate_states(roomy), params, 1.0).kernel.data)
+
+
+def test_kernel_size_guard_refuses_above_its_limit(monkeypatch):
+    inst = eight_state_instance()  # 8 states, 32 kernel entries
+    monkeypatch.setattr(analysis, "KERNEL_ENTRY_LIMIT", 32)
+    assert analysis.check_kernel_size(inst) == 32
+    monkeypatch.setattr(analysis, "KERNEL_ENTRY_LIMIT", 31)
+    with pytest.raises(StateSpaceTooLarge, match="kernel estimate of 32 entries exceeds"):
+        analysis.check_kernel_size(inst)
+
+
+@settings(max_examples=60, deadline=None)
 @given(small_oracles(), _PARAMS, st.sampled_from([0.7, 1.3, 3.0]))
 def test_stationary_law_equals_the_per_state_recompute(oracle, params, gamma):
     assume(len(oracle))
@@ -436,6 +461,17 @@ def test_empirical_counts_equal_the_engine_states_counted_by_key(
     result = empirical_distribution(oracle, params, 1.3, steps, burn_in, seed)
     assert np.array_equal(result.frequencies, counts / steps)
     assert np.array_equal(np.rint(result.frequencies * steps), counts)
+
+
+@pytest.mark.parametrize("method", ["spawn", "forkserver"])
+def test_sample_chain_runs_in_a_fresh_interpreter(method):
+    # The engine half takes plain values, so a pool of any start method can
+    # run it; the tally is the one this process draws.
+    args = (eight_state_instance((0.5, 0.8, 0.6)), GameParams(1.0, 0.0), 1.0, 500, 3, 11)
+    context = multiprocessing.get_context(method)
+    with ProcessPoolExecutor(max_workers=1, mp_context=context) as pool:
+        tally = pool.submit(analysis.sample_chain, *args).result()
+    assert tally == analysis.sample_chain(*args)
 
 
 @pytest.mark.parametrize(

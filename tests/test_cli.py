@@ -1,5 +1,6 @@
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import p2pstorage
-from p2pstorage import benchmarks, cli, dynamics, feasibility
+from p2pstorage import analysis, benchmarks, cli, dynamics, feasibility
 from p2pstorage.cli import evaluate_horizon, load_experiment_spec, main
 from p2pstorage.dynamics import GammaSchedule, SimConfig
 from p2pstorage.feasibility import check_strict
@@ -759,6 +760,120 @@ def test_verify_empirical_chain_that_does_not_fill_exits_one(tmp_path, capsys):
     captured = capsys.readouterr()
     assert_one_error_line(captured)
     assert "did not place every atom within 200 steps" in captured.err
+
+
+def _verify_payload(out):
+    return json.loads(out[out.index("{"):])
+
+
+def _without_seconds(out):
+    lines, payload = out[:out.index("{")], _verify_payload(out)
+    del payload["seconds"]
+    return lines, payload
+
+
+def test_verify_empirical_output_is_the_same_on_one_core_and_two(tmp_path, capsys, monkeypatch):
+    # One core runs both chains in this process, two run them in a pool;
+    # the output depends only on the seed.  The pool leaves no child behind.
+    doc = {"generator": {"kind": "complete", "n": 3}, "alpha": 1, "beta": 2, "lambda": 1.0}
+    path = write_instance(tmp_path, "eight.json", doc)
+    outputs = []
+    for cores in (1, 2):
+        monkeypatch.setattr(cli.os, "cpu_count", lambda cores=cores: cores)
+        assert main(["verify", str(path), "--k-c", "0", "--empirical-steps", "20001",
+                     "--empirical-tol", "0.05", "--seed", "4"]) == 0
+        assert multiprocessing.active_children() == []
+        outputs.append(_without_seconds(capsys.readouterr().out))
+    assert outputs[0] == outputs[1]
+    lines, payload = outputs[0]
+    assert "PASS  empirical occupancy  (TV " in lines and "worst of 2 chains" in lines
+    chains = payload["empirical_chains"]
+    assert [(c["seed"], c["steps"]) for c in chains] == [(4, 10001), (5, 10000)]
+    assert payload["empirical_tv"] == max(c["tv"] for c in chains)
+    assert all(set(c) == {"seed", "steps", "tv", "unvisited"} for c in chains)
+
+
+def test_verify_empirical_chain_zero_is_the_single_chain_cut_short(tmp_path, capsys):
+    # The horizon does not change the draws: chain 0 of a verify run is the
+    # first ceil(steps / 2) steps of the one chain empirical_distribution runs.
+    doc = {"generator": {"kind": "complete", "n": 3}, "alpha": 1, "beta": 2, "lambda": 1.0}
+    path = write_instance(tmp_path, "eight.json", doc)
+    assert main(["verify", str(path), "--empirical-steps", "301", "--empirical-tol", "1",
+                 "--seed", "7"]) == 0
+    first = _verify_payload(capsys.readouterr().out)["empirical_chains"][0]
+    oracle = analysis.enumerate_states(instance_from_dict(doc))
+    single = analysis.empirical_distribution(oracle, GameParams(1.0, 0.0), 1.0, 151, seed=7)
+    assert (first["seed"], first["steps"], first["tv"]) == (7, 151, single.tv_distance)
+
+
+@pytest.mark.parametrize("steps,chains", [(1, [(3, 1)]), (2, [(3, 1), (4, 1)]),
+                                          (7, [(3, 4), (4, 3)])])
+def test_verify_splits_the_empirical_steps_over_two_chains(tmp_path, capsys, steps, chains):
+    doc = {"generator": {"kind": "complete", "n": 3}, "alpha": 1, "beta": 2, "lambda": 1.0}
+    path = write_instance(tmp_path, "eight.json", doc)
+    assert main(["verify", str(path), "--empirical-steps", str(steps), "--empirical-tol", "1",
+                 "--seed", "3"]) == 0
+    out = capsys.readouterr().out
+    payload = _verify_payload(out)
+    assert [(c["seed"], c["steps"]) for c in payload["empirical_chains"]] == chains
+    assert ("worst of 2 chains" in out) == (len(chains) == 2)
+
+
+def test_verify_holds_each_chain_to_the_law_on_its_own(tmp_path, capsys, monkeypatch):
+    # K3 with one slot per unit has two full states and its chain never
+    # moves.  Two chains stuck in different states each read TV 0.5 and
+    # fail, although their pooled occupancy matches the law exactly.
+    doc = {"generator": {"kind": "complete", "n": 3}, "alpha": 1, "beta": 1, "lambda": 1.0}
+    inst = instance_from_dict(doc)
+    oracle = analysis.enumerate_states(inst)
+    weights, _ = analysis._edge_weights(inst)
+    codes = [sum(c * weights[x][y] for x, y, c in key) for key in oracle.states]
+    stuck = {0: {codes[0]: 500}, 1: {codes[1]: 500}}
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 1)  # the stand-in sampler runs here
+    monkeypatch.setattr(cli.analysis, "sample_chain",
+                        lambda inst, params, gamma, steps, burn_in, seed: stuck[seed])
+    path = write_instance(tmp_path, "k3.json", doc)
+    assert main(["verify", str(path), "--empirical-steps", "1000", "--empirical-tol", "0.05"]) == 2
+    out = capsys.readouterr().out
+    assert "FAIL  empirical occupancy  (TV 0.5000" in out
+    assert "1 of 2 states never visited" in out
+    payload = _verify_payload(out)
+    assert [c["tv"] for c in payload["empirical_chains"]] == [0.5, 0.5]
+    assert [c["unvisited"] for c in payload["empirical_chains"]] == [1, 1]
+    mu = analysis.stationary_exact(oracle, GameParams(1.0, 0.0), 1.0)
+    pooled = analysis.tally_frequencies(oracle, {codes[0]: 500, codes[1]: 500})
+    assert analysis.total_variation(pooled, mu) == 0.0
+
+
+def test_verify_chain_that_raises_in_the_pool_exits_one(tmp_path, capsys, monkeypatch):
+    # The fill failure of the line-4 trap (below), raised in a pool worker:
+    # one error line, and no child left running.
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    path = write_instance(tmp_path, "chain.json", line4_doc())
+    code = main(["verify", str(path), "--gamma", "20", "--empirical-steps", "10", "--seed", "0"])
+    assert code == 1
+    assert multiprocessing.active_children() == []
+    captured = capsys.readouterr()
+    assert_one_error_line(captured)
+    assert "did not place every atom within 200 steps" in captured.err
+
+
+def test_verify_refuses_a_wide_kernel_before_enumerating(tmp_path, capsys, monkeypatch):
+    # Two units, each with two atoms for forty resources: 672,400 states,
+    # under the state limit, but about 103 million kernel entries.
+    def never(inst):
+        raise AssertionError("enumerated")
+
+    monkeypatch.setattr(analysis, "enumerate_states", never)
+    resources = range(2, 42)
+    doc = {"n": 42, "edges": [[x, y] for x in (0, 1) for y in resources],
+           "alpha": [2, 2] + [0] * 40, "beta": 4, "lambda": 1.0}
+    path = write_instance(tmp_path, "wide.json", doc)
+    assert len(path.read_bytes()) < 1024
+    assert main(["verify", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert_one_error_line(captured)
+    assert "kernel estimate of 103008400 entries exceeds" in captured.err
 
 
 def test_verify_rejects_oversized_state_space(tmp_path, capsys):

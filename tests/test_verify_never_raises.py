@@ -42,15 +42,11 @@ def _more_than_five_units(doc) -> bool:
     return any(isinstance(c, (int, float)) and c > 5 for c in counts)
 
 
-@settings(max_examples=200, deadline=None)
-@given(doc=instance_docs(), flags=verify_flags())
-def test_verify_exits_with_a_code_and_never_raises(tmp_path_factory, doc, flags):
-    assume(not _more_than_five_units(doc))
-    path = tmp_path_factory.getbasetemp() / "verify_never_raises.json"
-    path.write_text(json.dumps(doc))
-    err = io.StringIO()
+def _verify_exits_cleanly(path, flags, kernel_limit=analysis.KERNEL_ENTRY_LIMIT) -> None:
     # A few thousand states keep every kernel small; larger spaces are refused.
+    err = io.StringIO()
     with mock.patch.object(analysis, "STATE_SPACE_LIMIT", 3000), \
+            mock.patch.object(analysis, "KERNEL_ENTRY_LIMIT", kernel_limit), \
             contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         try:
             code = main(["verify", str(path)] + flags)
@@ -60,3 +56,39 @@ def test_verify_exits_with_a_code_and_never_raises(tmp_path_factory, doc, flags)
     if code == 1 and not err.getvalue().startswith("usage:"):
         lines = err.getvalue().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+@settings(max_examples=200, deadline=None)
+@given(doc=instance_docs(), flags=verify_flags())
+def test_verify_exits_with_a_code_and_never_raises(tmp_path_factory, doc, flags):
+    assume(not _more_than_five_units(doc))
+    path = tmp_path_factory.getbasetemp() / "verify_never_raises.json"
+    path.write_text(json.dumps(doc))
+    _verify_exits_cleanly(path, flags)
+
+
+@st.composite
+def wide_docs(draw):
+    """The wide shape: up to three units with up to three atoms each, each
+    storing on its own subset of up to 40 resources of equal capacity."""
+    units, resources = draw(st.integers(1, 3)), draw(st.integers(1, 40))
+    slots = st.sets(st.integers(units, units + resources - 1), max_size=resources)
+    return {
+        "n": units + resources,
+        "edges": [[x, y] for x in range(units) for y in sorted(draw(slots))],
+        "alpha": [draw(st.integers(0, 3)) for _ in range(units)] + [0] * resources,
+        "beta": draw(st.integers(0, 4)),
+        "lambda": 1.0,
+    }
+
+
+@settings(max_examples=100, deadline=None)
+@given(doc=wide_docs(), flags=verify_flags())
+def test_verify_on_wide_documents_exits_with_a_code_and_never_raises(
+    tmp_path_factory, doc, flags
+):
+    # Few states but many moves each: the kernel guard, lowered to 20,000
+    # entries here, refuses what the state guard lets through.
+    path = tmp_path_factory.getbasetemp() / "verify_never_raises_wide.json"
+    path.write_text(json.dumps(doc))
+    _verify_exits_cleanly(path, flags, kernel_limit=20_000)

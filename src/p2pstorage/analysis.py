@@ -54,8 +54,8 @@ __all__ = [
 ]
 
 STATE_SPACE_LIMIT = 1_000_000
-# About 2 GB of peak RSS in `verify`: the K7 baseline (alpha 1, beta 7;
-# 279,936 states, 10,077,696 kernel entries) peaks at 407 MB, ~40 bytes an entry.
+# About 1.7 GB of peak RSS in `verify`: the K7 baseline (alpha 1, beta 7;
+# 279,936 states, 10,077,696 kernel entries) peaks at 330 MB, ~33 bytes an entry.
 KERNEL_ENTRY_LIMIT = 50_000_000
 _BLOCK = 1 << 11  # states per block of array work: bounds the temporaries, and so the peak RSS
 
@@ -387,15 +387,15 @@ def detailed_balance_max_violation(oracle: StateSpaceOracle, mu: np.ndarray) -> 
     """Max over transition pairs of |mu_i P_ij - mu_j P_ji|, each P_ji
     found by one sorted search over the entries' (row, column) keys."""
     m = len(oracle)
-    keys = [np.zeros(0, np.int64), *(i * m + j for i, j, _ in _kernel_blocks(oracle))]
-    keys = np.concatenate(keys)
+    indptr, indices, data = _kernel(oracle)
+    keys = np.repeat(np.arange(m, dtype=np.int64) * m, np.diff(indptr)) + indices  # CSR order: sorted
     worst = 0.0
     for i, j, p in _kernel_blocks(oracle):
         back = j * np.int64(m) + i
         order = np.argsort(back)  # sorted needles make the search far faster
         i, j, p, back = i[order], j[order], p[order], back[order]
         where = np.minimum(np.searchsorted(keys, back), len(keys) - 1)
-        p_back = np.where(keys[where] == back, oracle.kernel.data[where], 0.0)
+        p_back = np.where(keys[where] == back, data[where], 0.0)
         worst = max(worst, float(np.abs(mu[i] * p - mu[j] * p_back)[i != j].max(initial=0.0)))
     return worst
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 
 from . import analysis, dynamics
 from .dynamics import ALLOCATE_FIRST, GammaSchedule, SimConfig, default_horizon, default_increment
-from .game import GameParams
+from .game import GameParams, Move
 from .topology import Instance, build_complete, build_random_regular
 
 __all__ = [
@@ -177,9 +177,12 @@ def replicate(config: SimConfig, replications: int) -> list[SimConfig]:
     return [replace(config, seed=config.seed + r) for r in range(replications)]
 
 
-def run_record(config: SimConfig) -> tuple[dynamics.RunResult, dict]:
-    """Run one config and score it: (result, record), the record holding
-    seed, completed and steps_to_completion, then ``compute_metrics``'s row."""
+def run_record(config: SimConfig) -> tuple[list[tuple[int, Move]] | None, dict]:
+    """Run one config and score it: (trace, record), the trace the run's
+    move trace (None unless ``config.record_trace``), the record holding
+    seed, completed and steps_to_completion, then ``compute_metrics``'s row.
+    The final state is scored here and dropped, so a caller (or a pool
+    worker's reply) holds no run's state."""
     result = dynamics.run(config)
     report = analysis.compute_metrics(config.instance, config.params, result)
     record = {
@@ -188,7 +191,7 @@ def run_record(config: SimConfig) -> tuple[dynamics.RunResult, dict]:
         "steps_to_completion": result.steps_to_completion,
         **report.to_row(),
     }
-    return result, record
+    return result.trace, record
 
 
 def make_configs(preset: PresetRun) -> list[SimConfig]:

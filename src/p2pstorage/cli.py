@@ -156,11 +156,11 @@ def _pool_map(fn, jobs: list[tuple], workers: int) -> list:
 
 def _run_rows(configs: list[SimConfig], workers: int):
     """Run and score the configs (``_pool_map`` over ``workers``).
-    Returns the results and one row per run: run, then the record of
-    ``benchmarks.run_record``."""
+    Returns the move traces (None for a config without ``record_trace``)
+    and one row per run: run, then the record of ``benchmarks.run_record``."""
     outcomes = _pool_map(benchmarks.run_record, [(config,) for config in configs], workers)
     rows = [{"run": r, **record} for r, (_, record) in enumerate(outcomes)]
-    return [result for result, _ in outcomes], rows
+    return [trace for trace, _ in outcomes], rows
 
 
 def _write_json(path: Path, data) -> None:
@@ -208,10 +208,10 @@ def cmd_simulate(args) -> int:
             file=sys.stderr,
         )
 
-    results, rows = _run_rows(configs, args.workers)
+    traces, rows = _run_rows(configs, args.workers)
     if args.trace:
-        for r, result in enumerate(results):
-            _write_trace(out_dir / f"trace_{r}.csv", configs[r], result.trace)
+        for r, trace in enumerate(traces):
+            _write_trace(out_dir / f"trace_{r}.csv", configs[r], trace)
 
     with open(out_dir / "runs.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0]))

@@ -195,6 +195,44 @@ def test_detailed_balance_and_residual_on_desk_instances():
         assert is_support_connected(oracle)
 
 
+def _broken_balance_setup(monkeypatch, block):
+    # A desk kernel, its law, and the off-diagonal entry carrying the largest
+    # flow mu_i P_ij: (its position k, i, j).  Any break there outweighs the
+    # rounding of every other pair.  Blocks of 7 states put the pair past the
+    # first block on this instance.
+    monkeypatch.setattr(analysis, "_BLOCK", block)
+    inst, params, gamma = DESK_INSTANCES[3]
+    oracle = build_transition_matrix(enumerate_states(inst), params, gamma)
+    mu = stationary_exact(oracle, params, gamma)
+    indptr, indices, data = oracle.kernel
+    rows = np.repeat(np.arange(len(oracle)), np.diff(indptr))
+    k = int(np.where(rows != indices, mu[rows] * data, -1.0).argmax())
+    return oracle, mu, (k, int(rows[k]), int(indices[k]))
+
+
+@pytest.mark.parametrize("block", [analysis._BLOCK, 7])
+def test_detailed_balance_reports_a_scaled_entry(monkeypatch, block):
+    oracle, mu, (k, i, j) = _broken_balance_setup(monkeypatch, block)
+    assert detailed_balance_max_violation(oracle, mu) <= 1e-10
+    oracle.kernel.data[k] *= 1.5
+    p_ji = oracle.kernel.row(j)[i]
+    assert detailed_balance_max_violation(oracle, mu) == abs(mu[i] * oracle.kernel.data[k] - mu[j] * p_ji)
+
+
+@pytest.mark.parametrize("block", [analysis._BLOCK, 7])
+def test_detailed_balance_reports_a_missing_reverse_entry(monkeypatch, block):
+    # The kernel rebuilt without P_ji: the pair (i, j) finds no reverse and
+    # reads its whole flow.
+    oracle, mu, (k, i, j) = _broken_balance_setup(monkeypatch, block)
+    indptr, indices, data = oracle.kernel
+    back = int(indptr[j] + np.searchsorted(indices[indptr[j] : indptr[j + 1]], i))
+    assert indices[back] == i
+    indptr = indptr.copy()
+    indptr[j + 1 :] -= 1
+    oracle.kernel = analysis.Kernel(indptr, np.delete(indices, back), np.delete(data, back))
+    assert detailed_balance_max_violation(oracle, mu) == mu[i] * data[k]
+
+
 @pytest.mark.parametrize("block", [1, 7])
 def test_blocks_of_states_change_no_result(monkeypatch, block):
     # The oracle works a block of states at a time; tiny blocks cut every

@@ -151,22 +151,30 @@ def test_score_column_without_a_rho_scores_none():
     assert entry["cells"]["rho"] == {"reference": 0.9784, "simulated": None, "deviation": None}
 
 
-def _run_record(alpha, beta):
+def _config(alpha, beta, record_trace=False):
     inst = instance_from_dict({"generator": {"kind": "complete", "n": 3},
                                "alpha": alpha, "beta": beta, "lambda": 1.0})
-    config = SimConfig(inst, GameParams(1.0, 0.45), GammaSchedule.fixed(1.0), horizon=30, seed=1)
-    return config, *benchmarks.run_record(config)
+    return SimConfig(inst, GameParams(1.0, 0.45), GammaSchedule.fixed(1.0), horizon=30, seed=1,
+                     record_trace=record_trace)
 
 
 def test_run_record_scores_rho_of_the_final_state():
-    config, result, record = _run_record(1, 2)
+    config = _config(1, 2)
+    _trace, record = benchmarks.run_record(config)
     assert record["completed"] == 1
-    rho, tag = analysis.compute_rho(config.instance, config.params, result.final_state)
+    rho, tag = analysis.compute_rho(config.instance, config.params, run(config).final_state)
     assert (record["rho"], record["rho_tag"]) == (rho, tag) and rho is not None
 
 
+def test_run_record_returns_the_trace_only_when_recorded():
+    assert benchmarks.run_record(_config(1, 2))[0] is None
+    config = _config(1, 2, record_trace=True)
+    trace, _record = benchmarks.run_record(config)
+    assert trace and trace == run(config).trace
+
+
 def test_run_record_on_an_infeasible_instance_has_no_rho():
-    _config, _result, record = _run_record([2, 1, 1], 1)
+    _trace, record = benchmarks.run_record(_config([2, 1, 1], 1))
     assert record["completed"] == 0
     assert record["rho"] is None and record["rho_tag"] is None
 

@@ -364,6 +364,20 @@ def test_simulate_parallel_matches_serial(tmp_path):
     ).read_bytes()
 
 
+def test_simulate_parallel_traces_match_serial(tmp_path):
+    # The traces come back from the pool workers: every written file is the
+    # serial run's, byte for byte.
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec_doc(feasible_doc(), horizon=50)))
+    outputs = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"w{workers}"
+        assert main(["simulate", str(spec_path), "--out", str(out), "--trace", "--workers", workers]) == 0
+        outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert sorted(outputs[0]) == ["runs.csv", "summary.json", "trace_0.csv", "trace_1.csv", "trace_2.csv"]
+    assert outputs[0] == outputs[1]
+
+
 def test_simulate_trace_files(tmp_path):
     spec = spec_doc(feasible_doc(), replications=1, horizon=50)
     spec_path = tmp_path / "spec.json"

@@ -300,9 +300,7 @@ def build_transition_matrix(
                 values, inverse = np.unique(exponents[fits], return_inverse=True)
                 weights = np.zeros(utils.shape)
                 weights[fits] = np.array([math.exp(v) for v in values.tolist()])[inverse]
-                norm = weights[:, 0].copy()
-                for column in weights.T[1:]:
-                    norm += column
+                norm = weights.cumsum(axis=1)[:, -1]  # left to right; sum() may pair terms
                 p = (a / inst.total_alpha * (own[at, k] / a))[:, None] * weights / norm[:, None]
                 diag[at] += p[:, k]
                 fits[:, k] = False

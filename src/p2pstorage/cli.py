@@ -34,6 +34,7 @@ from .topology import (
 )
 
 OUT_DIR_ENV = "P2PSTORAGE_OUT"
+PROBE_TRIALS = 200  # runs of verify's best-response probe (--gamma inf)
 
 _SPEC_KEYS = {
     "instance",
@@ -142,25 +143,17 @@ def _out_dir(args) -> Path:
     return path
 
 
-def _pool_map(fn, jobs: list[tuple], workers: int) -> list:
-    """``fn(*job)`` for each job, in order: in this process, or through a
-    pool of min(workers, jobs, CPU count) processes when that is above 1,
-    so a large value starts no more processes than it can use.  The pool
-    joins every child before this returns or raises."""
+def _pool_map(fn, jobs: list[tuple], workers: int):
+    """Yields ``fn(*job)`` for each job, in order, one at a time: in this
+    process, or through a pool of min(workers, jobs, CPU count) processes
+    when that is above 1, so a large value starts no more processes than it
+    can use.  The pool joins every child when the iteration ends or stops."""
     workers = min(workers, len(jobs), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, *zip(*jobs)))
-    return [fn(*job) for job in jobs]
-
-
-def _run_rows(configs: list[SimConfig], workers: int):
-    """Run and score the configs (``_pool_map`` over ``workers``).
-    Returns the move traces (None for a config without ``record_trace``)
-    and one row per run: run, then the record of ``benchmarks.run_record``."""
-    outcomes = _pool_map(benchmarks.run_record, [(config,) for config in configs], workers)
-    rows = [{"run": r, **record} for r, (_, record) in enumerate(outcomes)]
-    return [trace for trace, _ in outcomes], rows
+            yield from pool.map(fn, *zip(*jobs))
+    else:
+        yield from (fn(*job) for job in jobs)
 
 
 def _write_json(path: Path, data) -> None:
@@ -208,10 +201,12 @@ def cmd_simulate(args) -> int:
             file=sys.stderr,
         )
 
-    traces, rows = _run_rows(configs, args.workers)
-    if args.trace:
-        for r, trace in enumerate(traces):
+    rows = []
+    runs = _pool_map(benchmarks.run_record, [(config,) for config in configs], args.workers)
+    for r, (trace, record) in enumerate(runs):  # written as it returns: one trace held
+        if args.trace:
             _write_trace(out_dir / f"trace_{r}.csv", configs[r], trace)
+        rows.append({"run": r, **record})
 
     with open(out_dir / "runs.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
@@ -238,28 +233,29 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _verify_absorption(inst: Instance, params: GameParams, trials: int, seed: int) -> dict:
-    # Pure best-response probe: fraction of runs stuck short of completion,
-    # each run stopped once it completes.
+def _verify_absorption(inst: Instance, params: GameParams, seed: int) -> dict:
+    # Pure best-response probe: fraction of PROBE_TRIALS runs stuck short of
+    # completion, each run stopped once it completes.
     horizon = 20 * max(inst.total_alpha, 1)
     base = SimConfig(inst, params, GammaSchedule.infinite(), horizon=horizon, seed=seed)
-    stuck = sum(not dynamics.place_all(c, horizon)[0] for c in benchmarks.replicate(base, trials))
-    return {"trials": trials, "incomplete": stuck, "fraction": stuck / trials}
+    configs = benchmarks.replicate(base, PROBE_TRIALS)
+    stuck = sum(not dynamics.place_all(c, horizon)[0] for c in configs)
+    return {"trials": PROBE_TRIALS, "incomplete": stuck, "fraction": stuck / PROBE_TRIALS}
 
 
 def _empirical_check(oracle, params, gamma, mu, args) -> tuple[list[dict], tuple]:
     """``--empirical-steps`` split over two chains of the engine,
     ceil(steps / 2) on ``--seed`` and floor(steps / 2) on ``--seed`` + 1 (the
     replicate convention; one chain for one step), run side by side by
-    ``_pool_map``.  Each chain is held to mu on its own: one report entry
-    per chain, and a check that passes when every chain is within
-    ``--empirical-tol`` in TV.  Pooling the tallies would pass chains stuck
-    in different states."""
+    ``_pool_map``, first in the zip so that it runs out and joins its pool.
+    Each chain is held to mu on its own: one report entry per chain, and a
+    check that passes when every chain is within ``--empirical-tol`` in TV.
+    Pooling the tallies would pass chains stuck in different states."""
     steps, seed = args.empirical_steps, args.seed
     chains = [(seed + c, n) for c, n in enumerate(((steps + 1) // 2, steps // 2)) if n]
     jobs = [(oracle.inst, params, gamma, n, 0, s) for s, n in chains]
     entries = []
-    for (s, n), tally in zip(chains, _pool_map(analysis.sample_chain, jobs, len(jobs))):
+    for tally, (s, n) in zip(_pool_map(analysis.sample_chain, jobs, len(jobs)), chains):
         freqs = analysis.tally_frequencies(oracle, tally)
         tv = analysis.total_variation(freqs, mu)
         entries.append({"seed": s, "steps": n, "tv": tv, "unvisited": int((freqs == 0).sum())})
@@ -286,7 +282,7 @@ def cmd_verify(args) -> int:
     checks: list[tuple[str, bool, str]] = []
 
     if math.isinf(gamma):
-        probe = _verify_absorption(inst, params, trials=200, seed=args.seed)
+        probe = _verify_absorption(inst, params, seed=args.seed)
         report["best_response_absorption"] = probe
         note = f"{probe['incomplete']}/{probe['trials']} runs absorbed short of completion"
         checks.append(("best-response probe", True, note))
@@ -354,8 +350,9 @@ def cmd_reproduce(args) -> int:
     out_path = _out_dir(args) / f"table{args.table}.json"
     columns: dict = {}
     for preset, preset_configs in zip(presets, configs):
-        _, rows = _run_rows(preset_configs, args.workers)
-        columns[preset.column] = benchmarks.score_column(args.table, preset.column, rows)
+        runs = _pool_map(benchmarks.run_record, [(c,) for c in preset_configs], args.workers)
+        records = [record for _, record in runs]
+        columns[preset.column] = benchmarks.score_column(args.table, preset.column, records)
         print(_column_text(args.table, preset.column, columns[preset.column]))
     _write_json(out_path, {"table": args.table, "columns": columns})
     print(f"wrote {out_path}")

@@ -512,13 +512,24 @@ def test_sample_chain_runs_in_a_fresh_interpreter(method):
     assert tally == analysis.sample_chain(*args)
 
 
+# The line-4 trap at gamma 20: seed 0's chain does not place every atom
+# within the start-up budget of 50 * total demand steps, so no sample starts.
+_LINE4_TRAP = make(build_line(4), (1,) * 4, (1,) * 4, (1.0, 3.0, 1.0, 1.0))
+
+
 @pytest.mark.parametrize(
-    "steps,burn_in", [(0, 0), (-3, 0), (10, -1)], ids=["zero-steps", "negative-steps",
-                                                       "negative-burn-in"])
-def test_empirical_rejects_bad_sample_sizes(steps, burn_in):
-    oracle = enumerate_states(eight_state_instance())
-    with pytest.raises(ValueError, match="steps|burn_in"):
-        empirical_distribution(oracle, GameParams(1.0, 0.0), 1.0, steps=steps, burn_in=burn_in)
+    "inst,gamma,steps,burn_in,message",
+    [(eight_state_instance(), 1.0, 0, 0, "steps must be positive"),
+     (eight_state_instance(), 1.0, -3, 0, "steps must be positive"),
+     (eight_state_instance(), 1.0, 10, -1, "burn_in must be nonnegative"),
+     (_LINE4_TRAP, 20.0, 10, 0, "did not place every atom within 200 steps")],
+    ids=["zero-steps", "negative-steps", "negative-burn-in", "line4-trap-unplaced"])
+def test_empirical_rejects_bad_sample_sizes(inst, gamma, steps, burn_in, message):
+    # Raised in this process; verify reaches the placement refusal in a pool worker.
+    oracle = enumerate_states(inst)
+    with pytest.raises(ValueError, match=message):
+        empirical_distribution(oracle, GameParams(1.0, 0.0), gamma, steps=steps,
+                               burn_in=burn_in, seed=0)
 
 
 def test_empirical_without_demand_is_a_value_error():

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+import weakref
 from pathlib import Path
 
 import pytest
@@ -436,6 +437,57 @@ def test_simulate_pool_is_bounded_by_runs_and_cores(tmp_path, monkeypatch, worke
     assert _RecordingPool.sizes == ([] if size is None else [size])
     main(["simulate", str(spec_path), "--out", str(tmp_path / "serial"), "--workers", "1"])
     assert (out / "runs.csv").read_bytes() == (tmp_path / "serial" / "runs.csv").read_bytes()
+
+
+class _Trace(list):
+    """A move trace that a weak reference can follow."""
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_simulate_holds_one_trace_at_a_time(tmp_path, monkeypatch, workers):
+    # Each trace is written as its run returns: while run r runs, no trace
+    # from before run r - 1 is alive.  Two workers go through the recording
+    # pool, whose map runs lazily in this process.
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    refs, alive = [], []
+    run_record = benchmarks.run_record
+
+    def traced(config):
+        alive.append([r for r, ref in enumerate(refs) if ref() is not None])
+        trace, record = run_record(config)
+        trace = _Trace(trace)
+        refs.append(weakref.ref(trace))
+        return trace, record
+
+    monkeypatch.setattr(benchmarks, "run_record", traced)
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec_doc(feasible_doc(), replications=4, horizon=50)))
+    out = tmp_path / "o"
+    assert main(["simulate", str(spec_path), "--out", str(out), "--trace", "--workers", workers]) == 0
+    assert alive == [[], [0], [1], [2]]
+    assert _RecordingPool.sizes == ([] if workers == "1" else [2])
+    assert sorted(p.name for p in out.glob("trace_*.csv")) == [f"trace_{r}.csv" for r in range(4)]
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_simulate_trace_that_cannot_be_written_exits_one(tmp_path, capsys, monkeypatch, workers):
+    # Run 1's trace file is a directory: the error stops the stream with one
+    # error line, and a pool of two workers is joined, leaving no child.
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    out = tmp_path / "o"
+    (out / "trace_1.csv").mkdir(parents=True)
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec_doc(feasible_doc(), horizon=50)))
+    code = main(["simulate", str(spec_path), "--out", str(out), "--trace", "--workers", workers])
+    assert code == 1
+    assert multiprocessing.active_children() == []
+    captured = capsys.readouterr()
+    assert_one_error_line(captured)
+    assert "trace_1.csv" in captured.err
+    assert (out / "trace_0.csv").is_file()
+    assert not (out / "runs.csv").exists()
 
 
 @pytest.mark.parametrize("workers", ["0", "-2"])
@@ -1074,7 +1126,7 @@ def test_best_response_probe_counts_the_runs_that_run_to_the_horizon(name):
     for seed in [1, 1009, 7, *range(100, 117)]:
         base = SimConfig(inst, params, GammaSchedule.infinite(), horizon=horizon, seed=seed)
         stuck = sum(not dynamics.run(c).completed for c in benchmarks.replicate(base, 200))
-        probe = cli._verify_absorption(inst, params, trials=200, seed=seed)
+        probe = cli._verify_absorption(inst, params, seed=seed)
         assert probe == {"trials": 200, "incomplete": stuck, "fraction": stuck / 200}
         seen[seed] = stuck
     expected = {"line4": (92, 101, 93), "stranded": (200,) * 3, "no-demand": (0,) * 3}[name]
@@ -1118,6 +1170,23 @@ def test_reproduce_smoke_table_one(tmp_path, capsys):
     assert cells["lambda_mean"]["reference"] == pytest.approx(0.6667)
     assert cells["lambda_mean"]["simulated"] == pytest.approx(0.6667, abs=0.01)
     assert payload["columns"]["k_a=0"]["completed_runs"] == 2
+
+
+def test_reproduce_writes_the_same_table_from_two_workers_as_from_one(tmp_path, capsys,
+                                                                       monkeypatch):
+    # The pool path of reproduce: the same table and the same report as the
+    # runs in this process, and no child left behind.
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    tables, printed = [], []
+    for workers in ("1", "2"):
+        out = tmp_path / f"w{workers}"
+        assert main(["reproduce", "3", "--replications", "2", "--workers", workers,
+                     "--out", str(out)]) == 0
+        assert multiprocessing.active_children() == []
+        tables.append((out / "table3.json").read_bytes())
+        printed.append(capsys.readouterr().out.replace(str(out), "<out>"))
+    assert tables[0] == tables[1]
+    assert printed[0] == printed[1]
 
 
 def test_simulate_and_reproduce_share_one_pipeline(tmp_path, capsys):
@@ -1252,9 +1321,9 @@ def test_repeated_main_calls_stay_independent(tmp_path, capsys, monkeypatch):
 
     seeds = []
 
-    def probe(inst, params, trials, seed):
+    def probe(inst, params, seed):
         seeds.append(seed)
-        return {"trials": trials, "incomplete": 0, "fraction": 0.0}
+        return {"trials": cli.PROBE_TRIALS, "incomplete": 0, "fraction": 0.0}
 
     monkeypatch.setattr(cli, "_verify_absorption", probe)
     path = write_instance(tmp_path, "ok.json", feasible_doc())

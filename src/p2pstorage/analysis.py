@@ -422,7 +422,6 @@ def total_variation(p: np.ndarray, q: np.ndarray) -> float:
 @dataclass(eq=False)
 class EmpiricalResult:
     frequencies: np.ndarray
-    stationary: np.ndarray
     tv_distance: float
     steps: int
 
@@ -506,7 +505,7 @@ def empirical_distribution(
     mu = stationary_exact(oracle, params, gamma)
     tally = sample_chain(oracle.inst, params, gamma, steps, burn_in, seed)
     freqs = tally_frequencies(oracle, tally)
-    return EmpiricalResult(freqs, mu, total_variation(freqs, mu), steps)
+    return EmpiricalResult(freqs, total_variation(freqs, mu), steps)
 
 
 def _argmax_states(oracle: StateSpaceOracle, values: np.ndarray) -> tuple[float, list[tuple]]:

@@ -1,4 +1,5 @@
-"""Benchmark presets and their published reference values.
+"""The library side of simulate, reproduce and verify: run records, the benchmark
+presets and their published values, the verify checks, and the one pool helper.
 
 Every table runs capacity 50 per unit, two equal reliability classes
 (0.5 / 0.8), congestion weight 1, and a horizon of two steps per atom;
@@ -21,16 +22,21 @@ comparisons as indicative bands, not exact targets.
 from __future__ import annotations
 
 import math
+import os
+import time
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
-from . import analysis, dynamics
+from . import analysis, dynamics, feasibility
 from .dynamics import ALLOCATE_FIRST, GammaSchedule, SimConfig, default_horizon, default_increment
-from .game import GameParams, Move
+from .game import GameParams, Move, _check_gamma
 from .topology import Instance, build_complete, build_random_regular
 
 __all__ = [
     "REFERENCE",
     "PresetRun",
+    "VerifyReport",
     "aggregate",
     "benchmark_instance",
     "make_configs",
@@ -38,6 +44,7 @@ __all__ = [
     "run_record",
     "score_column",
     "table_presets",
+    "verify",
 ]
 
 _CAPACITY = 50
@@ -46,6 +53,7 @@ _RELIABILITY_HIGH = 0.8
 _REGULAR_DEGREE = 10
 _GRAPH_SEED = 93
 AGGREGATED_GAMMA = 1.1  # bounded noise level for the k_a > 0 presets
+PROBE_TRIALS = 200  # runs of verify's best-response probe (gamma inf)
 
 # Per table: the column labels, and per metric one value per column, in order.
 REFERENCE: dict[int, dict] = {
@@ -177,6 +185,19 @@ def replicate(config: SimConfig, replications: int) -> list[SimConfig]:
     return [replace(config, seed=config.seed + r) for r in range(replications)]
 
 
+def _pool_map(fn, jobs: list[tuple], workers: int):
+    """Yields ``fn(*job)`` for each job, in order, one at a time: in this
+    process, or through a pool of min(workers, jobs, CPU count) processes
+    when that is above 1, so a large value starts no more processes than it
+    can use.  The pool joins every child when the iteration ends or stops."""
+    workers = min(workers, len(jobs), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            yield from pool.map(fn, *zip(*jobs))
+    else:
+        yield from (fn(*job) for job in jobs)
+
+
 def run_record(config: SimConfig) -> tuple[list[tuple[int, Move]] | None, dict]:
     """Run one config and score it: (trace, record), the trace the run's
     move trace (None unless ``config.record_trace``), the record holding
@@ -242,3 +263,88 @@ def score_column(table: int, column: str, records: list[dict]) -> dict:
                          "deviation": None if ours is None else ours - values[i]}
     completed = sum(r["completed"] for r in records)
     return {"replications": len(records), "completed_runs": completed, "cells": cells}
+
+
+class VerifyReport(NamedTuple):
+    """``verify``'s (name, ok, note) checks, in order, and its JSON ``fields``."""
+
+    checks: list[tuple[str, bool, str]]
+    fields: dict
+
+
+def verify(inst: Instance, params: GameParams, gamma: float, empirical_steps: int = 0,
+           empirical_tol: float = 0.05, seed: int = 0) -> VerifyReport:
+    """The exact oracle checks at fixed ``gamma``, with per-stage ``seconds``,
+    then ``empirical_steps`` of the engine held to the stationary law; at
+    gamma math.inf, the best-response probe instead."""
+    _check_gamma(gamma, finite=False)
+    if empirical_steps < 0:
+        raise ValueError(f"--empirical-steps must be nonnegative, got {empirical_steps}")
+    if not empirical_tol > 0:
+        raise ValueError(f"--empirical-tol must be positive, got {empirical_tol}")
+    if empirical_steps and math.isinf(gamma):
+        raise ValueError("--empirical-steps needs a finite --gamma")
+    fields: dict = {"gamma": "inf" if math.isinf(gamma) else gamma}
+    if math.isinf(gamma):
+        # Pure best-response probe: the runs of PROBE_TRIALS stuck short of
+        # completion, each run stopped once it completes.
+        horizon = 20 * max(inst.total_alpha, 1)
+        base = SimConfig(inst, params, GammaSchedule.infinite(), horizon=horizon, seed=seed)
+        stuck = sum(not dynamics.place_all(c, horizon)[0] for c in replicate(base, PROBE_TRIALS))
+        fields["best_response_absorption"] = {
+            "trials": PROBE_TRIALS, "incomplete": stuck, "fraction": stuck / PROBE_TRIALS}
+        note = f"{stuck}/{PROBE_TRIALS} runs absorbed short of completion"
+        return VerifyReport([("best-response probe", True, note)], fields)
+
+    seconds = fields["seconds"] = {}
+
+    def timed(stage, fn, *args):
+        start = time.perf_counter()
+        result = fn(*args)
+        seconds[stage] = time.perf_counter() - start
+        return result
+
+    analysis.check_kernel_size(inst)
+    oracle = timed("enumerate", analysis.enumerate_states, inst)
+    kernel = timed("kernel", analysis.build_transition_matrix, oracle, params, gamma).kernel
+    fields.update(num_states=len(oracle), kernel_nnz=len(kernel.data))
+    rows_ok = bool((abs(kernel.row_sums() - 1.0) <= 1e-12).all())
+    checks = [("kernel rows sum to 1", rows_ok, "tolerance 1e-12")]
+    strict = fields["strict"] = feasibility.check_strict(inst).feasible
+    mu = timed("stationary", analysis.stationary_exact, oracle, params, gamma)
+    balance = timed("balance", analysis.detailed_balance_max_violation, oracle, mu)
+    residual = timed("residual", analysis.stationarity_residual, oracle, mu)
+    fields.update(detailed_balance_max_violation=balance, stationarity_residual=residual)
+    checks.append(("detailed balance", balance <= 1e-10, f"max violation {balance:.3e}"))
+    checks.append(("stationarity", residual <= 1e-10, f"residual {residual:.3e}"))
+    if strict:
+        connected = timed("connectivity", analysis.is_support_connected, oracle)
+        fields["support_connected"] = connected
+        checks.append(("ergodicity (support connected)", connected, ""))
+    else:
+        checks.append(("ergodicity", True, "skipped: strict covering condition fails, "
+                       "connectivity of the full state space is not guaranteed"))
+    if empirical_steps > 0:
+        # Two chains of the engine side by side, ceil(steps / 2) on seed and
+        # floor(steps / 2) on seed + 1 (the replicate convention; one chain
+        # for one step), the pool first in the zip so that it runs out and
+        # joins.  Each chain is held to mu on its own: pooling the tallies
+        # would pass chains stuck in different states.
+        start = time.perf_counter()
+        chains = [(seed + c, (empirical_steps + 1 - c) // 2) for c in (0, 1)[:empirical_steps]]
+        jobs = [(inst, params, gamma, n, 0, s) for s, n in chains]
+        entries = []
+        for tally, (s, n) in zip(_pool_map(analysis.sample_chain, jobs, len(jobs)), chains):
+            freqs = analysis.tally_frequencies(oracle, tally)
+            tv = analysis.total_variation(freqs, mu)
+            entries.append({"seed": s, "steps": n, "tv": tv, "unvisited": int((freqs == 0).sum())})
+        seconds["empirical"] = time.perf_counter() - start
+        tv = max(entry["tv"] for entry in entries)
+        fields.update(empirical_chains=entries, empirical_tv=tv)
+        worst = f"worst of {len(entries)} chains, " if len(entries) > 1 else ""
+        note = f"TV {tv:.4f} ({worst}tolerance {empirical_tol})"
+        unvisited = max(entry["unvisited"] for entry in entries)
+        if unvisited:
+            note += f"; {unvisited} of {len(oracle)} states never visited"
+        checks.append(("empirical occupancy", tv < empirical_tol, note))
+    return VerifyReport(checks, fields)

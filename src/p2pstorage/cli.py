@@ -1,4 +1,4 @@
-"""Command line entry point.
+"""Command line entry point: it parses, prints and writes; ``benchmarks`` does the work.
 
 Subcommands:
   check      feasibility (and strict) verdict for an instance file
@@ -21,12 +21,10 @@ import math
 import operator
 import os
 import sys
-import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
-from . import analysis, benchmarks, dynamics, feasibility
+from . import benchmarks, dynamics, feasibility
 from .dynamics import GammaSchedule, SimConfig
 from .game import GameParams
 from .topology import (
@@ -34,7 +32,6 @@ from .topology import (
 )
 
 OUT_DIR_ENV = "P2PSTORAGE_OUT"
-PROBE_TRIALS = 200  # runs of verify's best-response probe (--gamma inf)
 
 _SPEC_KEYS = {
     "instance",
@@ -143,19 +140,6 @@ def _out_dir(args) -> Path:
     return path
 
 
-def _pool_map(fn, jobs: list[tuple], workers: int):
-    """Yields ``fn(*job)`` for each job, in order, one at a time: in this
-    process, or through a pool of min(workers, jobs, CPU count) processes
-    when that is above 1, so a large value starts no more processes than it
-    can use.  The pool joins every child when the iteration ends or stops."""
-    workers = min(workers, len(jobs), os.cpu_count() or 1)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            yield from pool.map(fn, *zip(*jobs))
-    else:
-        yield from (fn(*job) for job in jobs)
-
-
 def _write_json(path: Path, data) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(data, indent=2, sort_keys=True) + "\n")
@@ -202,7 +186,7 @@ def cmd_simulate(args) -> int:
         )
 
     rows = []
-    runs = _pool_map(benchmarks.run_record, [(config,) for config in configs], args.workers)
+    runs = benchmarks._pool_map(benchmarks.run_record, [(c,) for c in configs], args.workers)
     for r, (trace, record) in enumerate(runs):  # written as it returns: one trace held
         if args.trace:
             _write_trace(out_dir / f"trace_{r}.csv", configs[r], trace)
@@ -233,104 +217,14 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _verify_absorption(inst: Instance, params: GameParams, seed: int) -> dict:
-    # Pure best-response probe: fraction of PROBE_TRIALS runs stuck short of
-    # completion, each run stopped once it completes.
-    horizon = 20 * max(inst.total_alpha, 1)
-    base = SimConfig(inst, params, GammaSchedule.infinite(), horizon=horizon, seed=seed)
-    configs = benchmarks.replicate(base, PROBE_TRIALS)
-    stuck = sum(not dynamics.place_all(c, horizon)[0] for c in configs)
-    return {"trials": PROBE_TRIALS, "incomplete": stuck, "fraction": stuck / PROBE_TRIALS}
-
-
-def _empirical_check(oracle, params, gamma, mu, args) -> tuple[list[dict], tuple]:
-    """``--empirical-steps`` split over two chains of the engine,
-    ceil(steps / 2) on ``--seed`` and floor(steps / 2) on ``--seed`` + 1 (the
-    replicate convention; one chain for one step), run side by side by
-    ``_pool_map``, first in the zip so that it runs out and joins its pool.
-    Each chain is held to mu on its own: one report entry per chain, and a
-    check that passes when every chain is within ``--empirical-tol`` in TV.
-    Pooling the tallies would pass chains stuck in different states."""
-    steps, seed = args.empirical_steps, args.seed
-    chains = [(seed + c, n) for c, n in enumerate(((steps + 1) // 2, steps // 2)) if n]
-    jobs = [(oracle.inst, params, gamma, n, 0, s) for s, n in chains]
-    entries = []
-    for tally, (s, n) in zip(_pool_map(analysis.sample_chain, jobs, len(jobs)), chains):
-        freqs = analysis.tally_frequencies(oracle, tally)
-        tv = analysis.total_variation(freqs, mu)
-        entries.append({"seed": s, "steps": n, "tv": tv, "unvisited": int((freqs == 0).sum())})
-    tv = max(entry["tv"] for entry in entries)
-    worst = f"worst of {len(entries)} chains, " if len(entries) > 1 else ""
-    note = f"TV {tv:.4f} ({worst}tolerance {args.empirical_tol})"
-    unvisited = max(entry["unvisited"] for entry in entries)
-    if unvisited:
-        note += f"; {unvisited} of {len(oracle)} states never visited"
-    return entries, ("empirical occupancy", tv < args.empirical_tol, note)
-
-
 def cmd_verify(args) -> int:
-    inst = load_instance(args.instance)
-    params = GameParams(k_c=args.k_c, k_a=args.k_a)
-    gamma = GammaSchedule.fixed(float(args.gamma)).gamma0
-    if args.empirical_steps < 0:
-        raise ValueError(f"--empirical-steps must be nonnegative, got {args.empirical_steps}")
-    if not args.empirical_tol > 0:
-        raise ValueError(f"--empirical-tol must be positive, got {args.empirical_tol}")
-    if args.empirical_steps and math.isinf(gamma):
-        raise ValueError("--empirical-steps needs a finite --gamma")
-    report: dict = {"gamma": "inf" if math.isinf(gamma) else gamma}
-    checks: list[tuple[str, bool, str]] = []
-
-    if math.isinf(gamma):
-        probe = _verify_absorption(inst, params, seed=args.seed)
-        report["best_response_absorption"] = probe
-        note = f"{probe['incomplete']}/{probe['trials']} runs absorbed short of completion"
-        checks.append(("best-response probe", True, note))
-    else:
-        seconds = report["seconds"] = {}
-
-        def timed(stage, fn, *args, **kwargs):
-            start = time.perf_counter()
-            result = fn(*args, **kwargs)
-            seconds[stage] = time.perf_counter() - start
-            return result
-
-        analysis.check_kernel_size(inst)
-        oracle = timed("enumerate", analysis.enumerate_states, inst)
-        report["num_states"] = len(oracle)
-        kernel = timed("kernel", analysis.build_transition_matrix, oracle, params, gamma).kernel
-        report["kernel_nnz"] = len(kernel.data)
-        rows_ok = bool((abs(kernel.row_sums() - 1.0) <= 1e-12).all())
-        checks.append(("kernel rows sum to 1", rows_ok, "tolerance 1e-12"))
-        strict = feasibility.check_strict(inst)
-        report["strict"] = strict.feasible
-        mu = timed("stationary", analysis.stationary_exact, oracle, params, gamma)
-        balance = timed("balance", analysis.detailed_balance_max_violation, oracle, mu)
-        residual = timed("residual", analysis.stationarity_residual, oracle, mu)
-        report["detailed_balance_max_violation"] = balance
-        report["stationarity_residual"] = residual
-        checks.append(("detailed balance", balance <= 1e-10, f"max violation {balance:.3e}"))
-        checks.append(("stationarity", residual <= 1e-10, f"residual {residual:.3e}"))
-        if strict.feasible:
-            connected = timed("connectivity", analysis.is_support_connected, oracle)
-            report["support_connected"] = connected
-            checks.append(("ergodicity (support connected)", connected, ""))
-        else:
-            note = "skipped: strict covering condition fails, "
-            note += "connectivity of the full state space is not guaranteed"
-            checks.append(("ergodicity", True, note))
-        if args.empirical_steps > 0:
-            entries, check = timed("empirical", _empirical_check, oracle, params, gamma, mu, args)
-            report["empirical_chains"] = entries
-            report["empirical_tv"] = max(entry["tv"] for entry in entries)
-            checks.append(check)
-
-    failed = [name for name, ok, _ in checks if not ok]
-    for name, ok, note in checks:
-        status = "PASS" if ok else "FAIL"
-        print(f"{status}  {name}" + (f"  ({note})" if note else ""))
-    print(json.dumps(report, indent=2, sort_keys=True))
-    return 0 if not failed else 2
+    report = benchmarks.verify(
+        load_instance(args.instance), GameParams(args.k_c, args.k_a), float(args.gamma),
+        args.empirical_steps, args.empirical_tol, args.seed)
+    for name, ok, note in report.checks:
+        print(f"{'PASS' if ok else 'FAIL'}  {name}" + (f"  ({note})" if note else ""))
+    print(json.dumps(report.fields, indent=2, sort_keys=True))
+    return 0 if all(ok for _, ok, _ in report.checks) else 2
 
 
 def _column_text(table: int, column: str, entry: dict) -> str:
@@ -346,11 +240,11 @@ def _column_text(table: int, column: str, entry: dict) -> str:
 def cmd_reproduce(args) -> int:
     presets = benchmarks.table_presets(args.table, args.replications, args.seed)
     # Every config first: a count or seed they refuse leaves no output directory.
-    configs = [benchmarks.make_configs(preset) for preset in presets]
+    jobs = [[(c,) for c in benchmarks.make_configs(preset)] for preset in presets]
     out_path = _out_dir(args) / f"table{args.table}.json"
     columns: dict = {}
-    for preset, preset_configs in zip(presets, configs):
-        runs = _pool_map(benchmarks.run_record, [(c,) for c in preset_configs], args.workers)
+    for preset, preset_jobs in zip(presets, jobs):
+        runs = benchmarks._pool_map(benchmarks.run_record, preset_jobs, args.workers)
         records = [record for _, record in runs]
         columns[preset.column] = benchmarks.score_column(args.table, preset.column, records)
         print(_column_text(args.table, preset.column, columns[preset.column]))

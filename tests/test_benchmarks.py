@@ -1,8 +1,9 @@
 import dataclasses
+import math
 
 import pytest
 
-from p2pstorage import analysis, benchmarks
+from p2pstorage import analysis, benchmarks, dynamics
 from p2pstorage.dynamics import ALLOCATE_FIRST, GammaSchedule, SimConfig, run
 from p2pstorage.game import GameParams
 from p2pstorage.topology import instance_from_dict
@@ -204,3 +205,69 @@ def test_table3_moves_per_atom_band():
         reports.append(analysis.compute_metrics(config.instance, config.params, result))
     nu = sum(r.nu_moves for r in reports) / len(reports)
     assert nu == pytest.approx(1.1552, abs=0.15)
+
+
+def _k3(beta):
+    # K3, one atom per unit: eight states with two slots each (strict), two
+    # with one slot each (not strict).
+    return instance_from_dict({"generator": {"kind": "complete", "n": 3}, "alpha": 1,
+                               "beta": beta, "lambda": 1.0})
+
+
+@pytest.mark.parametrize(
+    "gamma,steps,tol,message",
+    [
+        (-1.0, 0, 0.05, "gamma must be positive"),
+        (0.0, 0, 0.05, "gamma must be positive"),
+        (math.nan, 0, 0.05, "gamma must be positive"),
+        (1.0, -5, 0.05, "--empirical-steps must be nonnegative"),
+        (1.0, 200, math.nan, "--empirical-tol must be positive"),
+        (1.0, 200, 0.0, "--empirical-tol must be positive"),
+        (1.0, 0, -0.1, "--empirical-tol must be positive"),
+        (math.inf, 200, 0.05, "--empirical-steps needs a finite --gamma"),
+    ],
+    ids=["negative-gamma", "zero-gamma", "nan-gamma", "negative-steps", "nan-tol", "zero-tol",
+         "negative-tol", "steps-with-infinite-gamma"],
+)
+def test_verify_refuses_bad_inputs_before_any_work(monkeypatch, gamma, steps, tol, message):
+    def never(*args):
+        raise AssertionError("worked on a refused input")
+
+    monkeypatch.setattr(analysis, "check_kernel_size", never)
+    monkeypatch.setattr(dynamics, "place_all", never)
+    with pytest.raises(ValueError, match=message):
+        benchmarks.verify(_k3(2), GameParams(1.0, 0.0), gamma, steps, tol)
+
+
+_EXACT_CHECKS = ["kernel rows sum to 1", "detailed balance", "stationarity"]
+_EXACT_FIELDS = {"gamma", "seconds", "num_states", "kernel_nnz", "strict",
+                 "detailed_balance_max_violation", "stationarity_residual"}
+_EXACT_STAGES = {"enumerate", "kernel", "stationary", "balance", "residual"}
+
+
+@pytest.mark.parametrize(
+    "beta,gamma,steps,checks,fields,stages",
+    [
+        (2, 1.0, 0, _EXACT_CHECKS + ["ergodicity (support connected)"],
+         _EXACT_FIELDS | {"support_connected"}, _EXACT_STAGES | {"connectivity"}),
+        (2, 1.0, 2000, _EXACT_CHECKS + ["ergodicity (support connected)", "empirical occupancy"],
+         _EXACT_FIELDS | {"support_connected", "empirical_chains", "empirical_tv"},
+         _EXACT_STAGES | {"connectivity", "empirical"}),
+        (1, 1.0, 0, _EXACT_CHECKS + ["ergodicity"], _EXACT_FIELDS, _EXACT_STAGES),
+        (2, math.inf, 0, ["best-response probe"], {"gamma", "best_response_absorption"}, None),
+    ],
+    ids=["exact", "empirical", "non-strict", "best-response"],
+)
+def test_verify_reports_its_checks_in_order_with_their_fields(beta, gamma, steps, checks,
+                                                              fields, stages):
+    report = benchmarks.verify(_k3(beta), GameParams(1.0, 0.0), gamma, steps, 1.0, seed=3)
+    assert report == (report.checks, report.fields)  # the two-field named tuple
+    assert [name for name, _, _ in report.checks] == checks
+    assert all(ok is True for _, ok, _ in report.checks)
+    assert set(report.fields) == fields
+    assert report.fields["gamma"] == ("inf" if math.isinf(gamma) else gamma)
+    if stages is not None:
+        assert set(report.fields["seconds"]) == stages
+    if math.isinf(gamma):
+        probe = report.fields["best_response_absorption"]
+        assert probe == {"trials": benchmarks.PROBE_TRIALS, "incomplete": 0, "fraction": 0.0}

@@ -427,7 +427,7 @@ def test_simulate_pool_is_bounded_by_runs_and_cores(tmp_path, monkeypatch, worke
     # Three replications: never more processes than runs, or than cores.
     from p2pstorage import cli
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(benchmarks, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: cores)
     monkeypatch.setattr(_RecordingPool, "sizes", [])
     spec_path = tmp_path / "spec.json"
@@ -448,7 +448,7 @@ def test_simulate_holds_one_trace_at_a_time(tmp_path, monkeypatch, workers):
     # Each trace is written as its run returns: while run r runs, no trace
     # from before run r - 1 is alive.  Two workers go through the recording
     # pool, whose map runs lazily in this process.
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(benchmarks, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
     monkeypatch.setattr(_RecordingPool, "sizes", [])
     refs, alive = [], []
@@ -739,21 +739,57 @@ def test_verify_desk_instance_passes(tmp_path, capsys):
     assert "PASS  empirical occupancy" in out
 
 
-@pytest.mark.parametrize("flags", [[], ["--empirical-steps", "2000", "--empirical-tol", "1"]],
-                         ids=["exact", "empirical"])
-def test_verify_reports_kernel_size_and_stage_seconds(tmp_path, capsys, flags):
+@pytest.mark.parametrize("steps", [0, 2000], ids=["exact", "empirical"])
+def test_verify_reports_kernel_size_and_stage_seconds(steps):
     doc = {"generator": {"kind": "complete", "n": 3}, "alpha": 1, "beta": 2, "lambda": 1.0}
-    path = write_instance(tmp_path, "desk.json", doc)
-    assert main(["verify", str(path), "--gamma", "1.0"] + flags) == 0
-    out = capsys.readouterr().out
-    payload = json.loads(out[out.index("{"):])
+    report = benchmarks.verify(instance_from_dict(doc), GameParams(1.0, 0.0), 1.0, steps, 1.0)
     # Eight states; from each, three units may each move their atom to the
     # other out-neighbour (always room) or stay: 8 * (1 + 3) entries.
-    assert payload["num_states"] == 8
-    assert payload["kernel_nnz"] == 32
+    assert report.fields["num_states"] == 8
+    assert report.fields["kernel_nnz"] == 32
     stages = {"enumerate", "kernel", "stationary", "balance", "residual", "connectivity"}
-    assert set(payload["seconds"]) == stages | ({"empirical"} if flags else set())
-    assert all(value >= 0 for value in payload["seconds"].values())
+    assert set(report.fields["seconds"]) == stages | ({"empirical"} if steps else set())
+    assert all(value >= 0 for value in report.fields["seconds"].values())
+
+
+def _rendered(report, seconds):
+    # What the CLI prints for a report: one line per check, then the JSON
+    # fields, the report's stage times swapped for the printed ones.
+    lines = [f"{'PASS' if ok else 'FAIL'}  {name}" + (f"  ({note})" if note else "")
+             for name, ok, note in report.checks]
+    fields = {**report.fields, "seconds": seconds} if seconds is not None else report.fields
+    return "\n".join([*lines, json.dumps(fields, indent=2, sort_keys=True)]) + "\n"
+
+
+@pytest.mark.parametrize(
+    "doc,params,gamma,flags",
+    [
+        ({"generator": {"kind": "complete", "n": 3}, "alpha": 1, "beta": 2,
+          "lambda": [0.5, 0.8, 0.6]}, (1.0, 0.0), 1.0, (2000, 1.0, 0)),
+        ({"generator": {"kind": "complete", "n": 3}, "alpha": 1, "beta": 2, "lambda": 1.0},
+         (0.0, 0.0), 1.0, (2001, 0.05, 4)),
+        (line4_doc(), (1.0, 0.0), math.inf, (0, 0.05, 1)),
+        ({"generator": {"kind": "complete", "n": 3}, "alpha": 1, "beta": 1, "lambda": 1.0},
+         (1.0, 0.45), 1.0, (0, 0.05, 0)),
+    ],
+    ids=["desk", "eight-state", "line4", "non-strict"],
+)
+def test_verify_prints_the_library_report_and_nothing_else(tmp_path, capsys, doc, params, gamma,
+                                                           flags):
+    steps, tol, seed = flags
+    path = write_instance(tmp_path, "inst.json", doc)
+    argv = ["verify", str(path), "--k-c", str(params[0]), "--k-a", str(params[1]),
+            "--gamma", str(gamma), "--empirical-steps", str(steps), "--empirical-tol", str(tol),
+            "--seed", str(seed)]
+    code = main(argv)
+    out = capsys.readouterr().out
+    report = benchmarks.verify(instance_from_dict(doc), GameParams(*params), gamma, steps, tol,
+                               seed)
+    seconds = _verify_payload(out).get("seconds")
+    assert (seconds is None) == ("seconds" not in report.fields)
+    assert seconds is None or set(seconds) == set(report.fields["seconds"])
+    assert out == _rendered(report, seconds)
+    assert code == (0 if all(ok for _, ok, _ in report.checks) else 2)
 
 
 @pytest.mark.parametrize("flags", [[], ["--empirical-steps", "2000", "--empirical-tol", "1"]],
@@ -896,7 +932,7 @@ def test_verify_holds_each_chain_to_the_law_on_its_own(tmp_path, capsys, monkeyp
     codes = [sum(c * weights[x][y] for x, y, c in key) for key in oracle.states]
     stuck = {0: {codes[0]: 500}, 1: {codes[1]: 500}}
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 1)  # the stand-in sampler runs here
-    monkeypatch.setattr(cli.analysis, "sample_chain",
+    monkeypatch.setattr(analysis, "sample_chain",
                         lambda inst, params, gamma, steps, burn_in, seed: stuck[seed])
     path = write_instance(tmp_path, "k3.json", doc)
     assert main(["verify", str(path), "--empirical-steps", "1000", "--empirical-tol", "0.05"]) == 2
@@ -1059,6 +1095,10 @@ def test_verify_rejects_bad_gamma(tmp_path, capsys, gamma):
     captured = capsys.readouterr()
     assert captured.err.startswith("error:")
     assert captured.out == ""
+    # verify has a --gamma flag and no --gamma0: the message names the former.
+    assert "gamma0" not in captured.err
+    if gamma != "abc":
+        assert captured.err.startswith("error: gamma must be positive (math.inf allowed)")
 
 
 @pytest.mark.parametrize(
@@ -1126,7 +1166,8 @@ def test_best_response_probe_counts_the_runs_that_run_to_the_horizon(name):
     for seed in [1, 1009, 7, *range(100, 117)]:
         base = SimConfig(inst, params, GammaSchedule.infinite(), horizon=horizon, seed=seed)
         stuck = sum(not dynamics.run(c).completed for c in benchmarks.replicate(base, 200))
-        probe = cli._verify_absorption(inst, params, seed=seed)
+        probe = benchmarks.verify(inst, params, math.inf, seed=seed).fields[
+            "best_response_absorption"]
         assert probe == {"trials": 200, "incomplete": stuck, "fraction": stuck / 200}
         seen[seed] = stuck
     expected = {"line4": (92, 101, 93), "stranded": (200,) * 3, "no-demand": (0,) * 3}[name]
@@ -1321,11 +1362,11 @@ def test_repeated_main_calls_stay_independent(tmp_path, capsys, monkeypatch):
 
     seeds = []
 
-    def probe(inst, params, seed):
+    def verify(inst, params, gamma, empirical_steps, empirical_tol, seed):
         seeds.append(seed)
-        return {"trials": cli.PROBE_TRIALS, "incomplete": 0, "fraction": 0.0}
+        return benchmarks.VerifyReport([("best-response probe", True, "")], {"gamma": "inf"})
 
-    monkeypatch.setattr(cli, "_verify_absorption", probe)
+    monkeypatch.setattr(benchmarks, "verify", verify)
     path = write_instance(tmp_path, "ok.json", feasible_doc())
     assert main(["verify", str(path), "--gamma", "inf", "--seed", "5"]) == 0
     assert main(["verify", str(path), "--gamma", "inf"]) == 0

@@ -9,8 +9,8 @@ arrays over all states at once: a state is coded by how each unit splits
 its atoms over its out-neighbours, and the kernel is a CSR matrix.
 
 The metrics side turns a finished run into the standard report: moves per
-atom, satisfaction, per-class congestion, support-subgraph degrees, and
-the global utility ratio.
+atom, the state metrics (satisfaction, per-class congestion, support
+degrees; of one state or of all), and the global utility ratio.
 """
 
 from __future__ import annotations
@@ -47,6 +47,7 @@ __all__ = [
     "max_potential_bruteforce",
     "sample_chain",
     "state_from_key",
+    "state_metrics",
     "stationarity_residual",
     "stationary_exact",
     "tally_frequencies",
@@ -610,64 +611,52 @@ def classes_by_reliability(inst: Instance) -> list[list[int]]:
     return [[y for y in range(inst.n) if inst.reliability[y] == level] for level in levels]
 
 
-def compute_metrics(
-    inst: Instance,
-    params: GameParams,
-    result: dynamics.RunResult,
-) -> MetricsReport:
-    """All run indices from the final state and per-unit move counters,
-    for a completed run or not; rho is scored only for a completed run.
-
-    Units with zero demand are excluded from per-unit averages.  Class
-    congestion is the fill fraction of the class's total capacity.
-    """
-    state = result.final_state
-    lam = inst.reliability
-    active = [x for x in range(inst.n) if inst.alpha[x] > 0]
-    if active:
-        nu = sum(result.moves_per_unit[x] / inst.alpha[x] for x in active) / len(active)
-        satisfaction = [
-            sum(c * lam[y] for y, c in state.counts[x].items()) / inst.alpha[x]
-            for x in active
-        ]
-        lam_mean = sum(satisfaction) / len(active)
-        lam_var = sum((s - lam_mean) ** 2 for s in satisfaction) / len(active)
-    else:
-        nu = 0.0
-        lam_mean = 0.0
-        lam_var = 0.0
-
-    c_mean = []
-    c_var = []
-    d_in = []
+def state_metrics(inst: Instance, state) -> tuple:
+    """The table's state metrics, in MetricsReport's field order: the mean
+    and variance over units with demand of their satisfaction (the mean
+    reliability of their atoms); per class of classes_by_reliability, its
+    atoms over its capacity (0 with none) and the variance about that of its
+    members' fill fractions (members of capacity 0 left out); used edges
+    per unit (d_out); per class, used edges into it per member (d_in).
+    ``state`` as for ``game.potential``: a float each for one
+    AllocationState, an array each for the arrays of many states."""
+    load, counts, single = game._bulk(inst, state)
+    units, resources = game._edges(inst)
+    lam, alpha = np.array(inst.reliability), np.array(inst.alpha)
+    active = alpha > 0
+    satisfaction = np.zeros((len(counts), inst.n))
+    np.add.at(satisfaction, (slice(None), units), counts * lam[resources])
+    satisfaction = satisfaction[:, active] / alpha[active]
+    k = max(int(active.sum()), 1)
+    lam_mean = satisfaction.sum(axis=-1) / k
+    lam_var = ((satisfaction - lam_mean[:, None]) ** 2).sum(axis=-1) / k
+    used = counts > 0
+    used_into = np.zeros(load.shape, dtype=np.int64)  # used edges into each resource
+    np.add.at(used_into, (slice(None), resources), used)
+    c_mean, c_var, d_in = [], [], []
     for members in classes_by_reliability(inst):
-        capacity = sum(inst.beta[y] for y in members)
-        held = sum(state.load[y] for y in members)
-        c_mean.append(held / capacity if capacity else 0.0)
-        fills = [state.load[y] / inst.beta[y] for y in members if inst.beta[y] > 0]
-        if fills:
-            mean_fill = c_mean[-1]
-            c_var.append(sum((f - mean_fill) ** 2 for f in fills) / len(fills))
-        else:
-            c_var.append(0.0)
-        member_set = set(members)
-        used_edges = sum(
-            1 for x in range(inst.n) for y in state.counts[x] if y in member_set
-        )
-        d_in.append(used_edges / len(members) if members else 0.0)
+        beta = np.array([inst.beta[y] for y in members])
+        c_mean.append(load[:, members].sum(axis=-1) / max(beta.sum(), 1))
+        fills = load[:, members][:, beta > 0] / beta[beta > 0]
+        c_var.append(((fills - c_mean[-1][:, None]) ** 2).sum(axis=-1) / max(fills.shape[1], 1))
+        d_in.append(used_into[:, members].sum(axis=-1) / len(members))
+    d_out = used.sum(axis=-1) / inst.n
 
-    support_edges = sum(len(row) for row in state.counts)
-    d_out = support_edges / inst.n
+    def value(v):
+        return float(v[0]) if single else v
+
+    c_mean, c_var, d_in = (tuple(map(value, vs)) for vs in (c_mean, c_var, d_in))
+    return value(lam_mean), value(lam_var), c_mean, c_var, value(d_out), d_in
+
+
+def compute_metrics(
+    inst: Instance, params: GameParams, result: dynamics.RunResult
+) -> MetricsReport:
+    """All run indices: moves per atom (over units with demand) from the
+    per-unit move counters, the final state's ``state_metrics``, and rho,
+    scored only for a completed run."""
+    active = [x for x in range(inst.n) if inst.alpha[x] > 0]
+    nu = sum(result.moves_per_unit[x] / inst.alpha[x] for x in active) / max(len(active), 1)
+    state = result.final_state
     rho, rho_tag = compute_rho(inst, params, state) if result.completed else (None, None)
-
-    return MetricsReport(
-        nu_moves=nu,
-        lambda_mean=lam_mean,
-        lambda_var=lam_var,
-        congestion_mean=tuple(c_mean),
-        congestion_var=tuple(c_var),
-        d_out=d_out,
-        d_in=tuple(d_in),
-        rho=rho,
-        rho_tag=rho_tag,
-    )
+    return MetricsReport(nu, *state_metrics(inst, state), rho, rho_tag)

@@ -279,11 +279,11 @@ def verify(inst: Instance, params: GameParams, gamma: float, empirical_steps: in
     gamma math.inf, the best-response probe instead."""
     _check_gamma(gamma, finite=False)
     if empirical_steps < 0:
-        raise ValueError(f"--empirical-steps must be nonnegative, got {empirical_steps}")
+        raise ValueError(f"empirical_steps must be nonnegative, got {empirical_steps}")
     if not empirical_tol > 0:
-        raise ValueError(f"--empirical-tol must be positive, got {empirical_tol}")
+        raise ValueError(f"empirical_tol must be positive, got {empirical_tol}")
     if empirical_steps and math.isinf(gamma):
-        raise ValueError("--empirical-steps needs a finite --gamma")
+        raise ValueError("empirical_steps needs a finite gamma")
     fields: dict = {"gamma": "inf" if math.isinf(gamma) else gamma}
     if math.isinf(gamma):
         # Pure best-response probe: the runs of PROBE_TRIALS stuck short of

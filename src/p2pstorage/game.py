@@ -290,7 +290,7 @@ def potential(inst: Instance, params: GameParams, state):
     number of its load over its capacity; plus k_a times the sum of the
     triangular numbers of the counts.  ``state`` is an AllocationState
     (gives a float) or the arrays of many states (see ``_bulk``)."""
-    load, counts, single = _bulk(state)
+    load, counts, single = _bulk(inst, state)
     lam, beta = _resources(inst)
     total = ((load + 1) * lam - params.k_c * (load * (load + 1) / 2.0) / beta).sum(axis=-1)
     total = total + params.k_a * (counts * (counts + 1)).sum(axis=-1) / 2.0
@@ -349,7 +349,7 @@ def global_utility(inst: Instance, params: GameParams, state):
     """Sum over stored atoms of the owner's utility for where they sit,
     summed per resource: load * (reliability - k_c * fill fraction), plus
     k_a times the sum of squared counts.  ``state`` as for ``potential``."""
-    load, counts, single = _bulk(state)
+    load, counts, single = _bulk(inst, state)
     lam, beta = _resources(inst)
     total = (load * (lam - params.k_c * load / beta)).sum(axis=-1)
     total = total + params.k_a * (counts * counts).sum(axis=-1)
@@ -359,7 +359,7 @@ def global_utility(inst: Instance, params: GameParams, state):
 def log_multinomial_weight(inst: Instance, state):
     """Log of the number of atom-labelled allocations collapsing to a state:
     log(prod_x alpha_x! / prod_(x,y) W_xy!).  ``state`` as for ``potential``."""
-    _load, counts, single = _bulk(state)
+    _load, counts, single = _bulk(inst, state)
     values, inverse = np.unique(counts, return_inverse=True)
     lgammas = np.array([math.lgamma(c + 1) for c in values.tolist()])
     total = sum(math.lgamma(a + 1) for a in inst.alpha) - lgammas[
@@ -368,16 +368,25 @@ def log_multinomial_weight(inst: Instance, state):
     return float(total[0]) if single else total
 
 
-def _bulk(state) -> tuple[np.ndarray, np.ndarray, bool]:
+def _bulk(inst: Instance, state) -> tuple[np.ndarray, np.ndarray, bool]:
     """The arrays the closed-form quantities take, and whether they hold one
     AllocationState: ``state`` is one, or a (load, counts) pair with a row
     per state: ``load`` the atoms held by each resource, ``counts`` the
-    atoms of each (unit, resource) pair, in any order, zeros allowed."""
+    atoms on each edge in the order of ``_edges``, zeros kept."""
     if isinstance(state, AllocationState):
-        counts = [c for row in state.counts for c in row.values()]
+        units, resources = _edges(inst)
+        counts = [state.counts[x].get(y, 0) for x, y in zip(units.tolist(), resources.tolist())]
         return np.array([state.load]), np.array([counts], dtype=np.int64), True
     load, counts = state
     return load, counts, False
+
+
+def _edges(inst: Instance) -> tuple[np.ndarray, np.ndarray]:
+    """The one counts layout: the unit and the resource of every edge, unit
+    by unit, each unit's out-neighbours ascending (the oracle's slots)."""
+    out = [inst.topology.out_neighbors(x) for x in range(inst.n)]
+    units = np.repeat(np.arange(inst.n), [len(ys) for ys in out])
+    return units, np.array([y for ys in out for y in ys], dtype=np.intp)
 
 
 def _resources(inst: Instance) -> tuple[np.ndarray, np.ndarray]:

@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 
 from p2pstorage import analysis, dynamics, feasibility, game
 from p2pstorage.analysis import (
+    MetricsReport,
     StateSpaceTooLarge,
+    _over_states,
     build_transition_matrix,
     classes_by_reliability,
     compute_metrics,
@@ -23,9 +25,12 @@ from p2pstorage.analysis import (
     is_support_connected,
     max_global_utility_bruteforce,
     max_potential_bruteforce,
+    sample_chain,
     state_from_key,
+    state_metrics,
     stationarity_residual,
     stationary_exact,
+    tally_frequencies,
     total_variation,
 )
 from p2pstorage.dynamics import GammaSchedule, RunResult, SimConfig, run
@@ -696,6 +701,111 @@ def test_metrics_report_row_names():
         "c1_mean", "c1_var", "c2_mean", "c2_var",
         "d_out", "d_in_1", "d_in_2", "rho", "rho_tag",
     }
+
+
+@pytest.mark.parametrize(
+    "topo,alpha,beta,lam,entries,expected",
+    [
+        (build_complete(3), (0, 0, 0), (2, 2, 2), (0.5, 0.8, 0.8), [],
+         {"nu_moves": 0.0, "lambda_mean": 0.0, "lambda_var": 0.0, "c1_mean": 0.0, "c1_var": 0.0,
+          "c2_mean": 0.0, "c2_var": 0.0, "d_out": 0.0, "d_in_1": 0.0, "d_in_2": 0.0}),
+        (build_complete(3), (1, 1, 0), (0, 2, 2), (0.3, 0.8, 0.8), [(0, 1, 1), (1, 2, 1)],
+         {"c1_mean": 0.0, "c1_var": 0.0, "d_in_1": 0.0, "c2_mean": 0.5, "lambda_mean": 0.8}),
+        (Topology(3, frozenset({(0, 1), (1, 0)})), (1, 1, 0), (2, 2, 2), (0.5, 0.8, 0.8),
+         [(0, 1, 1), (1, 0, 1)], {"lambda_mean": 0.65, "c2_var": 0.0625, "d_out": 2 / 3}),
+        (build_complete(3), (1, 1, 1), (2, 2, 2), (0.8, 0.8, 0.8),
+         [(0, 1, 1), (1, 2, 1), (2, 0, 1)],
+         {"c1_mean": 0.5, "c1_var": 0.0, "d_out": 1.0, "d_in_1": 1.0, "lambda_mean": 0.8}),
+    ],
+    ids=["no-demand", "zero-capacity-class", "isolated-unit", "one-class"],
+)
+def test_metrics_edge_branches(topo, alpha, beta, lam, entries, expected):
+    inst = make(topo, alpha, beta, lam)
+    result = _completed_result(inst, entries, [len(entries)] * inst.n)
+    row = compute_metrics(inst, GameParams(1.0, 0.0), result).to_row()
+    for name, value in expected.items():
+        assert row[name] == pytest.approx(value, rel=1e-12, abs=0.0), name
+    classes = {name for name in row if name.startswith(("c", "d_in"))}
+    assert len(classes) == 3 * len(set(lam))
+
+
+# Perfbench's desk shape with the tables' two reliability classes, and a
+# desk instance with a unit of no demand (1) and a resource of no capacity
+# (1) that shares its class with one of capacity 4.
+DESK = make(build_complete(4), (4, 4, 4, 4), (5, 5, 5, 5), (0.5, 0.5, 0.8, 0.8))
+DESK_WITH_ZEROS = make(build_complete(4), (3, 0, 2, 2), (4, 0, 5, 3), (0.5, 0.5, 0.8, 0.8))
+
+
+def _metrics(inst, state) -> dict:
+    # The state metrics of one state (a float each) or of the arrays of
+    # many (an array each), by row name.
+    row = MetricsReport(0.0, *state_metrics(inst, state), None, None).to_row()
+    for name in ("nu_moves", "rho", "rho_tag"):
+        del row[name]
+    return row
+
+
+def _quantities(inst, params, state) -> dict:
+    # The state metrics and the game's closed-form quantities, by name.
+    return dict(
+        _metrics(inst, state),
+        potential=game.potential(inst, params, state),
+        global_utility=game.global_utility(inst, params, state),
+        log_weight=game.log_multinomial_weight(inst, state),
+    )
+
+
+def _over_all(oracle, params, name):
+    return _over_states(oracle, lambda s: _quantities(oracle.inst, params, s)[name])
+
+
+@pytest.fixture(scope="module")
+def desk_oracle():
+    return enumerate_states(DESK)
+
+
+@pytest.mark.parametrize("inst", [DESK, DESK_WITH_ZEROS], ids=["desk", "zero-demand-and-capacity"])
+def test_one_state_scores_the_same_float_as_the_oracle_arrays(inst):
+    params = GameParams(1.0, 0.45)
+    oracle = enumerate_states(inst)
+    names = list(_quantities(inst, params, AllocationState.from_entries(inst, oracle.states[0])))
+    bulk = {name: _over_all(oracle, params, name).tolist() for name in names}
+    for i, key in enumerate(oracle.states):
+        single = _quantities(inst, params, AllocationState.from_entries(inst, key))
+        assert {name: bulk[name][i] for name in names} == single, key
+
+
+@pytest.mark.parametrize(
+    "k_a,gamma,metric,expected",
+    [
+        (0.45, 0.5, "c1_var", 0.0260), (0.45, 1.1, "c1_var", 0.0273),
+        (0.45, 2.0, "c1_var", 0.0200), (0.45, 4.0, "c1_var", 0.0012),
+        (0.45, 8.0, "c1_var", 0.0000),
+        (0.45, 0.5, "d_out", 2.3977), (0.45, 1.1, "d_out", 2.1579),
+        (0.45, 2.0, "d_out", 1.5304), (0.45, 4.0, "d_out", 1.0259),
+        (0.45, 8.0, "d_out", 1.0001),
+        (0.0, 0.5, "c1_mean", 0.7830), (0.0, 16.0, "c1_mean", 0.6548),
+    ],
+)
+def test_exact_stationary_expectations_of_table_metrics(desk_oracle, k_a, gamma, metric, expected):
+    params = GameParams(1.0, k_a)
+    mu = stationary_exact(desk_oracle, params, gamma)
+    assert mu @ _over_all(desk_oracle, params, metric) == pytest.approx(expected, abs=5e-5)
+
+
+def test_engine_visits_score_within_tv_of_the_exact_expectations(desk_oracle):
+    # |E_freqs[f] - E_mu[f]| <= TV * (max f - min f) <= 2 * TV * max|f|,
+    # with each visited state scored once through the single-state path.
+    params, gamma = GameParams(1.0, 0.45), 1.1
+    mu = stationary_exact(desk_oracle, params, gamma)
+    freqs = tally_frequencies(desk_oracle, sample_chain(DESK, params, gamma, 30_000, seed=3))
+    tv = total_variation(freqs, mu)
+    visited = np.flatnonzero(freqs)
+    rows = [_metrics(DESK, state_from_key(DESK, desk_oracle.states[i])) for i in visited]
+    for name in rows[0]:
+        values = _over_all(desk_oracle, params, name)
+        sampled = freqs[visited] @ np.array([row[name] for row in rows])
+        assert abs(sampled - mu @ values) <= tv * np.ptp(values) + 1e-12, name
 
 
 # -------------------------------------------- reachability vs oracle support

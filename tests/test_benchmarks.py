@@ -220,11 +220,11 @@ def _k3(beta):
         (-1.0, 0, 0.05, "gamma must be positive"),
         (0.0, 0, 0.05, "gamma must be positive"),
         (math.nan, 0, 0.05, "gamma must be positive"),
-        (1.0, -5, 0.05, "--empirical-steps must be nonnegative"),
-        (1.0, 200, math.nan, "--empirical-tol must be positive"),
-        (1.0, 200, 0.0, "--empirical-tol must be positive"),
-        (1.0, 0, -0.1, "--empirical-tol must be positive"),
-        (math.inf, 200, 0.05, "--empirical-steps needs a finite --gamma"),
+        (1.0, -5, 0.05, "empirical_steps must be nonnegative"),
+        (1.0, 200, math.nan, "empirical_tol must be positive"),
+        (1.0, 200, 0.0, "empirical_tol must be positive"),
+        (1.0, 0, -0.1, "empirical_tol must be positive"),
+        (math.inf, 200, 0.05, "empirical_steps needs a finite gamma"),
     ],
     ids=["negative-gamma", "zero-gamma", "nan-gamma", "negative-steps", "nan-tol", "zero-tol",
          "negative-tol", "steps-with-infinite-gamma"],

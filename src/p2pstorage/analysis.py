@@ -67,7 +67,8 @@ class StateSpaceTooLarge(ValueError):
 
 class _Splits:
     """The splits of one unit's atoms over its out-neighbours (its slots),
-    one row of ``counts`` each, the largest count in the first slot first.
+    one row of ``counts`` each, the largest count in the first slot first,
+    in the narrowest unsigned type that holds the unit's demand.
 
     A split's index in that order is its rank: the sum over slots j >= 1 of
     comb(R_j + d - j - 1, d - j), where R_j counts the atoms in slot j and
@@ -84,7 +85,8 @@ class _Splits:
             c = left - np.arange(len(left)) + np.repeat(np.cumsum(reps) - reps, reps)
             counts, left = np.column_stack([np.repeat(counts, reps, axis=0), c]), left - c
         no_slot = np.zeros((int(a == 0), 0), np.int64)  # one empty split, or none
-        self.counts = np.column_stack([counts, left]) if d else no_slot
+        counts = np.column_stack([counts, left]) if d else no_slot
+        self.counts = counts.astype(np.min_scalar_type(a))
         # _comb[j - 1, r] = comb(r + d - j - 1, d - j), at most len(self).
         comb = [[math.comb(r + d - j - 1, d - j) for r in range(a + 1)] for j in range(1, d)]
         self._comb = np.array(comb, dtype=np.int64)
@@ -141,7 +143,9 @@ class StateSpaceOracle:
     A state's code is the mixed radix of its units' split indices (place
     values ``strides``, unit 0 the most significant).  ``codes`` holds the
     states' codes in ascending order, the order of enumeration, and
-    ``load`` their loads, a row each; ``position`` maps every code to its
+    ``load`` their loads, a row each, in the narrowest unsigned type that
+    holds them (like ``_Splits.counts``: widen to int64 before any sum or
+    product, so none wraps); ``position`` maps every code to its
     state's position, -1 where the splits overfill a resource.  ``states``
     decodes the canonical key of a state (sorted nonzero (x, y, count)
     triples) on access.  ``kernel`` (filled by build_transition_matrix)
@@ -248,12 +252,13 @@ def enumerate_states(inst: Instance) -> StateSpaceOracle:
     splits = [_Splits(inst.topology.out_neighbors(x), a) for x, a in enumerate(inst.alpha)]
     strides = [math.prod(len(sp) for sp in splits[x + 1 :]) for x in range(inst.n)]
     cap = np.array(inst.beta, dtype=float)
-    code, load = np.zeros(1, dtype=np.int64), np.zeros((1, inst.n), dtype=np.int64)
+    narrow = np.min_scalar_type(min(max(inst.beta), total))  # a load exceeds neither
+    code, load = np.zeros(1, dtype=np.int64), np.zeros((1, inst.n), dtype=narrow)
     for x in sorted(range(inst.n), key=lambda x: len(splits[x]) > 1):
         sp = splits[x]
         fits = np.ones((len(code), len(sp)), dtype=bool)
         for k, y in enumerate(sp.out):
-            fits &= load[:, y, None] + sp.counts[:, k] <= cap[y]
+            fits &= load[:, y, None].astype(np.int64) + sp.counts[:, k].astype(np.int64) <= cap[y]
         state, s = np.nonzero(fits)
         code, load = code[state] + s * strides[x], load[state]
         load[:, sp.out] += sp.counts[s]
@@ -283,13 +288,13 @@ def build_transition_matrix(
     sizes, indices, data = [np.zeros(1, np.int64)], [np.zeros(0, np.int32)], [np.zeros(0)]
     for lo in range(0, m, _BLOCK):
         rows = slice(lo, lo + _BLOCK)
-        codes, load = oracle.codes[rows], oracle.load[rows]
+        codes, load = oracle.codes[rows], oracle.load[rows].astype(np.int64)
         diag = np.full(len(codes), 0.0 if inst.total_alpha else 1.0)  # no demand: no move
         row_ids, cols, probs = [np.arange(len(codes))], [np.arange(lo, lo + len(codes))], [diag]
         for x, sp in enumerate(oracle.splits):
             a, out = inst.alpha[x], sp.out
             split = oracle.split_of(x, rows)
-            own, eye = sp.counts[split], np.eye(len(out), dtype=np.int64)
+            own, eye = sp.counts[split].astype(np.int64), np.eye(len(out), dtype=np.int64)
             for k in range(len(out) if a else 0):
                 at = np.flatnonzero(own[:, k])
                 extra = np.arange(len(out)) != k  # the self-move adds no atom
@@ -349,7 +354,8 @@ def _over_states(oracle: StateSpaceOracle, quantity) -> np.ndarray:
     for lo in range(0, len(oracle), _BLOCK):
         rows = slice(lo, lo + _BLOCK)
         counts = [sp.counts[oracle.split_of(x, rows)] for x, sp in enumerate(oracle.splits)]
-        values.append(quantity((oracle.load[rows], np.hstack(counts))))
+        wide = oracle.load[rows].astype(np.int64), np.hstack(counts).astype(np.int64)
+        values.append(quantity(wide))  # int64, so no product wraps
     return np.concatenate(values)
 
 
@@ -544,13 +550,12 @@ def greedy_utility_bound(inst: Instance, params: GameParams) -> float:
     total = inst.total_alpha
     if total == 0:
         return 0.0
-    marginals: list[float] = []
-    for y in range(inst.n):
-        b = inst.beta[y]
-        for s in range(1, b + 1):
-            marginals.append(inst.reliability[y] - params.k_c * (2 * s - 1) / b)
-    marginals.sort(reverse=True)
-    bound = sum(marginals[:total])  # every slot, when capacity falls short of demand
+    beta = np.array(inst.beta)
+    b = np.repeat(beta, beta)  # each slot's capacity b, and below its rank s = 1..b
+    s = np.arange(1, len(b) + 1) - np.repeat(np.cumsum(beta) - beta, beta)
+    marginals = np.repeat(inst.reliability, beta) - params.k_c * (2 * s - 1) / b
+    top = np.sort(marginals)[::-1][:total]  # every slot, when capacity falls short of demand
+    bound = float(top.cumsum()[-1]) if len(top) else 0.0  # left to right, as sum() before 3.12
     if params.k_a:
         for x in range(inst.n):
             a = inst.alpha[x]

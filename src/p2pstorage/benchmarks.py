@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -192,6 +191,7 @@ def _pool_map(fn, jobs: list[tuple], workers: int):
     can use.  The pool joins every child when the iteration ends or stops."""
     workers = min(workers, len(jobs), os.cpu_count() or 1)
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # here: a one-process run never loads it
         with ProcessPoolExecutor(max_workers=workers) as pool:
             yield from pool.map(fn, *zip(*jobs))
     else:

@@ -75,7 +75,7 @@ class GameParams:
             object.__setattr__(self, name, value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Move:
     """A single-atom action: place a new atom (allocation) or relocate one
     (distribution, with ``source`` set, possibly equal to ``dest``)."""

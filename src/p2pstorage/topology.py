@@ -8,7 +8,6 @@ storage utility.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import random
@@ -214,6 +213,7 @@ class Instance:
 
     def fingerprint(self) -> str:
         """Stable short hash of the canonical serialized form."""
+        import hashlib  # here, not at the top: it loads OpenSSL, which only this needs
         blob = json.dumps(instance_to_dict(self), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 

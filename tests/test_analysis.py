@@ -601,6 +601,45 @@ def test_greedy_bound_with_capacity_below_demand_sums_every_marginal():
     assert greedy_utility_bound(inst, GameParams(1.0, 0.0)) == pytest.approx(sum(marginals))
 
 
+def _greedy_bound_as_a_list(inst, params):
+    # The bound as one Python float per capacity slot, sorted, and the best
+    # ``total_alpha`` added left to right; the aggregation term as in the
+    # library.
+    marginals = []
+    for y, b in enumerate(inst.beta):
+        marginals += [inst.reliability[y] - params.k_c * (2 * s - 1) / b for s in range(1, b + 1)]
+    bound = 0.0
+    for m in sorted(marginals, reverse=True)[: inst.total_alpha]:
+        bound += m
+    for x, a in enumerate(inst.alpha):
+        caps = [inst.beta[y] for y in inst.topology.out_neighbors(x)]
+        if params.k_a and a and caps:
+            bound += params.k_a * a * min(a, max(caps))
+    return bound
+
+
+def test_greedy_bound_is_the_float_of_the_list_form():
+    rng = random.Random(33)
+    short = zero = 0
+    for _ in range(300):
+        n = rng.randint(1, 7)
+        edges = {(x, y) for x in range(n) for y in range(n) if x != y and rng.random() < 0.6}
+        inst = make(
+            Topology(n, frozenset(edges)),
+            tuple(rng.randint(0, 6) for _ in range(n)),
+            tuple(rng.choice([0, 0, 1, 2, 3, 9]) for _ in range(n)),
+            tuple(rng.uniform(0, 1) for _ in range(n)),
+        )
+        params = GameParams(rng.choice([0.0, 1.0, 0.37]), rng.choice([0.0, 0.45]))
+        short += inst.total_beta < inst.total_alpha
+        zero += 0 in inst.beta
+        assert greedy_utility_bound(inst, params) == _greedy_bound_as_a_list(inst, params)
+    assert short and zero
+    no_slot = make(build_complete(2), (1, 2), (0, 0), (0.5, 0.8))
+    assert greedy_utility_bound(no_slot, GameParams(1.0, 0.0)) == 0.0
+    assert greedy_utility_bound(no_slot, GameParams(1.0, 0.45)) == 0.0
+
+
 def test_greedy_bound_dominates_enumeration():
     rng = random.Random(8)
     for _ in range(40):
@@ -853,3 +892,39 @@ def test_long_run_visits_exactly_the_connected_component():
         if state.total_placed() == total:
             visited.add(state.key())
     assert visited == set(oracle.states)
+
+
+@pytest.mark.parametrize("capacity, dtype", [(255, np.uint8), (65_535, np.uint16)])
+@pytest.mark.parametrize("short", [0, 1], ids=["one-state", "two-states"])
+def test_oracles_at_the_edge_of_the_narrow_dtypes(capacity, dtype, short):
+    # Unit 0 has one split: capacity - short atoms in resource 1, the
+    # largest value of the narrow type that holds resource 1's load.  Unit 2
+    # has one atom for resource 1 or 3.  With short = 0 only resource 3 has
+    # room (one state), and the kernel scores the move into resource 1 at
+    # capacity + 1, which the narrow type would wrap to 0; with short = 1
+    # there are two states, one with resource 1 full.
+    topo = Topology(4, frozenset({(0, 1), (2, 1), (2, 3)}))
+    inst = make(topo, (capacity - short, 0, 1, 0), (0, capacity, 0, 1), (0.5, 0.8, 0.5, 0.6))
+    params, gamma = GameParams(1.0, 0.45), 1.3
+    oracle = build_transition_matrix(enumerate_states(inst), params, gamma)
+    assert len(oracle) == 1 + short
+    assert oracle.load.dtype == dtype and oracle.splits[0].counts.dtype == dtype
+    assert int(oracle.load[:, 1].max()) == capacity
+    states = [AllocationState.from_entries(inst, key) for key in oracle.states]
+    names = list(_quantities(inst, params, states[0]))
+    bulk = {name: _over_all(oracle, params, name).tolist() for name in names}
+    for i, state in enumerate(states):
+        assert {name: bulk[name][i] for name in names} == _quantities(inst, params, state)
+    position = {key: i for i, key in enumerate(oracle.states)}
+    for i, row in enumerate(oracle.transition):
+        expected = _kernel_row_by_state(oracle, position, params, gamma, i)
+        assert sorted(row) == sorted(expected)
+        assert [row[j] for j in sorted(row)] == pytest.approx([expected[j] for j in sorted(row)])
+    logs = [game.log_multinomial_weight(inst, s) + gamma * game.potential(inst, params, s)
+            for s in states]
+    weights = [math.exp(v - max(logs)) for v in logs]
+    mu = stationary_exact(oracle, params, gamma)
+    assert mu.tolist() == pytest.approx([w / sum(weights) for w in weights], rel=1e-12)
+    best, _argmax = max_potential_bruteforce(oracle, params)
+    assert best == max(game.potential(inst, params, s) for s in states)
+    assert stationarity_residual(oracle, mu) < 1e-12

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import pickle
 
 import pytest
 
@@ -172,6 +173,14 @@ def test_run_record_returns_the_trace_only_when_recorded():
     config = _config(1, 2, record_trace=True)
     trace, _record = benchmarks.run_record(config)
     assert trace and trace == run(config).trace
+
+
+def test_a_trace_of_slotted_moves_round_trips_through_pickle():
+    # Move has slots: no __dict__ per move, and a pool worker's trace comes
+    # back equal.
+    trace, _record = benchmarks.run_record(_config(1, 2, record_trace=True))
+    assert trace and not hasattr(trace[0][1], "__dict__")
+    assert pickle.loads(pickle.dumps(trace)) == trace
 
 
 def test_run_record_on_an_infeasible_instance_has_no_rho():

@@ -427,7 +427,7 @@ def test_simulate_pool_is_bounded_by_runs_and_cores(tmp_path, monkeypatch, worke
     # Three replications: never more processes than runs, or than cores.
     from p2pstorage import cli
 
-    monkeypatch.setattr(benchmarks, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: cores)
     monkeypatch.setattr(_RecordingPool, "sizes", [])
     spec_path = tmp_path / "spec.json"
@@ -448,7 +448,7 @@ def test_simulate_holds_one_trace_at_a_time(tmp_path, monkeypatch, workers):
     # Each trace is written as its run returns: while run r runs, no trace
     # from before run r - 1 is alive.  Two workers go through the recording
     # pool, whose map runs lazily in this process.
-    monkeypatch.setattr(benchmarks, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
     monkeypatch.setattr(_RecordingPool, "sizes", [])
     refs, alive = [], []
@@ -1076,6 +1076,27 @@ def test_verify_prints_no_python_warnings(tmp_path):
     assert proc.returncode == 2
     assert "Warning" not in proc.stderr
     assert "1 of 2 states never visited" in proc.stdout
+
+
+def test_one_process_commands_load_neither_openssl_nor_the_pool(tmp_path):
+    # check, a one-worker reproduce and verify without sampling run in a
+    # fresh interpreter without hashlib (OpenSSL) or the process pool.
+    path = write_instance(tmp_path, "desk.json", feasible_doc())
+    code = """if True:
+        import sys
+        from p2pstorage.cli import main
+        path, out = sys.argv[1:]
+        assert main(["check", path]) == 0
+        assert main(["reproduce", "3", "--replications", "1", "--workers", "1", "--out", out]) == 0
+        assert main(["verify", path]) == 0
+        heavy = ("hashlib", "_hashlib", "concurrent.futures.process", "multiprocessing")
+        print(sorted(set(heavy) & set(sys.modules)))
+    """
+    env = dict(os.environ, PYTHONPATH=str(Path(p2pstorage.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code, str(path), str(tmp_path / "out")],
+                          capture_output=True, text=True, env=env, check=False)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def test_verify_notes_states_the_sampler_never_visited(tmp_path, capsys):

@@ -55,8 +55,8 @@ __all__ = [
 ]
 
 STATE_SPACE_LIMIT = 1_000_000
-# About 1.7 GB of peak RSS in `verify`: the K7 baseline (alpha 1, beta 7;
-# 279,936 states, 10,077,696 kernel entries) peaks at 330 MB, ~33 bytes an entry.
+# The kernel budget, about 0.8 GB of `verify` peak RSS: the K7 baseline (alpha 1, beta 7;
+# 279,936 states, 10,077,696 kernel entries) peaks at 163 MB, ~16 bytes an entry.
 KERNEL_ENTRY_LIMIT = 50_000_000
 _BLOCK = 1 << 11  # states per block of array work: bounds the temporaries, and so the peak RSS
 
@@ -163,10 +163,13 @@ class StateSpaceOracle:
     def __post_init__(self) -> None:
         self.position = np.full(math.prod(len(sp) for sp in self.splits), -1, dtype=np.int32)
         self.position[self.codes] = np.arange(len(self.codes), dtype=np.int32)
-        self.states: Sequence[tuple] = _Lazy(len(self.codes), self._key)
 
     def __len__(self) -> int:
         return len(self.codes)
+
+    @property
+    def states(self) -> Sequence[tuple]:  # made on access: held, its bound method is a cycle
+        return _Lazy(len(self), self._key)
 
     @property
     def transition(self) -> Sequence[dict[int, float]] | None:
@@ -277,53 +280,65 @@ def build_transition_matrix(
     operations per (unit, source slot) scores the unit's choice at every
     state with atoms in that slot, with the arithmetic of ``game._choice``
     (``_resource_term`` plus ``_unit_term``) and ``_gibbs_weights`` in order
-    (math.exp, as np.exp may differ by an ulp; the norm a running sum left
-    to right, as ``game.gibbs_choice_distribution`` takes it), so
+    (math.exp, as np.exp may differ by an ulp; the norm a running sum over
+    the slots in order, as ``game.gibbs_choice_distribution`` takes it), so
     each entry is the float a state-by-state loop gives; the diagonal adds
-    up in (unit, source) order, as that loop would.  Needs a finite gamma > 0.
+    up in (unit, source) order, as that loop would; each block's rows go
+    into their slice of arrays sized by ``_row_sizes``.  Needs a finite gamma > 0.
     """
     _check_gamma(gamma, finite=True)
     inst, m = oracle.inst, len(oracle)
     (lam, divisor), cap = _resources(inst), np.array(inst.beta, dtype=float)
-    sizes, indices, data = [np.zeros(1, np.int64)], [np.zeros(0, np.int32)], [np.zeros(0)]
+    indptr = np.concatenate([[0], _row_sizes(oracle).cumsum()])
+    indices, data = np.empty(indptr[-1], np.int32), np.empty(indptr[-1])
     for lo in range(0, m, _BLOCK):
         rows = slice(lo, lo + _BLOCK)
-        codes, load = oracle.codes[rows], oracle.load[rows].astype(np.int64)
+        codes, load = oracle.codes[rows], oracle.load[rows].T.astype(np.int64, order="C")
         diag = np.full(len(codes), 0.0 if inst.total_alpha else 1.0)  # no demand: no move
-        row_ids, cols, probs = [np.arange(len(codes))], [np.arange(lo, lo + len(codes))], [diag]
-        for x, sp in enumerate(oracle.splits):
-            a, out = inst.alpha[x], sp.out
-            split = oracle.split_of(x, rows)
-            own, eye = sp.counts[split].astype(np.int64), np.eye(len(out), dtype=np.int64)
+        row_ids, cols, probs = [np.arange(len(codes))], [oracle.position[codes]], [diag]
+        for x, sp in enumerate(oracle.splits):  # arrays of a row per slot, a column per state
+            a, out, split = inst.alpha[x], sp.out, oracle.split_of(x, rows)
+            own, eye = sp.counts[split].T.astype(np.int64), np.eye(len(out), dtype=np.int64)
+            lam_x, divisor_x, load_x = lam[out, None], divisor[out, None], load[out]
             for k in range(len(out) if a else 0):
-                at = np.flatnonzero(own[:, k])
-                extra = np.arange(len(out)) != k  # the self-move adds no atom
-                w = load[at][:, out] + extra
-                fits = w <= cap[out]
-                utils = lam[out] - params.k_c * w / divisor[out] + params.k_a * (own[at] + extra)
-                top = np.where(fits, utils, -np.inf).max(axis=1)
-                exponents = _times_gamma(gamma, utils - top[:, None])
+                at = np.flatnonzero(own[k])
+                extra = (np.arange(len(out)) != k)[:, None]  # the self-move adds no atom
+                w = load_x[:, at] + extra
+                fits = w <= cap[out, None]
+                utils = lam_x - params.k_c * w / divisor_x + params.k_a * (own[:, at] + extra)
+                top = np.where(fits, utils, -np.inf).max(axis=0)
+                exponents = _times_gamma(gamma, utils - top)
                 values, inverse = np.unique(exponents[fits], return_inverse=True)
                 weights = np.zeros(utils.shape)
                 weights[fits] = np.array([math.exp(v) for v in values.tolist()])[inverse]
-                norm = weights.cumsum(axis=1)[:, -1]  # left to right; sum() may pair terms
-                p = (a / inst.total_alpha * (own[at, k] / a))[:, None] * weights / norm[:, None]
-                diag[at] += p[:, k]
-                fits[:, k] = False
-                hit, slot = np.nonzero(fits)
+                norm = weights.cumsum(axis=0)[-1]  # slot by slot; sum() may pair terms
+                p = a / inst.total_alpha * (own[k, at] / a) * weights / norm
+                diag[at] += p[k]
+                fits[k] = False
+                slot, hit = np.nonzero(fits)
                 src = at[hit]
-                index = sp.rank(own[src] + eye[slot] - eye[k])  # one atom moved from k to slot
+                index = sp.rank((own[:, src] + eye[:, slot] - eye[:, [k]]).T)  # one atom k -> slot
                 row_ids.append(src)
                 cols.append(oracle.position[codes[src] + (index - split[src]) * oracle.strides[x]])
-                probs.append(p[hit, slot])
-        row_ids, cols = np.concatenate(row_ids), np.concatenate(cols).astype(np.int32)
-        order = np.argsort(row_ids * m + cols)
-        sizes.append(np.bincount(row_ids))
-        indices.append(cols[order])
-        data.append(np.concatenate(probs)[order])
-    indptr = np.concatenate(sizes).cumsum()
-    oracle.kernel = Kernel(indptr, np.concatenate(indices), np.concatenate(data))
+                probs.append(p[slot, hit])
+        cols = np.concatenate(cols)
+        order = (np.concatenate(row_ids) * m + cols).argsort(kind="stable")  # fast on sorted runs
+        span = slice(indptr[lo], indptr[lo + len(codes)])  # the block's rows, written in place
+        indices[span], data[span] = cols[order], np.concatenate(probs)[order]
+    oracle.kernel = Kernel(indptr, indices, data)
     return oracle
+
+
+def _row_sizes(oracle: StateSpaceOracle) -> np.ndarray:
+    # Each row's entry count: 1 for the diagonal, plus, per unit, one per move of an
+    # atom from a held slot to another slot with room: held * free - |held & free|.
+    room = oracle.load.T < np.array(oracle.inst.beta)[:, None]  # a row per resource
+    sizes = np.ones(len(oracle), np.int64)
+    for x, sp in enumerate(oracle.splits):
+        split, free = oracle.split_of(x), room[sp.out].sum(axis=0)
+        for y, held in zip(sp.out, sp.counts.T > 0):
+            sizes += held[split] * (free - room[y])
+    return sizes
 
 
 def _times_gamma(gamma: float, values: np.ndarray) -> np.ndarray:
@@ -389,35 +404,45 @@ def stationarity_residual(oracle: StateSpaceOracle, mu: np.ndarray) -> float:
 
 
 def detailed_balance_max_violation(oracle: StateSpaceOracle, mu: np.ndarray) -> float:
-    """Max over transition pairs of |mu_i P_ij - mu_j P_ji|, each P_ji
-    found by one sorted search over the entries' (row, column) keys."""
-    m = len(oracle)
-    indptr, indices, data = _kernel(oracle)
-    keys = np.repeat(np.arange(m, dtype=np.int64) * m, np.diff(indptr)) + indices  # CSR order: sorted
-    worst = 0.0
-    for i, j, p in _kernel_blocks(oracle):
-        back = j * np.int64(m) + i
-        order = np.argsort(back)  # sorted needles make the search far faster
-        i, j, p, back = i[order], j[order], p[order], back[order]
-        where = np.minimum(np.searchsorted(keys, back), len(keys) - 1)
-        p_back = np.where(keys[where] == back, data[where], 0.0)
-        worst = max(worst, float(np.abs(mu[i] * p - mu[j] * p_back)[i != j].max(initial=0.0)))
-    return worst
+    """Max over transition pairs of |mu_i P_ij - mu_j P_ji|, a block of rows
+    at a time: each P_ji found by bisection of row j's ascending columns, all
+    of the block's searches in step (a missing P_ji reads 0.0)."""
+    kernel = _kernel(oracle)
+    rounds = int(np.diff(kernel.indptr).max(initial=1) - 1).bit_length()
+    return max((_balance_gap(kernel, rounds, mu, *b) for b in _kernel_blocks(oracle)), default=0.0)
+
+
+def _balance_gap(kernel: Kernel, rounds: int, mu: np.ndarray, i, j, p) -> float:
+    # The violation over one block's entries; its temporaries die with the call.
+    indptr, indices, data = kernel
+    at = indptr[j]
+    size = indptr[j + 1] - at  # every row holds its diagonal, so at + half < its end
+    for _ in range(rounds):  # at: the last column of row j below i, else the row's first
+        half = size >> 1
+        size -= half
+        half *= indices.take(at + half) < i
+        at += half
+    at += indices.take(at) < i  # the first column at or after i, or the row's end
+    back = data.take(at, mode="clip")  # P_ji, and below 0.0 where row j has no column i
+    back *= mu[j] * ((at < indptr[j + 1]) & (indices.take(at, mode="clip") == i))
+    return float(np.abs(mu[i] * p - back).max(initial=0.0))  # the diagonal finds itself: 0.0
 
 
 def is_support_connected(oracle: StateSpaceOracle) -> bool:
     """Whether the transition support graph on full states is one component
-    (every state reachable from the first), by a frontier search."""
+    (every state reachable from the first), by a frontier search in blocks."""
     indptr, indices, _ = _kernel(oracle)
     seen = np.zeros(len(oracle), dtype=bool)
     frontier = np.zeros(min(len(oracle), 1), dtype=np.int64)
     seen[frontier] = True
     while frontier.size:
-        starts, sizes = indptr[frontier], indptr[frontier + 1] - indptr[frontier]
-        offsets = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-        reached = indices[np.repeat(starts, sizes) + offsets]
-        reached = np.sort(reached[~seen[reached]])  # not np.unique: its hash path costs MBs
-        frontier = reached[np.diff(reached, prepend=-1) != 0]
+        reached = np.zeros(len(oracle), dtype=bool)
+        for lo in range(0, len(frontier), _BLOCK):
+            f = frontier[lo : lo + _BLOCK]
+            starts, sizes = indptr[f], indptr[f + 1] - indptr[f]
+            offsets = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+            reached[indices[np.repeat(starts, sizes) + offsets]] = True
+        frontier = np.flatnonzero(reached & ~seen)
         seen[frontier] = True
     return bool(seen.all())
 
@@ -565,11 +590,10 @@ def greedy_utility_bound(inst: Instance, params: GameParams) -> float:
     return bound
 
 
-def compute_rho(
-    inst: Instance, params: GameParams, state: AllocationState
-) -> tuple[float | None, str]:
-    """Global-utility ratio of a state to the greedy upper bound on the best
-    achievable, tagged "surrogate".  It may exceed 1 when utilities are
+def compute_rho(inst: Instance, params: GameParams, state) -> tuple[float | None, str]:
+    """Global-utility ratio of one state (an AllocationState or its vectors,
+    see ``game._bulk``) to the greedy upper bound on the best achievable,
+    tagged "surrogate".  It may exceed 1 when utilities are
     negative; it is None when the bound is 0 and the utility is not."""
     value = game.global_utility(inst, params, state)
     best = greedy_utility_bound(inst, params)
@@ -623,8 +647,8 @@ def state_metrics(inst: Instance, state) -> tuple:
     atoms over its capacity (0 with none) and the variance about that of its
     members' fill fractions (members of capacity 0 left out); used edges
     per unit (d_out); per class, used edges into it per member (d_in).
-    ``state`` as for ``game.potential``: a float each for one
-    AllocationState, an array each for the arrays of many states."""
+    ``state`` as for ``game.potential``: a float each for one state, an
+    array each for the arrays of many states."""
     load, counts, single = game._bulk(inst, state)
     units, resources = game._edges(inst)
     lam, alpha = np.array(inst.reliability), np.array(inst.alpha)
@@ -662,6 +686,7 @@ def compute_metrics(
     scored only for a completed run."""
     active = [x for x in range(inst.n) if inst.alpha[x] > 0]
     nu = sum(result.moves_per_unit[x] / inst.alpha[x] for x in active) / max(len(active), 1)
-    state = result.final_state
+    load, counts, _ = game._bulk(inst, result.final_state)  # read once, scored twice
+    state = load[0], counts[0]
     rho, rho_tag = compute_rho(inst, params, state) if result.completed else (None, None)
     return MetricsReport(nu, *state_metrics(inst, state), rho, rho_tag)

@@ -288,8 +288,8 @@ def potential(inst: Instance, params: GameParams, state):
     mover's utility change (see the identity test in the suite).  Per
     resource, (load + 1) times its reliability less k_c times the triangular
     number of its load over its capacity; plus k_a times the sum of the
-    triangular numbers of the counts.  ``state`` is an AllocationState
-    (gives a float) or the arrays of many states (see ``_bulk``)."""
+    triangular numbers of the counts.  ``state`` is one state (gives a
+    float) or the arrays of many states (see ``_bulk``)."""
     load, counts, single = _bulk(inst, state)
     lam, beta = _resources(inst)
     total = ((load + 1) * lam - params.k_c * (load * (load + 1) / 2.0) / beta).sum(axis=-1)
@@ -369,16 +369,16 @@ def log_multinomial_weight(inst: Instance, state):
 
 
 def _bulk(inst: Instance, state) -> tuple[np.ndarray, np.ndarray, bool]:
-    """The arrays the closed-form quantities take, and whether they hold one
-    AllocationState: ``state`` is one, or a (load, counts) pair with a row
-    per state: ``load`` the atoms held by each resource, ``counts`` the
-    atoms on each edge in the order of ``_edges``, zeros kept."""
+    """The arrays the closed-form quantities take, a row per state, and
+    whether they hold one state: an AllocationState or its (load, counts)
+    vectors, or those arrays of many states: ``load`` the atoms held by each
+    resource, ``counts`` the atoms on each edge in ``_edges`` order, zeros kept."""
     if isinstance(state, AllocationState):
         units, resources = _edges(inst)
         counts = [state.counts[x].get(y, 0) for x, y in zip(units.tolist(), resources.tolist())]
-        return np.array([state.load]), np.array([counts], dtype=np.int64), True
+        state = np.array(state.load), np.array(counts, dtype=np.int64)
     load, counts = state
-    return load, counts, False
+    return np.atleast_2d(load), np.atleast_2d(counts), load.ndim == 1
 
 
 def _edges(inst: Instance) -> tuple[np.ndarray, np.ndarray]:

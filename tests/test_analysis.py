@@ -1,6 +1,7 @@
 import math
 import multiprocessing
 import random
+import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 from itertools import combinations_with_replacement, islice
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from p2pstorage import analysis, dynamics, feasibility, game
+from p2pstorage import analysis, benchmarks, dynamics, feasibility, game
 from p2pstorage.analysis import (
     MetricsReport,
     StateSpaceTooLarge,
@@ -44,6 +45,12 @@ def make(topo, alpha, beta, lam):
 
 def eight_state_instance(lam=(1.0, 1.0, 1.0)):
     return make(build_complete(3), (1, 1, 1), (2, 2, 2), lam)
+
+
+def four_cycle_instance():
+    # Unit demands and capacities on a four-cycle: no full state reaches another.
+    edges = {(i, (i + 1) % 4) for i in range(4)} | {((i + 1) % 4, i) for i in range(4)}
+    return make(Topology(4, frozenset(edges)), (1, 1, 1, 1), (1, 1, 1, 1), (0.5, 0.8, 0.5, 0.8))
 
 
 DESK_INSTANCES = [
@@ -229,13 +236,39 @@ def test_detailed_balance_reports_a_missing_reverse_entry(monkeypatch, block):
     # The kernel rebuilt without P_ji: the pair (i, j) finds no reverse and
     # reads its whole flow.
     oracle, mu, (k, i, j) = _broken_balance_setup(monkeypatch, block)
-    indptr, indices, data = oracle.kernel
-    back = int(indptr[j] + np.searchsorted(indices[indptr[j] : indptr[j + 1]], i))
-    assert indices[back] == i
-    indptr = indptr.copy()
-    indptr[j + 1 :] -= 1
-    oracle.kernel = analysis.Kernel(indptr, np.delete(indices, back), np.delete(data, back))
+    data = oracle.kernel.data
+    _drop_entry(oracle, j, i)
     assert detailed_balance_max_violation(oracle, mu) == mu[i] * data[k]
+
+
+@pytest.mark.parametrize("block", [analysis._BLOCK, 7])
+def test_detailed_balance_reports_a_missing_reverse_entry_in_the_last_row(monkeypatch, block):
+    # P_ji in the kernel's last row, just before that row's diagonal, the
+    # last entry of all: the bisection of row j runs to the end of indices.
+    oracle, mu, _ = _broken_balance_setup(monkeypatch, block)
+    indptr, indices, data = oracle.kernel
+    j, i = len(oracle) - 1, int(indices[-2])
+    assert indices[-1] == j and indptr[j] <= len(indices) - 2
+    k = _entry(oracle, i, j)
+    _drop_entry(oracle, j, i)
+    assert detailed_balance_max_violation(oracle, mu) == mu[i] * data[k] > 0.0
+
+
+def _entry(oracle, i, j):
+    # The position of P_ij in the kernel's arrays.
+    indptr, indices, _ = oracle.kernel
+    k = int(indptr[i] + np.searchsorted(indices[indptr[i] : indptr[i + 1]], j))
+    assert indices[k] == j
+    return k
+
+
+def _drop_entry(oracle, i, j):
+    # The kernel rebuilt without P_ij.
+    indptr, indices, data = oracle.kernel
+    k = _entry(oracle, i, j)
+    indptr = indptr.copy()
+    indptr[i + 1 :] -= 1
+    oracle.kernel = analysis.Kernel(indptr, np.delete(indices, k), np.delete(data, k))
 
 
 @pytest.mark.parametrize("block", [1, 7])
@@ -254,6 +287,51 @@ def test_blocks_of_states_change_no_result(monkeypatch, block):
     assert detailed_balance_max_violation(split, mu) == detailed_balance_max_violation(whole, mu)
     assert is_support_connected(split)
     assert max_potential_bruteforce(split, params) == max_potential_bruteforce(whole, params)
+    # A frozen chain, every row its diagonal alone, stays disconnected.
+    frozen = enumerate_states(four_cycle_instance())
+    assert not is_support_connected(build_transition_matrix(frozen, GameParams(1.0, 0.0), 1.0))
+
+
+def test_counted_row_sizes_are_the_rows_built_state_by_state():
+    # The build counts each row's entries before it writes them in place:
+    # the diagonal, and per unit held * free - |held & free|.
+    for inst, params, gamma in DESK_INSTANCES:
+        oracle = build_transition_matrix(enumerate_states(inst), params, gamma)
+        sizes = analysis._row_sizes(oracle)
+        assert np.array_equal(sizes, np.diff(oracle.kernel.indptr))
+        position = {key: i for i, key in enumerate(oracle.states)}
+        rows = [_kernel_row_by_state(oracle, position, params, gamma, i) for i in range(len(oracle))]
+        assert sizes.tolist() == [len(row) for row in rows]
+
+
+@pytest.fixture(scope="module")
+def k6_oracle():
+    # The complete graph on 6 units, alpha 1, beta 6: 15,625 states and
+    # 390,625 kernel entries, a 4.8 MB kernel.
+    inst = make(build_complete(6), (1,) * 6, (6,) * 6, (1.0,) * 6)
+    return build_transition_matrix(enumerate_states(inst), GameParams(1.0, 0.0), 1.0)
+
+
+@pytest.mark.parametrize("stage, bound", [("build", 1.15), ("balance", 0.15), ("connectivity", 0.15)])
+def test_kernel_passes_hold_the_kernel_and_one_block(monkeypatch, k6_oracle, stage, bound):
+    # Each pass over the kernel holds the kernel (which the build makes) and
+    # one block's temporaries, and nothing kernel-sized beside them: its
+    # peak, by tracemalloc (numpy's buffers included), in blocks of 256.
+    monkeypatch.setattr(analysis, "_BLOCK", 256)
+    oracle, params, gamma = k6_oracle, GameParams(1.0, 0.0), 1.0
+    fresh, mu = enumerate_states(oracle.inst), stationary_exact(oracle, params, gamma)
+    run = {
+        "build": lambda: build_transition_matrix(fresh, params, gamma),
+        "balance": lambda: detailed_balance_max_violation(oracle, mu),
+        "connectivity": lambda: is_support_connected(oracle),
+    }[stage]
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * sum(a.nbytes for a in oracle.kernel)
 
 
 @pytest.mark.filterwarnings("error")
@@ -718,6 +796,23 @@ def test_metrics_on_an_incomplete_run():
     assert report.rho is None and report.rho_tag is None
 
 
+def test_metrics_read_the_final_state_once_and_score_it_as_the_state():
+    # compute_metrics reads the final state into its vectors once, for both
+    # rho and the state metrics; on a finished table-1 run (k_a 0.45) the
+    # vectors score the same floats as the state, and rho stays a float.
+    config = benchmarks.make_configs(benchmarks.table_presets(1, replications=1)[-1])[0]
+    result = run(config)
+    inst, params, state = config.instance, config.params, result.final_state
+    assert result.completed
+    load, counts, single = game._bulk(inst, state)
+    vectors = load[0], counts[0]
+    assert single and game._bulk(inst, vectors)[2]
+    assert game.global_utility(inst, params, vectors) == game.global_utility(inst, params, state)
+    report = compute_metrics(inst, params, result)
+    assert type(report.rho) is float and report.rho == compute_rho(inst, params, state)[0]
+    assert report.lambda_mean == state_metrics(inst, state)[0]
+
+
 def test_metrics_nu_at_least_one_on_completed_runs():
     rng = random.Random(13)
     for _ in range(10):
@@ -854,12 +949,7 @@ def test_disconnected_state_graph_absorbs_first_reached_state():
     # four-cycle with unit demands and unit capacities: the full states are
     # mutually unreachable (every alternative destination is occupied), so
     # a run freezes in whichever state it reaches first
-    edges = set()
-    for i in range(4):
-        edges.add((i, (i + 1) % 4))
-        edges.add(((i + 1) % 4, i))
-    inst = make(Topology(4, frozenset(edges)), (1, 1, 1, 1), (1, 1, 1, 1),
-                (0.5, 0.8, 0.5, 0.8))
+    inst = four_cycle_instance()
     assert not feasibility.check_strict(inst).feasible
     params = GameParams(1.0, 0.0)
     oracle = enumerate_states(inst)

@@ -374,8 +374,8 @@ def _bulk(inst: Instance, state) -> tuple[np.ndarray, np.ndarray, bool]:
     vectors, or those arrays of many states: ``load`` the atoms held by each
     resource, ``counts`` the atoms on each edge in ``_edges`` order, zeros kept."""
     if isinstance(state, AllocationState):
-        units, resources = _edges(inst)
-        counts = [state.counts[x].get(y, 0) for x, y in zip(units.tolist(), resources.tolist())]
+        out = inst.topology.out_neighbors
+        counts = [row.get(y, 0) for x, row in enumerate(state.counts) for y in out(x)]
         state = np.array(state.load), np.array(counts, dtype=np.int64)
     load, counts = state
     return np.atleast_2d(load), np.atleast_2d(counts), load.ndim == 1

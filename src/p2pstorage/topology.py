@@ -12,6 +12,7 @@ import json
 import math
 import random
 from dataclasses import dataclass
+from itertools import chain
 
 __all__ = [
     "GenerationFailed",
@@ -149,11 +150,7 @@ def build_random_regular(n: int, d: int, seed: int) -> Topology:
         pairs = _try_pairing(n, d, rng)
         if pairs is None:
             continue
-        edges = set()
-        for x, y in pairs:
-            edges.add((x, y))
-            edges.add((y, x))
-        return Topology(n, frozenset(edges))
+        return Topology(n, frozenset(chain(pairs, ((y, x) for x, y in pairs))))
     raise GenerationFailed(
         f"no simple {d}-regular graph on {n} nodes found in {_PAIRING_ATTEMPTS} attempts"
     )

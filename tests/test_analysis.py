@@ -718,6 +718,22 @@ def test_greedy_bound_is_the_float_of_the_list_form():
     assert greedy_utility_bound(no_slot, GameParams(1.0, 0.45)) == 0.0
 
 
+def test_greedy_bound_holds_one_float_per_slot():
+    # Table 4's n=1000 column (50,000 slots of one capacity): the bound fills
+    # one slot array in place, so its tracemalloc peak (numpy's buffers
+    # included) stays within two floats a slot.
+    preset = benchmarks.table_presets(4)[-1]
+    inst, params = preset.instance, preset.params
+    tracemalloc.start()
+    try:
+        bound = greedy_utility_bound(inst, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 8 * inst.total_beta
+    assert bound == _greedy_bound_as_a_list(inst, params)
+
+
 def test_greedy_bound_dominates_enumeration():
     rng = random.Random(8)
     for _ in range(40):

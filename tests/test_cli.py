@@ -1080,7 +1080,8 @@ def test_verify_prints_no_python_warnings(tmp_path):
 
 def test_one_process_commands_load_neither_openssl_nor_the_pool(tmp_path):
     # check, a one-worker reproduce and verify without sampling run in a
-    # fresh interpreter without hashlib (OpenSSL) or the process pool.
+    # fresh interpreter without hashlib (OpenSSL), the process pool or
+    # numpy.ma (which np.unique imports, 1.5 MB of RSS).
     path = write_instance(tmp_path, "desk.json", feasible_doc())
     code = """if True:
         import sys
@@ -1089,7 +1090,7 @@ def test_one_process_commands_load_neither_openssl_nor_the_pool(tmp_path):
         assert main(["check", path]) == 0
         assert main(["reproduce", "3", "--replications", "1", "--workers", "1", "--out", out]) == 0
         assert main(["verify", path]) == 0
-        heavy = ("hashlib", "_hashlib", "concurrent.futures.process", "multiprocessing")
+        heavy = ("hashlib", "_hashlib", "concurrent.futures.process", "multiprocessing", "numpy.ma")
         print(sorted(set(heavy) & set(sys.modules)))
     """
     env = dict(os.environ, PYTHONPATH=str(Path(p2pstorage.__file__).parents[1]))

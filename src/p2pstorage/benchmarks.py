@@ -6,14 +6,16 @@ Every table runs capacity 50 per unit, two equal reliability classes
 ``_LAYOUT`` gives the rest, one row per ``REFERENCE`` column.
 
 Schedules: congestion-only presets (k_a = 0) anneal the Gibbs parameter
-from 1 at ``dynamics.default_increment`` per step to the cold regime,
-which crystallizes the capacity-forced optimum (trusted resources
-saturate exactly).  Aggregation presets (k_a > 0) run at bounded noise
-instead: annealing cold makes the aggregation bonus compound during
-allocation and collapses each unit onto 2-3 piles, far below the paper's
-d_out.  Bounded gamma comes close to the published d_out on the regular
+from 1 at ``dynamics.default_increment`` per step to the cold regime, which
+ends near the capacity-forced optimum (trusted resources saturate): 0.12-0.24
+below the maximum potential of 485.0 on tables 1 and 2, 3 seeds each.
+Aggregation presets (k_a > 0) run at bounded noise instead: annealing cold
+makes the aggregation bonus compound during allocation and collapses each
+unit onto 2-3 piles, far below the paper's d_out.  At t = H, the default
+horizon, bounded gamma comes close to the published d_out on the regular
 graphs of tables 2-4, not on table 1's complete graph (k_a = 0.25: 26.7
-against 9.54); bounded noise is also what a live deployment would run.
+against 9.54).  These cells are a transient: runs that go on past H condense
+(table 2, k_a = 0.25, seeds 1-3: d_out 1.48, 1.00 and 1.28 at 8H).
 
 Reference numbers are single-run values and carry no variance; treat
 comparisons as indicative bands, not exact targets.

@@ -152,14 +152,14 @@ class AllocationState:
         """Recheck structural invariants and cache consistency."""
         if self.n != inst.n:
             raise InvalidStateError(f"state has n={self.n}, instance n={inst.n}")
-        edges = inst.topology.edges
+        out = inst.topology.out_neighbors
         load = [0] * self.n
         for x, row in enumerate(self.counts):
             row_sum = 0
             for y, c in row.items():
                 if c <= 0:
                     raise InvalidStateError(f"nonpositive stored count at ({x}, {y})")
-                if (x, y) not in edges:
+                if y not in out(x):
                     raise InvalidStateError(f"atoms stored on the non-edge ({x}, {y})")
                 row_sum += c
                 load[y] += c
@@ -177,9 +177,9 @@ class AllocationState:
         """Apply a validated single-atom move in place; rejected moves leave
         the state untouched."""
         x, dest = move.unit, move.dest
-        if not (0 <= x < self.n):
+        if not (0 <= x < min(self.n, inst.n)):
             raise RejectedMoveError(f"unit {x} out of range")
-        if (x, dest) not in inst.topology.edges:
+        if dest not in inst.topology.out_neighbors(x):
             raise RejectedMoveError(f"destination ({x}, {dest}) is not an edge")
         if move.kind == ALLOCATION:
             if move.source is not None:
@@ -275,7 +275,7 @@ def _gibbs_weights(utils: list[float], gamma: float, top: float) -> list[float]:
 def utility(inst: Instance, params: GameParams, state: AllocationState, x: int, y: int) -> float:
     """Value unit x derives from an atom it stores on resource y at the
     current state (the choice read off with y as the source, so nothing moves)."""
-    if (x, y) not in inst.topology.edges:
+    if not (0 <= x < inst.n and y in inst.topology.out_neighbors(x)):
         raise ValueError(f"({x}, {y}) is not an edge")
     if state.get(x, y) == 0:
         raise UndefinedUtilityError(f"unit {x} stores nothing on resource {y}")

@@ -461,6 +461,9 @@ _REJECTIONS = {
     "load-above-beta": (InvalidStateError, "> beta", _corrupt(
         counts=(0, {1: 2}), placed=(0, 2), load=(1, 3))),
     "unit-out-of-range": (RejectedMoveError, "out of range", _move(ALLOCATION, 5, None, 1)),
+    "unit-beyond-the-instance": (RejectedMoveError, "out of range", lambda inst, _s: AllocationState
+                                 .zeros(make(build_complete(5), (1,) * 5, (2,) * 5, (1.0,) * 5))
+                                 .apply_move(inst, Move(ALLOCATION, 4, None, 0))),
     "allocation-with-source": (RejectedMoveError, "cannot carry a source",
                                _move(ALLOCATION, 0, 1, 1)),
     "allocation-on-full-unit": (RejectedMoveError, "fully allocated",
@@ -468,6 +471,9 @@ _REJECTIONS = {
     "distribution-without-source": (RejectedMoveError, "needs a source",
                                     _move(DISTRIBUTION, 0, None, 1)),
     "unknown-kind": (RejectedMoveError, "unknown move kind", _move("teleport", 0, None, 1)),
+    # Unit -1 would index unit 2, which stores on resource 1.
+    "utility-of-a-negative-unit": (ValueError, "(-1, 1) is not an edge", lambda inst, state:
+                                   game.utility(inst, GameParams(1.0, 0.0), state, -1, 1)),
 }
 
 

@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -86,6 +87,37 @@ def test_topology_reads_integral_float_endpoints_as_ints():
     assert topo.edges == {(0, 1), (2, 1)}
     assert all(type(v) is int for edge in topo.edges for v in edge)
     assert topo.to_dict() == {"n": 3, "edges": [[0, 1], [2, 1]]}
+
+
+@pytest.mark.parametrize("edges", [((x, (x + 1) % 3) for x in range(3)), [[0, 1], [1, 2], [2, 0]]],
+                         ids=["one-shot-iterator", "list-pairs"])
+def test_topology_reads_any_iterable_of_pairs_once(edges):
+    # A generator can be read only once, and a list pair is not hashable.
+    topo, ring = Topology(3, edges), Topology(3, [(0, 1), (1, 2), (2, 0)])
+    assert topo.edges == ring.edges == {(0, 1), (1, 2), (2, 0)}
+    assert topo.to_dict() == ring.to_dict() == {"n": 3, "edges": [[0, 1], [1, 2], [2, 0]]}
+    assert topo == ring and hash(topo) == hash(ring)
+
+
+def test_topology_holds_only_its_adjacency():
+    # Table 4's n=1000 preset graph: 1,000 tuples of ten shared ints.
+    tracemalloc.start()
+    try:
+        topo = build_random_regular(1000, 10, 1093)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(topo.edges) == 10_000
+    assert held <= 0.5 * 2**20
+
+
+def test_a_loaded_edge_list_holds_one_int_per_unit():
+    # Parsed JSON gives every endpoint above 256 its own int object.
+    n = 3000
+    text = json.dumps({"n": n, "edges": [[x, (x + k) % n] for x in range(n) for k in (1, 7, 100)],
+                       "alpha": 1, "beta": 1, "lambda": 1.0})
+    topo = instance_from_dict(json.loads(text)).topology
+    assert len({id(y) for x in range(n) for y in topo.out_neighbors(x)}) <= n
 
 
 def test_random_regular_d3_n4_is_complete():

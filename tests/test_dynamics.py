@@ -569,6 +569,9 @@ def _pinned_configs():
     dense = make(build_complete(5), (3, 2, 4, 1, 2), (3,) * 5, (0.5, 0.8, 0.6, 0.8, 0.5))
     partial = AllocationState.from_entries(dense, [(0, 1, 2), (2, 3, 1), (4, 0, 1)])
     table1 = benchmark_instance(50, "complete")  # 49 candidates a step; resources fill
+    # 100 units of demand 45 on ten resources each of capacity 50: each
+    # wake-up bisects a 100-long running demand sum, each relocation up to ten piles.
+    sparse = benchmark_instance(100, "regular")
     ka0 = GameParams(1.0, 0.0)
     # Demand 35 on capacity 31, resource 4 of capacity 0, and up to three
     # piles per unit to draw a relocation's source from.
@@ -599,6 +602,9 @@ def _pinned_configs():
         "complete-proportional-partial-piles": SimConfig(
             piles, GameParams(1.0, 0.25), GammaSchedule.fixed(2.0), horizon=400,
             seed=17, variant=PROPORTIONAL, record_trace=True, initial_state=spread),
+        "regular100-fixed-allocate-first-ka": SimConfig(
+            sparse, GameParams(1.0, 0.45), GammaSchedule.fixed(1.1),
+            horizon=default_horizon(sparse), seed=18, variant=ALLOCATE_FIRST, record_trace=True),
     }
 
 
@@ -610,6 +616,7 @@ PINNED_RUN_DIGESTS = {
     "table1-complete-fixed-allocate-first-ka": "803fe5193cf35a63b0bd21e153081797f878c97269145097b811f7c1e4f93786",
     "table1-complete-annealed-allocate-first-ka0": "72a16859e6dc413a2f39aaf9b882bc667fb11b6ef3144f70e5c4fd35ce769c56",
     "complete-proportional-partial-piles": "dd7a2d37052dd97a0698b4a55c2d616625e44ced57e034284d65efceb4f8192e",
+    "regular100-fixed-allocate-first-ka": "7759aa205b3cce8cc19afea8e8c0689eb29e44f6885a863bd8f6e1682f92de1f",
 }
 
 PINNED_KERNEL_DIGEST = "adb8eda9043b5b42e9f092e50ffd2d05a241d08de46359f90ac4cca92a6febe7"

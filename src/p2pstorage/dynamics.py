@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, islice
 from operator import add, itemgetter
@@ -170,7 +170,7 @@ def _engine(config: SimConfig, state: AllocationState):
     out-neighbours, an ``itemgetter`` that reads its out-neighbours' terms
     in C, and the running sums of its counts, cleared when the unit
     transfers and rebuilt at its next relocation.  A step bisects running
-    sums for the source pile and the destination and calls only
+    sums for the unit, the source pile and the destination and calls only
     ``state._shift`` and, when gamma anneals, ``gamma_at``: the sums of
     ``game._choice`` and the terms of ``_resource_term``, ``_unit_term`` and
     ``_gibbs_weights`` are written in line, with the same float operations
@@ -194,8 +194,11 @@ def _engine(config: SimConfig, state: AllocationState):
         itemgetter(*ys) if len(ys) > 1 else itemgetter(slice(ys[0], ys[0] + 1) if ys else slice(0))
         for ys in out
     ]
-    sums, ends = [None] * inst.n, [0] * inst.n  # each unit's pile sums, last nonempty pile
-    cum_alpha, total = list(accumulate(alpha)), inst.total_alpha
+    sums = [None] * inst.n  # each unit's running pile sums
+    # Below 2**53 a float holds every running demand sum exactly, so the
+    # wake-up draw compares floats with floats: a float key against ints is slower.
+    cum_alpha = list(accumulate(map(float, alpha) if inst.total_alpha < 2**53 else alpha))
+    total = cum_alpha[-1]
     gamma, gamma_at = config.schedule.gamma0, config.schedule.gamma_at
     annealed, exp, inf = config.schedule.increment != 0.0, math.exp, math.inf
     rng = random.Random(config.seed)
@@ -205,14 +208,13 @@ def _engine(config: SimConfig, state: AllocationState):
         p_alloc, p_dist = kinds[x]
         ys, pile, row = out[x], piles[x], bonus[x]
         utils = list(map(add, terms[x](enter), row))
-        source = slot = None
-        if not (p_dist == 0 or (p_alloc > 0 and uniform() < p_alloc)):
-            # The source pile, drawn in proportion to the atoms stored there;
-            # running off the end (r == placed) keeps the last nonempty pile.
+        source, slot = None, -1  # slot -1: no source pile
+        if not (p_dist == 0.0 or (p_alloc > 0.0 and uniform() < p_alloc)):
+            # The source pile, drawn in proportion to the atoms stored there:
+            # random() <= 1 - 2**-53, so the key stays below placed[x].
             if (cum := sums[x]) is None:
                 cum = sums[x] = list(accumulate(pile))
-                ends[x] = bisect_left(cum, placed[x])
-            slot = bisect_right(cum, uniform() * placed[x], 0, ends[x])
+            slot = bisect_right(cum, uniform() * placed[x])
             source, back = ys[slot], k_a * pile[slot]
             utils[slot] = stay[source] + back  # the atom put back
         if not utils or (top := max(utils)) == -inf:  # a new atom fits nowhere

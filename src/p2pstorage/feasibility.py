@@ -187,12 +187,12 @@ def check_strict(inst: Instance) -> FeasibilityVerdict:
 
 def _subset_tables(values, low: int, combine, dtype) -> list[np.ndarray]:
     """For ``values[:low]`` and ``values[low:]``, the table whose entry m
-    combines the values at the set bits of m, built by doubling."""
+    combines the values at the set bits of m, filled in place by doubling."""
     tables = []
     for part in (values[:low], values[low:]):
-        table = np.zeros(1, dtype)
-        for value in part:
-            table = np.concatenate([table, combine(table, value)])
+        table = np.zeros(1 << len(part), dtype)
+        for k, value in enumerate(part):
+            combine(table[: 1 << k], value, out=table[1 << k : 2 << k])
         tables.append(table)
     return tables
 
@@ -277,8 +277,10 @@ def check_feasible_matching(inst: Instance) -> FeasibilityVerdict:
             first += take
         left_over.extend(range(first, atom))
 
+    ranges = [[range(slot_start[y], slot_start[y + 1]) for y in out(x)] for x in range(n)]
+
     def slots(atom: int):
-        return (s for y in out(atom_unit[atom]) for s in range(slot_start[y], slot_start[y + 1]))
+        return itertools.chain.from_iterable(ranges[atom_unit[atom]])
 
     def augment(atom: int, visited: list[bool]) -> bool:
         # Kuhn's search for an augmenting path, with an explicit stack:
@@ -305,7 +307,13 @@ def check_feasible_matching(inst: Instance) -> FeasibilityVerdict:
             tries.append(slots(owner))
         return False
 
-    unmatched = [atom for atom in left_over if not augment(atom, [False] * num_slots)]
+    # A failed search changes no slot, so its marks hold until an augmentation.
+    unmatched, visited = [], [False] * num_slots
+    for atom in left_over:
+        if augment(atom, visited):
+            visited = [False] * num_slots
+        else:
+            unmatched.append(atom)
     if not unmatched:
         return FeasibilityVerdict(True)
 

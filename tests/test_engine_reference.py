@@ -148,6 +148,10 @@ _TIED = Instance(Topology(4, frozenset({(0, 1), (0, 2), (0, 3), (3, 2)})), (2, 0
 # A full state where each relocation's only room is its own source: the
 # other out-neighbour is full (unit 0) or has no capacity (unit 1).
 _PINNED = Instance(build_complete(3), (1, 1, 0), (0, 1, 1), (0.5, 0.8, 0.6))
+# Total demand 2**53 - 1, whose running sums a float still holds exactly,
+# and 2**60, past it, each on capacity 7: it fills, then most steps block.
+_HUGE = [Instance(build_complete(4), alpha, (2, 1, 3, 1), (0.5, 0.8, 0.6, 0.9)) for alpha in (
+    (2**51 + 7, 2**52, 2**50, 2**50 - 8), (2**59 + 5, 2**58, 2**57, 2**57 - 5))]
 
 
 @settings(max_examples=300, deadline=None)
@@ -164,6 +168,10 @@ _PINNED = Instance(build_complete(3), (1, 1, 0), (0, 1, 1), (0.5, 0.8, 0.6))
                    initial_state=AllocationState.from_entries(_TIED, [(3, 2, 1)])))
 @example(SimConfig(_PINNED, GameParams(1.0, 0.45), GammaSchedule.fixed(1.5), horizon=20, seed=6,
                    initial_state=AllocationState.from_entries(_PINNED, [(0, 1, 1), (1, 2, 1)])))
+@example(SimConfig(_HUGE[0], GameParams(1.0, 0.45), GammaSchedule(1.0, 0.01), horizon=300,
+                   seed=37, variant=PROPORTIONAL))
+@example(SimConfig(_HUGE[1], GameParams(1.0, 0.45), GammaSchedule(1.0, 0.01), horizon=300,
+                   seed=38, variant=ALLOCATE_FIRST))
 def test_engine_stream_matches_reference_stepper(config):
     assert engine_stream(config) == list(reference_stream(config))
     # Step both on their own states again, and after every step compare the
@@ -190,3 +198,20 @@ def test_engine_never_draws_a_destination_of_probability_zero():
             continue
         law = game.gibbs_choice_distribution(inst, params, state, move.unit, gamma, move.source)
         assert law[move.dest] > 0, (seed, move)
+
+
+def test_a_draw_key_stays_below_its_total():
+    # random() is at most 1 - 2**-53, so random() * p < p: a bisection for
+    # it never runs off the end of a running sum ending in p.  The engine's
+    # draws rely on this with no guard.  The bound fails on subnormal
+    # floats, and no weight sum is subnormal: its top weight is 1.0.
+    top = 1 - 2**-53
+    rng = random.Random(53)
+    ints = [1, 10**30] + [2**k + d for k in range(1, 81) for d in (-1, 0, 1)]
+    ints += [rng.randrange(1, 2 ** rng.randint(1, 80)) for _ in range(300_000)]
+    floats = [math.ldexp(1.0 + rng.random(), e) for e in range(1000) for _ in range(200)]
+    powers = [math.ldexp(1.0, e) for e in range(1001)]
+    floats += powers + [math.nextafter(p, math.inf) for p in powers[:-1]]
+    floats += [math.nextafter(p, 0.0) for p in powers[1:]]
+    assert [p for p in ints + floats if not top * p < p] == []
+    assert top * 5e-324 == 5e-324  # the smallest subnormal

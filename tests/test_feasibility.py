@@ -619,6 +619,17 @@ def test_matching_counts_uncovered_atoms():
     assert witness_violates(inst, verdict.witness)
 
 
+def test_matching_keeps_a_failed_search_marks_over_one_full_region():
+    # Units 0-39 of demand 50 share resources 40-49 of capacity 100: first
+    # fit fills the region, and each of the 1,000 leftover atoms reaches it
+    # all and no free slot.
+    edges = frozenset((x, y) for x in range(40) for y in range(40, 50))
+    inst = make(Topology(50, edges), (50,) * 40 + (0,) * 10, (0,) * 40 + (100,) * 10)
+    matching, flow = check_feasible_matching(inst), check_feasible_flow(inst)
+    assert matching == flow == FeasibilityVerdict(False, tuple(range(40)))
+    assert witness_violates(inst, matching.witness)
+
+
 def test_matching_agrees_with_flow_on_random_instances():
     rng = random.Random(2024)
     for _ in range(300):

@@ -505,7 +505,7 @@ def sample_chain(
     weights, _ = _edge_weights(inst)
     code = sum(c * weights[x][y] for x, y, c in state.key())
     tally: dict[int, int] = {}
-    for _t, x, (source, dest) in islice(stream, steps):  # relocations only
+    for _t, x, source, dest in islice(stream, steps):  # relocations only
         code += weights[x][dest] - weights[x][source]
         tally[code] = tally.get(code, 0) + 1
     return tally

@@ -144,13 +144,6 @@ def _move_kind(a: int, placed: int, variant: str) -> tuple[float, float]:
     return ((a - placed) / a, placed / a)
 
 
-def _as_move(x: int, drawn: tuple[int | None, int] | None) -> Move | None:
-    if drawn is None:
-        return None
-    source, dest = drawn
-    return Move(ALLOCATION if source is None else DISTRIBUTION, x, source, dest)
-
-
 def _initial_state(config: SimConfig) -> AllocationState:
     if config.initial_state is None:
         return AllocationState.zeros(config.instance)
@@ -161,17 +154,19 @@ def _initial_state(config: SimConfig) -> AllocationState:
 
 def _engine(config: SimConfig, state: AllocationState):
     """The one step loop: step ``state`` in place over the horizon,
-    yielding (t, x, drawn) for the unit x that woke, with drawn the applied
-    (source, dest) or None for a blocked activation.
+    yielding (t, x, source, dest) for the unit x that woke: the applied move
+    (source None for a new atom), or (t, x, None, None) for a blocked
+    activation.
 
-    It keeps each resource's utility term at its load and one atom up (-inf,
-    weight 0.0, where the atom does not fit), and each unit's ``_move_kind``,
-    rows of atom counts and unit terms aligned with its ascending
-    out-neighbours, an ``itemgetter`` that reads its out-neighbours' terms
-    in C, and the running sums of its counts, cleared when the unit
-    transfers and rebuilt at its next relocation.  A step bisects running
-    sums for the unit, the source pile and the destination and calls only
-    ``state._shift`` and, when gamma anneals, ``gamma_at``: the sums of
+    Its piles are the state's own ``rows``, and it writes them, ``load`` and
+    ``placed`` in line, as ``state._shift`` would.  It keeps each resource's
+    utility term at its load and one atom up (-inf, weight 0.0, where the
+    atom does not fit), and each unit's ``_move_kind``, unit terms aligned
+    with its row, an ``itemgetter`` that reads its out-neighbours' terms in
+    C, and the running sums of its row, cleared when the unit transfers and
+    rebuilt at its next relocation.  A step bisects running sums for the
+    unit, the source pile and the destination and calls only ``_move_kind``
+    after an allocation and, when gamma anneals, ``gamma_at``: the sums of
     ``game._choice`` and the terms of ``_resource_term``, ``_unit_term`` and
     ``_gibbs_weights`` are written in line, with the same float operations
     in the same order.  Those stay the definitions; the reference stepper
@@ -181,12 +176,10 @@ def _engine(config: SimConfig, state: AllocationState):
     if inst.total_alpha == 0 or config.horizon == 0:
         return
     variant, alpha, lam, beta = config.variant, inst.alpha, inst.reliability, inst.beta
-    out = list(map(inst.topology.out_neighbors, range(inst.n)))  # each ascending
-    placed, load = state.placed, state.load
+    out, piles, placed, load = state.out, state.rows, state.placed, state.load
     k_c, k_a = config.params.k_c, config.params.k_a
     stay = [_resource_term(inst, k_c, y, w) for y, w in enumerate(load)]
     enter = [_resource_term(inst, k_c, y, w + 1) for y, w in enumerate(load)]
-    piles = [[row.get(y, 0) for y in ys] for ys, row in zip(out, state.counts)]
     bonus = [[_unit_term(k_a, c + 1) for c in pile] for pile in piles]
     kinds = [_move_kind(a, p, variant) for a, p in zip(alpha, placed)]
     # An itemgetter of one index reads a float, not a row: short rows read a slice.
@@ -218,7 +211,7 @@ def _engine(config: SimConfig, state: AllocationState):
             source, back = ys[slot], k_a * pile[slot]
             utils[slot] = stay[source] + back  # the atom put back
         if not utils or (top := max(utils)) == -inf:  # a new atom fits nowhere
-            yield t, x, None
+            yield t, x, None, None
             continue
         if annealed:
             gamma = gamma_at(t)
@@ -232,18 +225,20 @@ def _engine(config: SimConfig, state: AllocationState):
         if i != slot:
             # One atom more shifts dest's terms down by one, one fewer shifts
             # the source's up: its second term is its old first.
-            state._shift(x, source, dest)
             sums[x] = None
             pile[i], row[i] = pile[i] + 1, k_a * (pile[i] + 2)
+            load[dest] += 1
             w, b = load[dest] + 1, beta[dest]  # w > 0: dest holds an atom
             stay[dest], enter[dest] = enter[dest], lam[dest] - k_c * w / b if w <= b else -inf
             if source is None:
+                placed[x] += 1
                 kinds[x] = _move_kind(alpha[x], placed[x], variant)
             else:
                 pile[slot], row[slot] = pile[slot] - 1, back
+                load[source] -= 1
                 enter[source], w, b = stay[source], load[source], beta[source]
                 stay[source] = lam[source] - k_c * w / b if 0 < w <= b else -inf
-        yield t, x, (source, dest)
+        yield t, x, source, dest
 
 
 def run(config: SimConfig) -> RunResult:
@@ -258,10 +253,9 @@ def run(config: SimConfig) -> RunResult:
     trace: list[tuple[int, Move]] | None = [] if config.record_trace else None
     remaining = config.instance.total_alpha - state.total_placed()
     completed_at = 0 if remaining == 0 else None
-    for t, x, drawn in _engine(config, state):
-        if drawn is None:
+    for t, x, source, dest in _engine(config, state):
+        if dest is None:
             continue
-        source, dest = drawn
         if source is None:
             moves[x] += 1
             remaining -= 1
@@ -270,7 +264,8 @@ def run(config: SimConfig) -> RunResult:
         elif dest != source:
             moves[x] += 1
         if trace is not None:
-            trace.append((t, _as_move(x, drawn)))
+            kind = ALLOCATION if source is None else DISTRIBUTION
+            trace.append((t, Move(kind, x, source, dest)))
     return RunResult(state, remaining == 0, completed_at, moves, trace)
 
 
@@ -282,8 +277,9 @@ def state_stream(config: SimConfig):
     derive what they need (e.g. state.key()) before advancing.
     """
     state = _initial_state(config)
-    for t, x, drawn in _engine(config, state):
-        yield t, state, _as_move(x, drawn)
+    for t, x, source, dest in _engine(config, state):
+        kind = ALLOCATION if source is None else DISTRIBUTION
+        yield t, state, None if dest is None else Move(kind, x, source, dest)
 
 
 def place_all(config: SimConfig, cap: int):
@@ -294,8 +290,8 @@ def place_all(config: SimConfig, cap: int):
     state = _initial_state(config)
     stream = _engine(config, state)
     remaining = config.instance.total_alpha - state.total_placed()
-    for _t, _x, drawn in islice(stream, cap if remaining else 0):
-        if drawn is not None and drawn[0] is None:
+    for _t, _x, source, dest in islice(stream, cap if remaining else 0):
+        if source is None and dest is not None:
             remaining -= 1
             if remaining == 0:
                 break

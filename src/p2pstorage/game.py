@@ -12,8 +12,9 @@ the arrays of many.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -87,27 +88,29 @@ class Move:
 
 
 class AllocationState:
-    """Sparse atom-count matrix with cached row and column sums.
+    """Atom-count matrix with cached row and column sums.
 
-    ``counts[x]`` maps resource -> atoms of unit x stored there (nonzero
-    entries only), ``placed[x]`` is unit x's row sum, ``load[y]`` is
-    resource y's column sum.  Mutated only through ``_shift``: apply_move
-    calls it after validating a move, and the dynamics engine with moves
-    valid by construction.
+    ``rows[x][i]`` counts unit x's atoms on ``out[x][i]``, zeros kept, where
+    ``out`` is the instance's adjacency (shared): the one counts layout of
+    ``_edges``.  ``placed[x]`` is row x's sum, ``load[y]`` resource y's
+    column sum, and ``counts`` the nonzero entries as dicts, made on access.
+    Mutated by ``_shift`` once apply_move has validated a move, and in line
+    by the dynamics engine, whose moves are valid by construction.
     """
 
-    __slots__ = ("n", "counts", "placed", "load")
+    __slots__ = ("n", "out", "rows", "placed", "load")
 
-    def __init__(self, n: int, counts: list[dict[int, int]], placed: list[int], load: list[int]):
-        self.n = n
-        self.counts = counts
+    def __init__(self, out: tuple, rows: list[list[int]], placed: list[int], load: list[int]):
+        self.n = len(out)
+        self.out = out
+        self.rows = rows
         self.placed = placed
         self.load = load
 
     @classmethod
     def zeros(cls, inst: Instance) -> "AllocationState":
-        n = inst.n
-        return cls(n, [dict() for _ in range(n)], [0] * n, [0] * n)
+        out = inst.topology._out
+        return cls(out, [[0] * len(ys) for ys in out], [0] * inst.n, [0] * inst.n)
 
     @classmethod
     def from_entries(cls, inst: Instance, entries) -> "AllocationState":
@@ -119,24 +122,32 @@ class AllocationState:
                 raise ValueError(f"negative count at ({x}, {y})")
             if c == 0:
                 continue
-            if y in state.counts[x]:
+            if not 0 <= x < state.n:
+                raise InvalidStateError(f"entry ({x}, {y}) names no unit of the graph")
+            if (i := state._slot(x, y)) is None:
+                raise InvalidStateError(f"atoms stored on the non-edge ({x}, {y})")
+            if state.rows[x][i]:
                 raise ValueError(f"duplicate entry ({x}, {y})")
-            state.counts[x][y] = c
+            state.rows[x][i] = c
             state.placed[x] += c
             state.load[y] += c
         state.validate(inst)
         return state
 
+    @property
+    def counts(self) -> list[dict[int, int]]:
+        return [{y: c for y, c in zip(ys, row) if c} for ys, row in zip(self.out, self.rows)]
+
     def copy(self) -> "AllocationState":
-        return AllocationState(
-            self.n,
-            [dict(row) for row in self.counts],
-            list(self.placed),
-            list(self.load),
-        )
+        return AllocationState(self.out, [*map(list, self.rows)], [*self.placed], [*self.load])
+
+    def _slot(self, x: int, y: int) -> int | None:
+        """Position of resource y in unit x's row; None off x's out-neighbours."""
+        i = bisect_left(ys := self.out[x], y)
+        return i if i < len(ys) and ys[i] == y else None
 
     def get(self, x: int, y: int) -> int:
-        return self.counts[x].get(y, 0)
+        return 0 if (i := self._slot(x, y)) is None else self.rows[x][i]
 
     def total_placed(self) -> int:
         return sum(self.placed)
@@ -146,23 +157,29 @@ class AllocationState:
 
     def key(self) -> tuple:
         """Canonical hashable form: sorted nonzero (x, y, count) triples."""
-        return tuple(sorted((x, y, c) for x, row in enumerate(self.counts) for y, c in row.items()))
+        return tuple((x, y, c) for x, (ys, row) in enumerate(zip(self.out, self.rows))
+                     for y, c in zip(ys, row) if c)
+
+    def _check_graph(self, inst: Instance) -> None:
+        # Rows are read by position, so they must be laid out on inst's graph
+        # (in O(1) when the state shares the instance's adjacency, as built).
+        if self.out is not inst.topology._out and self.out != inst.topology._out:
+            raise InvalidStateError("the state is laid out on another graph than the instance's")
 
     def validate(self, inst: Instance) -> None:
         """Recheck structural invariants and cache consistency."""
         if self.n != inst.n:
             raise InvalidStateError(f"state has n={self.n}, instance n={inst.n}")
-        out = inst.topology.out_neighbors
+        self._check_graph(inst)
+        if list(map(len, self.rows)) != list(map(len, self.out)):
+            raise InvalidStateError("a row's length is not its unit's out-degree")
         load = [0] * self.n
-        for x, row in enumerate(self.counts):
-            row_sum = 0
-            for y, c in row.items():
-                if c <= 0:
-                    raise InvalidStateError(f"nonpositive stored count at ({x}, {y})")
-                if y not in out(x):
-                    raise InvalidStateError(f"atoms stored on the non-edge ({x}, {y})")
-                row_sum += c
+        for x, (ys, row) in enumerate(zip(self.out, self.rows)):
+            for y, c in zip(ys, row):
+                if c < 0:
+                    raise InvalidStateError(f"negative stored count at ({x}, {y})")
                 load[y] += c
+            row_sum = sum(row)
             if row_sum != self.placed[x]:
                 raise InvalidStateError(f"stale row cache for unit {x}")
             if row_sum > inst.alpha[x]:
@@ -179,6 +196,7 @@ class AllocationState:
         x, dest = move.unit, move.dest
         if not (0 <= x < min(self.n, inst.n)):
             raise RejectedMoveError(f"unit {x} out of range")
+        self._check_graph(inst)
         if dest not in inst.topology.out_neighbors(x):
             raise RejectedMoveError(f"destination ({x}, {dest}) is not an edge")
         if move.kind == ALLOCATION:
@@ -192,7 +210,7 @@ class AllocationState:
             src = move.source
             if src is None:
                 raise RejectedMoveError("distribution move needs a source")
-            if self.counts[x].get(src, 0) <= 0:
+            if self.get(x, src) <= 0:
                 raise RejectedMoveError(f"unit {x} stores nothing in {src}")
             if dest != src and self.load[dest] >= inst.beta[dest]:
                 raise RejectedMoveError(f"resource {dest} is full")
@@ -204,19 +222,18 @@ class AllocationState:
     def _shift(self, x: int, source: int | None, dest: int) -> None:
         """Move one atom of unit x from ``source`` to ``dest`` without any
         check: ``source`` None places a new atom, ``source == dest`` does
-        nothing.  The one state mutation behind apply_move and the dynamics
-        engine."""
+        nothing.  The state mutation behind apply_move; the dynamics engine
+        writes the same change in line (the reference stepper test holds
+        the two together)."""
         if source == dest:
             return
-        row = self.counts[x]
+        row = self.rows[x]
         if source is None:
             self.placed[x] += 1
         else:
-            row[source] -= 1
-            if not row[source]:
-                del row[source]
+            row[self._slot(x, source)] -= 1
             self.load[source] -= 1
-        row[dest] = row.get(dest, 0) + 1
+        row[self._slot(x, dest)] += 1
         self.load[dest] += 1
 
 
@@ -242,13 +259,17 @@ def _choice(
     the self-move), each scored at the post-move state as its resource term
     plus its unit term: the engine's row for x, built from x's out-neighbours
     only, less its -inf entries."""
-    out, load, row = inst.topology.out_neighbors(x), state.load, state.counts[x]
+    if not 0 <= x < inst.n:
+        raise ValueError(f"unit {x} out of range for n={inst.n}")
+    state._check_graph(inst)
+    out, load, row = inst.topology.out_neighbors(x), state.load, state.rows[x]
     k_c, k_a = params.k_c, params.k_a
-    utils = [_resource_term(inst, k_c, y, load[y] + 1) + _unit_term(k_a, row.get(y, 0) + 1)
-             for y in out]
+    utils = [_resource_term(inst, k_c, y, load[y] + 1) + _unit_term(k_a, c + 1)
+             for y, c in zip(out, row)]
     if source is not None:  # the atom back where it was
-        w, c = load[source], row.get(source, 0)
-        utils[out.index(source)] = _resource_term(inst, k_c, source, w) + _unit_term(k_a, c)
+        if (i := state._slot(x, source)) is None or row[i] <= 0:
+            raise ValueError(f"unit {x} stores nothing in {source}")
+        utils[i] = _resource_term(inst, k_c, source, load[source]) + _unit_term(k_a, row[i])
     fits = [(y, u) for y, u in zip(out, utils) if u > -math.inf]
     return [y for y, _ in fits], [u for _, u in fits]
 
@@ -319,8 +340,6 @@ def gibbs_choice_distribution(
     This is the law the dynamics engine samples from.
     """
     _check_gamma(gamma, finite=False)
-    if source is not None and state.counts[x].get(source, 0) <= 0:
-        raise ValueError(f"unit {x} stores nothing in {source}")
     cands, utils = _choice(inst, params, state, x, source)
     if not cands:
         raise NoAvailableResourceError(f"unit {x} has no available resource")
@@ -337,11 +356,10 @@ def is_nash(inst: Instance, params: GameParams, state: AllocationState) -> bool:
     """
     if not state.is_full(inst):
         raise InvalidStateError("Nash test is defined on full allocation states")
-    for x in range(inst.n):
-        for y in state.counts[x]:
-            cands, utils = _choice(inst, params, state, x, source=y)
-            if max(utils) > utils[cands.index(y)] + TIE_TOL:
-                return False
+    for x, y, _c in state.key():
+        cands, utils = _choice(inst, params, state, x, source=y)
+        if max(utils) > utils[cands.index(y)] + TIE_TOL:
+            return False
     return True
 
 
@@ -374,9 +392,9 @@ def _bulk(inst: Instance, state) -> tuple[np.ndarray, np.ndarray, bool]:
     vectors, or those arrays of many states: ``load`` the atoms held by each
     resource, ``counts`` the atoms on each edge in ``_edges`` order, zeros kept."""
     if isinstance(state, AllocationState):
-        out = inst.topology.out_neighbors
-        counts = [row.get(y, 0) for x, row in enumerate(state.counts) for y in out(x)]
-        state = np.array(state.load), np.array(counts, dtype=np.int64)
+        state._check_graph(inst)
+        counts = np.array(list(chain.from_iterable(state.rows)), dtype=np.int64)
+        state = np.array(state.load), counts
     load, counts = state
     return np.atleast_2d(load), np.atleast_2d(counts), load.ndim == 1
 

@@ -4,11 +4,12 @@ The reference below is the step rule written out directly, with no state
 kept between steps: every activation scores each out-neighbour from
 reliability, capacity, load and the unit's counts in one expression, sums
 the Gibbs weights with ``sum()`` and scans them linearly.  The engine's
-(t, x, drawn) stream must match it draw for draw and bit for bit, and its
-state must match the reference's after every step.
+(t, x, source, dest) stream must match it draw for draw and bit for bit,
+and its state's rows must match the reference's after every step.
 """
 
 import math
+import operator
 import random
 from bisect import bisect_right
 from itertools import accumulate
@@ -25,6 +26,7 @@ from p2pstorage.dynamics import (
     _engine,
     _initial_state,
     _move_kind,
+    run,
     state_stream,
 )
 from p2pstorage.game import ALLOCATION, AllocationState, GameParams, Move
@@ -85,12 +87,12 @@ def reference_stream(config, state=None):
                     break
         cands, utils = reference_choice(inst, config.params, state, x, source)
         if not cands:
-            yield t, x, None
+            yield t, x, None, None
             continue
         dest = reference_draw(rng, cands, utils, config.schedule.gamma_at(t))
         kind = ALLOCATION if source is None else game.DISTRIBUTION
         state.apply_move(inst, Move(kind, x, source, dest))
-        yield t, x, (source, dest)
+        yield t, x, source, dest
 
 
 def engine_stream(config):
@@ -175,11 +177,46 @@ _HUGE = [Instance(build_complete(4), alpha, (2, 1, 3, 1), (0.5, 0.8, 0.6, 0.9)) 
 def test_engine_stream_matches_reference_stepper(config):
     assert engine_stream(config) == list(reference_stream(config))
     # Step both on their own states again, and after every step compare the
-    # states: the same rows, columns and counts, and no zero count kept.
+    # states: the same count rows and row and column sums, each consistent.
     mine, ref = _initial_state(config), _initial_state(config)
     for _ in zip(_engine(config, mine), reference_stream(config, ref)):
-        assert (mine.placed, mine.load, mine.counts) == (ref.placed, ref.load, ref.counts)
-        assert all(0 not in row.values() for row in mine.counts)
+        assert (mine.placed, mine.load, mine.rows) == (ref.placed, ref.load, ref.rows)
+        mine.validate(config.instance)
+
+
+def assert_state_forms_agree(inst, state):
+    """The rows, read in ``game._edges`` order, are ``_bulk``'s counts, on
+    the instance's own out-neighbour tuples; ``key()``, ``get`` and
+    ``counts`` read the same atoms; and a copy shares no row."""
+    units, resources = (a.tolist() for a in game._edges(inst))
+    read = [state.rows[x][state.out[x].index(y)] for x, y in zip(units, resources)]
+    assert read == game._bulk(inst, state)[1][0].tolist()
+    assert all(a is b for a, b in zip(state.out, map(inst.topology.out_neighbors, range(inst.n))))
+    nonzero = [(x, y, c) for x, y, c in zip(units, resources, read) if c]
+    assert state.key() == tuple(nonzero)
+    assert [state.get(x, y) for x, y in zip(units, resources)] == read
+    assert all(state.get(x, y) == 0 for x in range(inst.n) for y in range(inst.n + 1)
+               if y not in state.out[x])
+    assert state.counts == [{y: c for u, y, c in nonzero if u == x} for x in range(inst.n)]
+    twin = state.copy()
+    assert twin.rows == state.rows and twin.out is state.out
+    assert twin.rows is not state.rows and not any(map(operator.is_, twin.rows, state.rows))
+
+
+@settings(max_examples=150, deadline=None)
+@given(configs(), st.randoms(use_true_random=False))
+def test_state_rows_key_get_and_counts_agree(config, rng):
+    # States from engine runs (after every step), from copies and from
+    # from_entries, its entries shuffled, with zero counts among them.
+    inst = config.instance
+    for _t, state, _move in state_stream(config):
+        assert_state_forms_agree(inst, state)
+    final = run(config).final_state
+    entries = list(final.key()) + [(x, y, 0) for x, y, _c in final.key()[:1]]
+    rng.shuffle(entries)
+    for state in (final, final.copy(), AllocationState.from_entries(inst, entries)):
+        assert_state_forms_agree(inst, state)
+        assert state.key() == final.key()
 
 
 def test_engine_never_draws_a_destination_of_probability_zero():

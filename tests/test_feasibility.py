@@ -436,10 +436,14 @@ def reference_outcome(inst):
 def allocation_from_flow(inst, flow):
     """The solver's per-unit flow rows as an allocation state, with its row
     and column sums taken from the solver's unshipped demand and spare
-    capacity."""
+    capacity.  The solver keeps only positive flows, each on an edge."""
     placed = [a - left for a, left in zip(inst.alpha, flow.left)]
     load = [b - spare for b, spare in zip(inst.beta, flow.spare)]
-    return AllocationState(inst.n, [dict(row) for row in flow.flow], placed, load)
+    out = inst.topology._out
+    for x, row in enumerate(flow.flow):
+        assert all(c > 0 and y in out[x] for y, c in row.items()), (x, row)
+    rows = [[row.get(y, 0) for y in ys] for ys, row in zip(out, flow.flow)]
+    return AllocationState(out, rows, placed, load)
 
 
 def test_flow_equals_the_reference_network():

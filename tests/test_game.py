@@ -438,6 +438,16 @@ def _corrupt(**changes):
     return edit
 
 
+def _entries(*entries):
+    return lambda inst, _s: AllocationState.from_entries(inst, entries)
+
+
+def _complete3_state(*entries):
+    # A state on the complete graph: its atoms on (0, 2) or (2, 0) are off the line.
+    return AllocationState.from_entries(
+        make(build_complete(3), (2, 1, 1), (2, 2, 2), (1.0,) * 3), entries)
+
+
 def _move(*fields):
     return lambda inst, state: state.apply_move(inst, Move(*fields))
 
@@ -452,14 +462,30 @@ _REJECTIONS = {
                         AllocationState.from_entries(inst, [(0, 1, 1), (0, 1, 1)])),
     "n-mismatch": (InvalidStateError, "instance n=2", lambda _i, state: state.validate(
         make(build_complete(2), (1, 1), (1, 1), (1.0, 1.0)))),
-    "nonpositive-count": (InvalidStateError, "nonpositive", _corrupt(counts=(0, {1: 0}))),
-    "non-edge": (InvalidStateError, "non-edge", _corrupt(counts=(0, {1: 1, 2: 1}))),
+    "nonpositive-count": (InvalidStateError, "negative stored count", _corrupt(rows=(0, [-1]))),
+    "non-edge": (InvalidStateError, "non-edge (0, 2)", _entries((0, 1, 1), (0, 2, 1))),
+    "short-row": (InvalidStateError, "row's length", _corrupt(rows=(1, [0]))),
     "stale-row-cache": (InvalidStateError, "stale row", _corrupt(placed=(0, 2))),
     "placed-above-alpha": (InvalidStateError, "> alpha", _corrupt(
-        counts=(0, {1: 3}), placed=(0, 3), load=(1, 4))),
+        rows=(0, [3]), placed=(0, 3), load=(1, 4))),
     "stale-column-cache": (InvalidStateError, "stale column", _corrupt(load=(1, 1))),
     "load-above-beta": (InvalidStateError, "> beta", _corrupt(
-        counts=(0, {1: 2}), placed=(0, 2), load=(1, 3))),
+        rows=(0, [2]), placed=(0, 2), load=(1, 3))),
+    # Unit -1 would index unit 2, and unit 3 or resource 3 no list at all.
+    "entry-of-a-negative-unit": (InvalidStateError, "entry (-1, 1)", _entries((-1, 1, 1))),
+    "entry-beyond-the-graph": (InvalidStateError, "entry (3, 1)", _entries((3, 1, 1))),
+    "entry-on-a-resource-beyond-the-graph": (InvalidStateError, "non-edge (0, 3)",
+                                             _entries((0, 3, 1))),
+    "scored-on-another-graph": (InvalidStateError, "another graph", lambda inst, _s: game.potential(
+                                inst, GameParams(1.0, 0.45), _complete3_state((0, 2, 1)))),
+    "validated-on-another-graph": (InvalidStateError, "another graph", lambda inst, _s:
+                                   _complete3_state().validate(inst)),
+    # Unit 2's one atom, on resource 0, would read as an atom on resource 1.
+    "chosen-on-another-graph": (InvalidStateError, "another graph", lambda inst, _s: game
+                                .gibbs_choice_distribution(inst, GameParams(1.0, 0.45),
+                                                           _complete3_state((2, 0, 1)), 2, 1.0)),
+    "moved-on-another-graph": (InvalidStateError, "another graph", lambda inst, _s:
+                               _complete3_state().apply_move(inst, Move(ALLOCATION, 0, None, 1))),
     "unit-out-of-range": (RejectedMoveError, "out of range", _move(ALLOCATION, 5, None, 1)),
     "unit-beyond-the-instance": (RejectedMoveError, "out of range", lambda inst, _s: AllocationState
                                  .zeros(make(build_complete(5), (1,) * 5, (2,) * 5, (1.0,) * 5))
@@ -474,6 +500,11 @@ _REJECTIONS = {
     # Unit -1 would index unit 2, which stores on resource 1.
     "utility-of-a-negative-unit": (ValueError, "(-1, 1) is not an edge", lambda inst, state:
                                    game.utility(inst, GameParams(1.0, 0.0), state, -1, 1)),
+    "choice-of-a-negative-unit": (ValueError, "unit -1 out of range", lambda inst, state:
+                                  game.gibbs_choice_distribution(
+                                      inst, GameParams(1.0, 0.0), state, -1, 1.0)),
+    "choice-beyond-the-instance": (ValueError, "unit 3 out of range", lambda inst, state:
+                                   game.available_resources(inst, state, 3)),
 }
 
 

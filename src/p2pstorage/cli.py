@@ -157,18 +157,11 @@ def _write_trace(path: Path, config: SimConfig, trace) -> None:
 
 
 def cmd_check(args) -> int:
-    inst = load_instance(args.instance)
-    # One max-flow: a strict failure's witness exceeds its capacity when not
-    # all demand ships, and only meets it (a tight set) when all of it does.
-    strict = feasibility.check_strict(inst)
-    feasible = strict.feasible or not feasibility.witness_violates(inst, strict.witness)
-    report = {"feasible": feasible, "strict": strict.feasible if feasible else None, "witness": None}
-    if not feasible:
-        report["witness"] = list(strict.witness)
-    elif not strict.feasible:
-        report["strict_witness"] = list(strict.witness)
+    verdict = feasibility.check_feasible_flow(load_instance(args.instance))
+    # The strict witness is printed only when there is one.
+    report = {k: v for k, v in vars(verdict).items() if v is not None or k != "strict_witness"}
     print(json.dumps(report, indent=2, sort_keys=True))
-    return 0 if feasible else 2
+    return 0 if verdict.feasible else 2
 
 
 def cmd_simulate(args) -> int:

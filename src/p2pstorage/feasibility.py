@@ -1,14 +1,17 @@
 """Allocation existence tests.
 
-The efficient route decides "can every unit place all of its atoms into
-neighboring capacity?" with one maximum flow, solved on the instance's own
-adjacency (``_Transport``).  One residual search finds its augmenting paths
-and both witnesses.  A witness search never meets spare capacity: it starts
-at the units with demand left after a maximum flow (else the flow would
-augment), or at a unit that the strict check found to reach none.
-Exhaustive subset enumeration of the covering inequality and maximum
-matching on the expanded atom-level bipartite graph cross-validate the flow
-at desk scale.  All arithmetic in this module is exact integer arithmetic.
+One maximum flow on the instance's own adjacency (``_Transport``) answers
+both covering conditions (``check_feasible_flow``; ``check_strict`` is its
+strict view): can every unit place all of its atoms into neighboring
+capacity, and, once it can, the strict condition under which the
+relocation chain is ergodic.  One residual search finds its augmenting
+paths and both witnesses.  A witness search never meets spare capacity: it
+starts at the units with demand left after a maximum flow (else the flow
+would augment), or at a unit that the backward strict search found to
+reach none.  Exhaustive subset enumeration of the covering inequality and
+maximum matching on the expanded atom-level bipartite graph cross-validate
+the flow at desk scale.  All arithmetic in this module is exact integer
+arithmetic.
 """
 
 from __future__ import annotations
@@ -44,11 +47,15 @@ class FeasibilityVerdict:
 
     ``witness`` is present exactly when infeasible and is a set of units
     whose total demand exceeds (or, for strict checks, reaches) the total
-    capacity of its joint neighborhood.
+    capacity of its joint neighborhood.  Only the flow check fills
+    ``strict`` (None when infeasible) and ``strict_witness``, a tight set
+    (demand equal to capacity) present exactly when ``strict`` is False.
     """
 
     feasible: bool
     witness: tuple[int, ...] | None = None
+    strict: bool | None = None
+    strict_witness: tuple[int, ...] | None = None
 
 
 class _Transport:
@@ -144,26 +151,17 @@ class _Transport:
 
 
 def check_feasible_flow(inst: Instance) -> FeasibilityVerdict:
-    """Feasible iff a maximum flow ships all demand.  Otherwise the units
-    reachable from those with demand left (the source side of the min cut
-    nearest the source) violate the covering inequality."""
-    flow = _Transport(inst)
-    return FeasibilityVerdict(True) if flow.full else FeasibilityVerdict(False, flow.reach(None))
-
-
-def check_strict(inst: Instance) -> FeasibilityVerdict:
-    """Strict covering condition: every nonempty subset's demand is
-    strictly below its neighborhood capacity.
-
-    Equivalently, one more atom of any alpha_x still ships.  Once all
-    demand ships, that holds iff unit x reaches spare capacity in the
-    residual network, which one backward search from the resources with
-    spare capacity (over in-neighbors, then back along the flow rows)
-    settles for every unit.  Otherwise the set that x reaches is closed:
-    its units S ship only into N(S), all full, and every unit shipping
-    there is in S, so alpha(S) = beta(N(S)) and S is a tight witness.  If
-    not all demand ships, the flow check's witness is returned.
-    """
+    """Feasible iff a maximum flow ships all demand; else the units
+    reachable from those with demand left (the min cut's source side
+    nearest the source) violate the covering inequality.  Strict (every
+    nonempty subset's demand below its neighborhood capacity) iff one more
+    atom of any alpha_x still ships, that is, iff every unit reaches spare
+    capacity in the full flow's residual network: one backward search from
+    the resources with spare capacity (over in-neighbors, then back along
+    the flow rows) settles that for every unit.  The set that a unit
+    failing it reaches is closed: its units S ship only into N(S), all
+    full, and every unit shipping there is in S, so alpha(S) = beta(N(S))
+    and S is a tight witness."""
     flow = _Transport(inst)
     if not flow.full:
         return FeasibilityVerdict(False, flow.reach(None))
@@ -181,8 +179,15 @@ def check_strict(inst: Instance) -> FeasibilityVerdict:
         into[y] = ()  # a resource queued again has nothing left to mark
     for x in range(inst.n):
         if not live[x]:
-            return FeasibilityVerdict(False, flow.reach([x]))
-    return FeasibilityVerdict(True)
+            return FeasibilityVerdict(True, strict=False, strict_witness=flow.reach([x]))
+    return FeasibilityVerdict(True, strict=True)
+
+
+def check_strict(inst: Instance) -> FeasibilityVerdict:
+    """The flow verdict read as a strict one: holds iff ``strict`` is True;
+    the witness is the flow's violating set, or its tight set."""
+    verdict = check_feasible_flow(inst)
+    return FeasibilityVerdict(verdict.strict is True, verdict.witness or verdict.strict_witness)
 
 
 def _subset_tables(values, low: int, combine, dtype) -> list[np.ndarray]:

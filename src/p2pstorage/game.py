@@ -122,8 +122,6 @@ class AllocationState:
                 raise ValueError(f"negative count at ({x}, {y})")
             if c == 0:
                 continue
-            if not 0 <= x < state.n:
-                raise InvalidStateError(f"entry ({x}, {y}) names no unit of the graph")
             if (i := state._slot(x, y)) is None:
                 raise InvalidStateError(f"atoms stored on the non-edge ({x}, {y})")
             if state.rows[x][i]:
@@ -143,6 +141,8 @@ class AllocationState:
 
     def _slot(self, x: int, y: int) -> int | None:
         """Position of resource y in unit x's row; None off x's out-neighbours."""
+        if not 0 <= x < self.n:
+            raise InvalidStateError(f"entry ({x}, {y}) names no unit of the graph")
         i = bisect_left(ys := self.out[x], y)
         return i if i < len(ys) and ys[i] == y else None
 

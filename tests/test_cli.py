@@ -157,16 +157,23 @@ def tight_doc():
     ids=["strict", "tight", "infeasible"],
 )
 def test_check_solves_one_flow(tmp_path, capsys, monkeypatch, doc, code, strict):
-    solve, calls = feasibility._Transport, []
+    # One flow gives the whole verdict: check re-tests no witness.
+    solve, violates, calls, retests = feasibility._Transport, feasibility.witness_violates, [], []
 
     def counted(inst):
         calls.append(inst)
         return solve(inst)
 
+    def counted_violates(*args, **kwargs):
+        retests.append(args)
+        return violates(*args, **kwargs)
+
     monkeypatch.setattr(feasibility, "_Transport", counted)
+    monkeypatch.setattr(feasibility, "witness_violates", counted_violates)
     path = write_instance(tmp_path, "inst.json", doc)
     assert main(["check", str(path)]) == code
     assert len(calls) == 1
+    assert retests == []
     report = json.loads(capsys.readouterr().out)
     assert (report["feasible"], report["strict"]) == (code == 0, strict)
     inst = calls[0]

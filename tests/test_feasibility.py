@@ -323,6 +323,10 @@ def test_flow_verdicts_agree_with_exhaustive_and_witnesses_violate(inst):
     assert flow.feasible == check_feasible_exhaustive(inst).feasible
     if not flow.feasible:
         assert witness_violates(inst, flow.witness)
+    assert flow.strict == (check_strict_exhaustive(inst).feasible if flow.feasible else None)
+    assert (flow.strict_witness is not None) == (flow.strict is False)
+    if flow.strict is False:
+        assert witness_violates(inst, flow.strict_witness, strict=True)
     strict = check_strict(inst)
     assert strict.feasible == check_strict_exhaustive(inst).feasible
     if not strict.feasible:
@@ -428,9 +432,10 @@ def reference_outcome(inst):
     reaches_sink = net.reachable_from(2 * n + 1, reverse=True)
     for x in range(n):
         if 1 + x not in reaches_sink:
-            strict = FeasibilityVerdict(False, units(net.reachable_from(1 + x)))
-            return shipped, FeasibilityVerdict(True), strict
-    return shipped, FeasibilityVerdict(True), FeasibilityVerdict(True)
+            tight = units(net.reachable_from(1 + x))
+            flow = FeasibilityVerdict(True, strict=False, strict_witness=tight)
+            return shipped, flow, FeasibilityVerdict(False, tight)
+    return shipped, FeasibilityVerdict(True, strict=True), FeasibilityVerdict(True)
 
 
 def allocation_from_flow(inst, flow):

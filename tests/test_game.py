@@ -505,6 +505,11 @@ _REJECTIONS = {
                                       inst, GameParams(1.0, 0.0), state, -1, 1.0)),
     "choice-beyond-the-instance": (ValueError, "unit 3 out of range", lambda inst, state:
                                    game.available_resources(inst, state, 3)),
+    # Units -1 and -3 would index units 2 and 0, each holding one atom on resource 1.
+    "get-of-a-negative-unit": (ValueError, "entry (-1, 1)", lambda _i, state: state.get(-1, 1)),
+    "get-wrapping-to-the-first-unit": (ValueError, "entry (-3, 1)",
+                                       lambda _i, state: state.get(-3, 1)),
+    "get-beyond-the-graph": (ValueError, "entry (3, 1)", lambda _i, state: state.get(3, 1)),
 }
 
 
